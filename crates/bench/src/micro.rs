@@ -12,7 +12,8 @@
 //! barriers on rank 0.
 
 use pdc_mpi::{
-    Comm, FaultPlan, Op, Result, RetryPolicy, RunOutput, TuningTable, World, WorldConfig,
+    Comm, FaultPlan, Op, Result, RetryPolicy, RunOutput, SourceSel, StepComm, StepFuture,
+    StepProgram, TuningTable, World, WorldConfig,
 };
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
@@ -98,6 +99,10 @@ pub struct MicroResult {
     /// Appended to the schema exactly like `drop_rate` — older artifacts
     /// still parse (missing → `null` → `None`).
     pub bytes_per_rank: Option<u64>,
+    /// Runtime layer a per-layer cell isolates (`"mailbox"`); `null` for
+    /// end-to-end points. Appended to the schema exactly like
+    /// `drop_rate` — older artifacts still parse (missing → `null`).
+    pub layer: Option<String>,
 }
 
 /// A full suite run: every `MicroResult` plus run metadata.
@@ -300,6 +305,7 @@ fn summarize(
         sched_seed: mode.sched_seed,
         backend: mode.backend_field(),
         bytes_per_rank: None,
+        layer: None,
     }
 }
 
@@ -547,7 +553,90 @@ pub fn collective_sim(
         // transport — so they carry no backend marker.
         backend: None,
         bytes_per_rank: None,
+        layer: None,
     })
+}
+
+/// Posted-queue depths of the mailbox-match cells.
+pub const MAILBOX_DEPTHS: [usize; 3] = [1, 32, 1024];
+
+/// Step program behind [`mailbox_match`]: each round, ranks `1..=depth`
+/// post one 8-byte message to rank 0 and everyone meets at a barrier, so
+/// rank 0 holds `depth` unmatched messages; rank 0 then times receiving
+/// all of them (the drain of its channel included), and a second barrier
+/// closes the round. Exact-source receives take the sources in reverse
+/// arrival order, the worst case for a queue scan.
+struct MailboxDrain {
+    rounds: usize,
+    wildcard: bool,
+}
+
+/// Untimed rounds before [`MailboxDrain`] records samples.
+const MAILBOX_WARMUP: usize = 2;
+
+impl StepProgram<Vec<f64>> for MailboxDrain {
+    fn build<'c, 'w: 'c>(&'c self, mut sc: StepComm<'c, 'w>) -> StepFuture<'c, Result<Vec<f64>>> {
+        Box::pin(async move {
+            const TAG: u32 = 5;
+            let depth = sc.size() - 1;
+            let mut buf = [0u64];
+            let mut samples = Vec::with_capacity(self.rounds);
+            for round in 0..MAILBOX_WARMUP + self.rounds {
+                if sc.rank() != 0 {
+                    sc.send(&[round as u64], 0, TAG).await?;
+                }
+                sc.barrier().await?;
+                if sc.rank() == 0 {
+                    let t = Instant::now();
+                    for i in 0..depth {
+                        let src = if self.wildcard {
+                            SourceSel::Any
+                        } else {
+                            SourceSel::Rank(depth - i)
+                        };
+                        sc.recv_into(&mut buf, src, TAG).await?;
+                    }
+                    if round >= MAILBOX_WARMUP {
+                        samples.push(t.elapsed().as_secs_f64() * 1e6 / depth as f64);
+                    }
+                }
+                sc.barrier().await?;
+            }
+            Ok(samples)
+        })
+    }
+}
+
+/// Mailbox-match cell (`layer: "mailbox"`): wall time per matched
+/// receive on a rank holding `depth` pending messages from `depth`
+/// distinct sources, by exact source (`mailbox_match[exact]`) or
+/// `ANY_SOURCE` (`mailbox_match[any]`). Runs on the single-threaded
+/// event engine (seed 0), which is what makes a 1025-rank world cheap
+/// and keeps thread scheduling out of the number; `ranks` is
+/// `depth + 1`.
+pub fn mailbox_match(depth: usize, wildcard: bool, rounds: usize) -> Result<MicroResult> {
+    let cfg = WorldConfig::new(depth + 1)
+        .with_virtual(1)
+        .with_sched_seed(0)
+        .with_eager_threshold(usize::MAX);
+    let out = World::run_event(cfg, &MailboxDrain { rounds, wildcard })?;
+    let mode = PointMode {
+        sched_seed: Some(0),
+        ..PointMode::default()
+    };
+    let samples = out.values.into_iter().next().expect("rank 0 samples");
+    let name = if wildcard { "any" } else { "exact" };
+    let mut r = summarize(
+        &format!("mailbox_match[{name}]"),
+        depth + 1,
+        8,
+        samples,
+        Some(8),
+        mode,
+    );
+    r.backend = Some("event".to_string());
+    r.layer = Some("mailbox".to_string());
+    Ok(r)
 }
 
 /// Payload sizes for the latency sweep, bytes.
@@ -608,6 +697,15 @@ pub fn run_suite(cfg: MicroConfig, mode: &str, tuning: Option<&TuningTable>) -> 
                         results.push(collective_sim(which, ranks, nodes, bytes, Some(t))?);
                     }
                 }
+            }
+        }
+    }
+    // Per-layer cells: mailbox matching at several queue depths. They run
+    // on the in-process event engine, so `--backend proc` skips them.
+    if cfg.backend != Backend::Proc {
+        for &depth in &MAILBOX_DEPTHS {
+            for wildcard in [false, true] {
+                results.push(mailbox_match(depth, wildcard, cfg.coll_iters)?);
             }
         }
     }
@@ -774,6 +872,7 @@ mod tests {
             sched_seed: Some(0),
             backend: None,
             bytes_per_rank: None,
+            layer: None,
         }
     }
 
@@ -828,6 +927,7 @@ mod tests {
             sched_seed: None,
             backend: None,
             bytes_per_rank: None,
+            layer: None,
         };
         let slow_but_virtual = MicroResult {
             drop_rate: None,

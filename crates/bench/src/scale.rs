@@ -118,6 +118,7 @@ fn sim_point(
         sched_seed: Some(cfg.seed),
         backend: None,
         bytes_per_rank: None,
+        layer: None,
     }
 }
 
@@ -357,6 +358,7 @@ mod tests {
             sched_seed: Some(0),
             backend: None,
             bytes_per_rank: None,
+            layer: None,
         };
         let suite = MicroSuite {
             suite: "pdc-mpi-scale".into(),

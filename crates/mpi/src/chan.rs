@@ -6,9 +6,10 @@
 //! container) those wakeups steal cycles from the rank that could actually
 //! run. This channel replaces polling with condvar wakeups:
 //!
-//! * a send locks the queue, pushes, and notifies the waiting receiver —
-//!   the receiver observes the message one wakeup later, not one poll
-//!   tick later;
+//! * a send locks the queue, pushes, and notifies the receiver if it is
+//!   parked on the condvar — the receiver observes the message one wakeup
+//!   later, not one poll tick later, and a receiver that is not waiting
+//!   (the event engine never is) costs the sender no futex syscall;
 //! * the watchdog, having poisoned the world, calls [`Wake::wake_all`] on
 //!   every registered channel so blocked primitives observe the poison
 //!   flag *immediately* (the flag itself is re-checked under the queue
@@ -51,6 +52,8 @@ struct State<T: Send + 'static> {
     queue: VecDeque<T>,
     senders: usize,
     receiver_alive: bool,
+    /// Receivers parked on the condvar; a send notifies only when nonzero.
+    parked: usize,
 }
 
 struct Inner<T: Send + 'static> {
@@ -191,7 +194,9 @@ impl<T: Send + 'static> Sender<T> {
                     let mut state = inner.lock();
                     if state.receiver_alive {
                         state.queue.push_back(value);
-                        inner.cv.notify_one();
+                        if state.parked > 0 {
+                            inner.cv.notify_one();
+                        }
                     }
                 }),
             );
@@ -202,7 +207,9 @@ impl<T: Send + 'static> Sender<T> {
             return Err(SendError(value));
         }
         state.queue.push_back(value);
-        self.0.cv.notify_one();
+        if state.parked > 0 {
+            self.0.cv.notify_one();
+        }
         Ok(())
     }
 }
@@ -231,6 +238,16 @@ impl<T: Send + 'static> Receiver<T> {
             None if state.senders == 0 => Err(TryRecvError::Disconnected),
             None => Err(TryRecvError::Empty),
         }
+    }
+
+    /// Take every queued message at once (non-blocking, one lock). The
+    /// channel's buffer goes with them, so a burst is not held twice.
+    pub fn take_all(&self) -> VecDeque<T> {
+        let mut state = self.0.lock();
+        if state.queue.is_empty() {
+            return VecDeque::new();
+        }
+        std::mem::take(&mut state.queue)
     }
 
     /// Block until a message arrives, every sender disconnects, or `stop`
@@ -277,11 +294,13 @@ impl<T: Send + 'static> Receiver<T> {
             if state.senders == 0 {
                 return Err(RecvError::Disconnected);
             }
+            state.parked += 1;
             (state, _) = self
                 .0
                 .cv
                 .wait_timeout(state, BACKSTOP)
                 .unwrap_or_else(PoisonError::into_inner);
+            state.parked -= 1;
         }
     }
 
@@ -330,6 +349,7 @@ pub fn channel<T: Send + 'static>() -> (Sender<T>, Receiver<T>) {
             queue: VecDeque::new(),
             senders: 1,
             receiver_alive: true,
+            parked: 0,
         }),
         cv: Condvar::new(),
         id: NEXT_CHAN_ID.fetch_add(1, Ordering::Relaxed),
