@@ -31,7 +31,7 @@ use pdc_datagen::uniform_points;
 use pdc_modules::module2::{distance_matrix_rank, Access, DistanceMatrixProgram};
 use pdc_modules::module3::{distribution_sort_rank, BucketStrategy, InputDist};
 use pdc_modules::module6::{stencil_rank, HaloVariant, StencilProgram};
-use pdc_mpi::{EventMemStats, Result, World, WorldConfig};
+use pdc_mpi::{EventMemStats, Result, TuningTable, World, WorldConfig};
 
 /// Rank counts of the sweep.
 pub const SCALE_RANKS: [usize; 3] = [256, 1024, 4096];
@@ -220,6 +220,30 @@ pub fn event_module2_point(cfg: ScaleConfig) -> Result<MicroResult> {
     ))
 }
 
+/// [`event_module2_point`] with the checked-in `TUNING_mpi.json`
+/// installed: every collective goes through algorithm selection on the
+/// event backend, as it does on the others.
+pub fn event_module2_tuned_point(cfg: ScaleConfig) -> Result<MicroResult> {
+    let ranks = cfg.event_ranks;
+    let table = TuningTable::from_json(include_str!("../../../TUNING_mpi.json"))
+        .expect("checked-in TUNING_mpi.json parses");
+    let program = DistanceMatrixProgram {
+        points: uniform_points(M2_POINTS, 8, 0.0, 100.0, 42),
+        access: Access::RowWise,
+    };
+    let world = virtual_cfg(ranks, FIXED_NODES, cfg).with_tuning(table);
+    let (result, mem) = World::run_event_with_mem(world, &program);
+    let out = result?;
+    Ok(event_point(
+        "scale_module2_event[auto]",
+        ranks,
+        M2_POINTS * 8 * 8,
+        out.sim_time,
+        &mem,
+        cfg,
+    ))
+}
+
 /// Module 6 on the stackless event backend at `cfg.event_ranks` virtual
 /// ranks: per-iteration halo isends, receives, and deferred waits —
 /// the densest park/resume pattern of the three modules.
@@ -249,7 +273,7 @@ pub fn event_stencil_point(cfg: ScaleConfig) -> Result<MicroResult> {
 
 /// The full 256–4096-rank sweep (the sort capped at
 /// [`SORT_MAX_RANKS`]; see there), plus the event-backend points at
-/// [`ScaleConfig::event_ranks`].
+/// [`ScaleConfig::event_ranks`], Module 2 both untuned and tuned.
 pub fn run_scale_suite(cfg: ScaleConfig) -> Result<MicroSuite> {
     let mut results = Vec::new();
     for &ranks in &SCALE_RANKS {
@@ -264,6 +288,7 @@ pub fn run_scale_suite(cfg: ScaleConfig) -> Result<MicroSuite> {
         results.push(stencil_point(ranks, cfg)?);
     }
     results.push(event_module2_point(cfg)?);
+    results.push(event_module2_tuned_point(cfg)?);
     results.push(event_stencil_point(cfg)?);
     Ok(MicroSuite {
         suite: "pdc-mpi-scale".to_string(),

@@ -31,8 +31,10 @@ use crate::envelope::Envelope;
 use crate::error::{Error, Result};
 use crate::fault::ActiveFaults;
 use crate::mailbox::{Mailbox, Progress};
-use crate::step::{EventCtx, Hints, RankStep, StepComm, StepFuture, StepProgram, WaitCell};
+use crate::step::{RankStep, StepComm, StepFuture, StepProgram};
 use crate::transport::{Outbox, Outboxes, SendFailed};
+use crate::tune::WorldTuning;
+use crate::wait::{EventCtx, Hints, WaitCell};
 use crate::world::{RunOutput, World, WorldConfig};
 use pdc_cluster::{CostModel, Placement};
 use std::cell::RefCell;
@@ -136,11 +138,15 @@ impl World {
     /// (the worker count is irrelevant here — the engine is
     /// single-threaded); a plain config runs in program order (seed 0).
     ///
+    /// Collective tuning tables ([`WorldConfig::tuning`]) are honoured
+    /// exactly as on the other backends: every backend runs the same
+    /// collective implementations, so a tuned run selects the same
+    /// hierarchical or chunked algorithms and produces the same results,
+    /// clock, and statistics.
+    ///
     /// # Errors
     /// Anything a rank body returns, plus [`Error::Deadlock`] with the
-    /// same analysis the parked-thread backends produce. Collective
-    /// tuning tables are not supported on this backend yet and fail fast
-    /// with [`Error::InvalidArgument`].
+    /// same analysis the parked-thread backends produce.
     pub fn run_event<T, P>(cfg: WorldConfig, program: &P) -> Result<RunOutput<T>>
     where
         P: StepProgram<T> + ?Sized,
@@ -188,26 +194,6 @@ where
 {
     assert!(cfg.size > 0, "a world needs at least one rank");
     let size = cfg.size;
-    let empty_mem = EventMemStats {
-        ranks: size,
-        future_bytes: 0,
-        comm_bytes: 0,
-        cell_bytes: 0,
-        bytes_per_rank: 0,
-        events: 0,
-    };
-    if cfg.tuning.is_some() {
-        // The event-mode collective mirrors implement the flat algorithms
-        // only; silently ignoring a tuning table would diverge from the
-        // other backends, so refuse it loudly.
-        return (
-            Err(Error::InvalidArgument(
-                "the event backend does not support collective tuning tables".into(),
-            )),
-            Vec::new(),
-            empty_mem,
-        );
-    }
     let placement = Placement::new(
         size,
         cfg.nodes_used,
@@ -215,6 +201,7 @@ where
         cfg.placement_policy,
     );
     let cost = Arc::new(CostModel::new(cfg.machine.clone(), placement));
+    let tuning = WorldTuning::bind(cfg.tuning.as_ref(), cost.placement());
     let progress = Arc::new(Progress::new(size));
     if let Some(token) = &cfg.cancel {
         token.attach(Arc::clone(&progress), None);
@@ -257,7 +244,7 @@ where
                 cfg.tracing,
                 cfg.check,
                 faults.clone(),
-                None,
+                tuning.clone(),
             )
         })
         .collect();

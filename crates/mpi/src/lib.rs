@@ -73,6 +73,7 @@ pub mod topology;
 pub mod trace;
 pub mod transport;
 pub mod tune;
+pub(crate) mod wait;
 pub mod world;
 
 pub use check::{BlockedOp, CallSite, CheckEvent, CheckMode, DeadlockInfo, WaitTarget};

@@ -690,11 +690,12 @@ pub fn watchdog(progress: &Progress, interval: Duration) {
         if progress.wait_done_until(deadline) {
             return;
         }
-        let done = progress.done.load(Ordering::SeqCst);
-        let blocked = progress.blocked.load(Ordering::SeqCst);
-        let deliveries = progress.deliveries.load(Ordering::SeqCst);
-        let all_stuck = blocked > 0 && blocked + done == progress.size;
-        if all_stuck && deliveries == prev_deliveries {
+        let sample = WatchdogSample {
+            done: progress.done.load(Ordering::SeqCst),
+            blocked: progress.blocked.load(Ordering::SeqCst),
+            deliveries: progress.deliveries.load(Ordering::SeqCst),
+        };
+        if stalled(progress.size, prev_deliveries, sample) {
             // Explain before poisoning: snapshot what every blocked rank
             // was waiting for and look for a wait-for cycle, so the error
             // the ranks observe names the calls instead of just timing
@@ -707,8 +708,25 @@ pub fn watchdog(progress: &Progress, interval: Duration) {
             progress.poison(info);
             return;
         }
-        prev_deliveries = deliveries;
+        prev_deliveries = sample.deliveries;
     }
+}
+
+/// What the watchdog reads from [`Progress`] at one sample.
+#[derive(Debug, Clone, Copy)]
+struct WatchdogSample {
+    done: usize,
+    blocked: usize,
+    deliveries: u64,
+}
+
+/// The watchdog's stall decision for a world of `size` ranks: every
+/// not-done rank is blocked, at least one is, and no envelope moved since
+/// the previous sample (`prev_deliveries`; `u64::MAX` before the first).
+fn stalled(size: usize, prev_deliveries: u64, sample: WatchdogSample) -> bool {
+    sample.blocked > 0
+        && sample.blocked + sample.done == size
+        && sample.deliveries == prev_deliveries
 }
 
 /// Live depth above which a mailbox also keeps an [`Index`]. At or below
@@ -1575,21 +1593,33 @@ mod tests {
 
     #[test]
     fn watchdog_spares_a_progressing_world() {
-        let progress = std::sync::Arc::new(Progress::new(1));
-        let p2 = progress.clone();
-        // One rank blocked but envelopes keep moving.
-        progress.blocked.store(1, Ordering::SeqCst);
-        let mover = std::thread::spawn(move || {
-            for _ in 0..40 {
-                p2.bump();
-                std::thread::sleep(Duration::from_millis(2));
-            }
-            p2.done.store(1, Ordering::SeqCst);
-            p2.blocked.store(0, Ordering::SeqCst);
-        });
-        watchdog(&progress, Duration::from_millis(5));
-        assert!(!progress.is_poisoned());
-        mover.join().expect("mover thread");
+        // One rank blocked, but an envelope moves between every pair of
+        // samples: never a stall, however the samples fall in time.
+        let mut prev = u64::MAX;
+        for deliveries in 0..40 {
+            let sample = WatchdogSample {
+                done: 0,
+                blocked: 1,
+                deliveries,
+            };
+            assert!(!stalled(1, prev, sample), "sample {deliveries}");
+            prev = deliveries;
+        }
+        // The same world once its envelopes stop moving is a stall...
+        let stuck = WatchdogSample {
+            done: 0,
+            blocked: 1,
+            deliveries: prev,
+        };
+        assert!(stalled(1, prev, stuck));
+        // ...but only when every rank that is not done is blocked.
+        assert!(!stalled(2, prev, stuck));
+        let finished = WatchdogSample {
+            done: 1,
+            blocked: 0,
+            ..stuck
+        };
+        assert!(!stalled(1, prev, finished));
     }
 
     /// Today's linear matcher, kept as the reference the indexed mailbox

@@ -1,47 +1,47 @@
-//! Resumable (stackless) rank programs.
+//! Resumable (stackless) rank programs, and the one implementation of
+//! every blocking primitive.
 //!
 //! A *step program* is a rank body written against [`StepComm`] instead of
 //! [`Comm`]: every potentially blocking primitive is `async`, so the
 //! compiler turns the body into an explicit state machine whose
 //! suspension points are exactly the runtime's blocking points (the
 //! [`RankStep`] continuations: receive, rendezvous ack, collective
-//! interior receive, failure agreement). One source of truth then runs on
-//! every backend:
+//! interior receive, failure agreement).
 //!
-//! * **Thread / virtual / proc backends** call [`drive`], which polls the
-//!   state machine once in *blocking mode*. In blocking mode every
-//!   primitive delegates to the exact synchronous [`Comm`] code path
-//!   (same call-site tracking, same tuning support), so the program never
-//!   actually suspends — the single poll runs it to completion and the
-//!   observable behaviour is bit-identical to a hand-written `*_rank`
-//!   body.
+//! Each primitive and collective is implemented exactly once, as `async`
+//! code over a [`StepComm`] (point-to-point here, collectives in
+//! `coll.rs`), and waits only in the wait core (`wait.rs`). That one
+//! implementation serves every backend:
+//!
+//! * **Thread / virtual / proc backends** wait by blocking the rank's
+//!   thread, so every future completes on its first poll. The blocking
+//!   [`Comm`] methods are one-poll wrappers over these futures, and
+//!   [`drive`] runs a whole step program the same way.
 //! * **The event backend** ([`World::run_event`](crate::World::run_event))
-//!   builds one state machine per rank in *event mode*, where primitives
-//!   suspend by parking on a [`WaitCell`] and a binary-heap discrete-event
-//!   engine resumes them (see `docs/scheduler.md`). Per-rank cost is the
-//!   state machine plus a mailbox — bytes, not a 512 KiB stack — which is
-//!   what lets `mpi_scale` sweep 10^5–10^6 virtual ranks in one process.
+//!   builds one state machine per rank whose waits park on a wait cell;
+//!   a binary-heap discrete-event engine resumes them (see
+//!   `docs/scheduler.md`). Per-rank cost is the state machine plus a
+//!   mailbox — bytes, not a 512 KiB stack — which is what lets
+//!   `mpi_scale` sweep 10^5–10^6 virtual ranks in one process.
 //!
-//! The event-mode paths reuse the same completion helpers
-//! (`finish_recv`/`finish_ack`) and check-log calls as the blocking
-//! runtime, and the conformance suite (`tests/event_conformance.rs`) pins
-//! results, sim clocks, `CommStats`, and checker logs byte-identical
-//! across backends.
+//! Because the algorithms are shared, the event backend runs the tuned
+//! (hierarchical and chunked) collectives a tuning table selects exactly
+//! as the other backends do. The conformance suite
+//! (`tests/event_conformance.rs`) pins results, sim clocks, `CommStats`,
+//! and checker logs byte-identical across backends.
 
-use crate::chan::{Receiver, TryRecvError};
 use crate::check::{BlockedOp, CallSite, CheckEvent, WaitTarget};
+use crate::coll::{self, Scope};
 use crate::comm::{Comm, RecvRequest, SendRequest};
-use crate::datatype::{decode_extend, decode_vec, encode_slice, Datatype};
+use crate::datatype::{decode_into, Datatype};
 use crate::envelope::{Envelope, MatchSpec, MsgClass, SourceSel, Status, TagSel};
 use crate::error::{Error, Result};
-use crate::reduce::{fold_into, Op, Reducible};
+use crate::reduce::{Op, Reducible};
 use crate::stats::{CommStats, Primitive};
-use bytes::Bytes;
+use crate::wait::{EventCtx, Waiter};
 use pdc_cluster::CostModel;
-use std::cell::RefCell;
 use std::future::Future;
-use std::pin::Pin;
-use std::rc::Rc;
+use std::pin::{pin, Pin};
 use std::task::{Context, Poll, Waker};
 
 /// The boxed, rank-local future a step program compiles to. Not `Send`:
@@ -86,100 +86,27 @@ pub enum RankStep {
     Finalize,
 }
 
-/// Per-rank wait state shared between a parked state machine and the
-/// event engine. A few bytes per rank — this *is* the "stack" of a parked
-/// virtual rank on the event backend.
-pub(crate) struct WaitCell {
-    /// The rank is suspended and needs an external wake to make progress.
-    pub parked: bool,
-    /// The rank is already in the engine's run heap (dedups wakes).
-    pub queued: bool,
-    /// Simulated time at which the rank parked; its resume priority.
-    pub now: f64,
-    /// Which blocking point the rank is suspended at.
-    pub waiting: RankStep,
-}
-
-impl WaitCell {
-    pub(crate) fn new() -> Rc<RefCell<Self>> {
-        Rc::new(RefCell::new(WaitCell {
-            parked: false,
-            queued: false,
-            now: 0.0,
-            waiting: RankStep::Ready,
-        }))
-    }
-}
-
-/// Wake hints the primitives push for the engine: completing a receive
-/// releases a rendezvous sender (`wake`); parking in `agree` registers
-/// for the progress-change requeue list; entering `agree` is itself a
-/// progress change other agree-waiters must observe.
-#[derive(Default)]
-pub(crate) struct Hints {
-    /// Ranks to requeue because an action just unblocked them.
-    pub wake: Vec<usize>,
-    /// Ranks parked in `agree`, requeued on any progress change.
-    pub agree_parked: Vec<usize>,
-    /// Set when a rank entered an agreement generation this poll.
-    pub agree_entered: bool,
-}
-
-/// Everything an event-mode primitive needs to suspend: its rank, its
-/// wait cell, and the shared hint lists.
-#[derive(Clone)]
-pub(crate) struct EventCtx {
-    pub cell: Rc<RefCell<WaitCell>>,
-    pub hints: Rc<RefCell<Hints>>,
-}
-
-/// Execution mode of a [`StepComm`]: blocking (delegate to the
-/// synchronous runtime) or event-driven (suspend on a wait cell).
-#[derive(Clone)]
-enum Mode {
-    Blocking,
-    Event(EventCtx),
-}
-
-/// Future that suspends exactly once, leaving the rank parked on its
-/// wait cell until the engine requeues and re-polls it.
-struct Park {
-    cell: Rc<RefCell<WaitCell>>,
-    yielded: bool,
-}
-
-impl Future for Park {
-    type Output = ();
-
-    fn poll(mut self: Pin<&mut Self>, _cx: &mut Context<'_>) -> Poll<()> {
-        if self.yielded {
-            Poll::Ready(())
-        } else {
-            self.yielded = true;
-            self.cell.borrow_mut().parked = true;
-            Poll::Pending
-        }
-    }
-}
-
-/// Park the calling rank at `step`, priced at simulated time `now`.
-fn park(ctx: &EventCtx, now: f64, step: RankStep) -> Park {
-    {
-        let mut cell = ctx.cell.borrow_mut();
-        cell.now = now;
-        cell.waiting = step;
-    }
-    Park {
-        cell: Rc::clone(&ctx.cell),
-        yielded: false,
+/// Poll a blocking-mode future once, pinned on the stack. Its waits
+/// block the thread, so the single poll runs it to completion.
+///
+/// # Panics
+/// Panics if the future suspends, which a blocking-mode future never
+/// does — it would indicate an `await` on a foreign future inside a rank
+/// body.
+pub(crate) fn block_on<F: Future>(fut: F) -> F::Output {
+    let mut cx = Context::from_waker(Waker::noop());
+    match pin!(fut).poll(&mut cx) {
+        Poll::Ready(v) => v,
+        Poll::Pending => unreachable!(
+            "a blocking-mode step program suspended; rank bodies must only await StepComm primitives"
+        ),
     }
 }
 
 /// Run a step program to completion in blocking mode on `comm` — the
 /// shim that lets the thread, virtual, and proc backends execute a
 /// resumable rank body unchanged. The single poll never suspends: every
-/// blocking-mode primitive completes synchronously via the classic
-/// [`Comm`] code path.
+/// blocking-mode wait completes synchronously on the rank's thread.
 ///
 /// # Panics
 /// Panics if the future suspends, which a blocking-mode [`StepComm`]
@@ -189,34 +116,32 @@ pub fn drive<'c, 'w, T>(
     comm: &'c mut Comm<'w>,
     build: impl FnOnce(StepComm<'c, 'w>) -> StepFuture<'c, T>,
 ) -> T {
-    let sc = StepComm {
-        comm,
-        mode: Mode::Blocking,
-    };
-    let mut fut = build(sc);
-    let mut cx = Context::from_waker(Waker::noop());
-    match fut.as_mut().poll(&mut cx) {
-        Poll::Ready(v) => v,
-        Poll::Pending => unreachable!(
-            "a blocking-mode step program suspended; rank bodies must only await StepComm primitives"
-        ),
-    }
+    block_on(build(StepComm::blocking(comm)))
 }
 
 /// The communicator handed to a resumable rank body. Mirrors the
 /// [`Comm`] surface the teaching modules use; potentially blocking
 /// primitives are `async` and must be `.await`ed.
 pub struct StepComm<'c, 'w: 'c> {
-    comm: &'c mut Comm<'w>,
-    mode: Mode,
+    pub(crate) comm: &'c mut Comm<'w>,
+    pub(crate) wait: Waiter,
 }
 
 impl<'c, 'w: 'c> StepComm<'c, 'w> {
+    /// Blocking-mode constructor: the futures complete on their first
+    /// poll (see [`block_on`]).
+    pub(crate) fn blocking(comm: &'c mut Comm<'w>) -> Self {
+        StepComm {
+            comm,
+            wait: Waiter::Blocking,
+        }
+    }
+
     /// Event-mode constructor, used by the event engine.
     pub(crate) fn event(comm: &'c mut Comm<'w>, ctx: EventCtx) -> Self {
         StepComm {
             comm,
-            mode: Mode::Event(ctx),
+            wait: Waiter::Event(ctx),
         }
     }
 
@@ -334,30 +259,7 @@ impl<'c, 'w: 'c> StepComm<'c, 'w> {
         dest: usize,
         tag: u32,
     ) -> impl Future<Output = Result<()>> + use<'a, 'c, 'w, T> {
-        let site = CallSite::here();
-        async move {
-            match self.mode.clone() {
-                Mode::Blocking => self.comm.send_at(data, dest, tag, site),
-                Mode::Event(ctx) => {
-                    self.comm.validate_rank(dest, "destination")?;
-                    self.comm.record(Primitive::Send);
-                    let synchronous = data.len() * T::SIZE > self.comm.eager_threshold()
-                        && dest != self.comm.rank();
-                    let ack = self.comm.transport_send(
-                        data,
-                        dest,
-                        MsgClass::User(tag),
-                        synchronous,
-                        site,
-                    )?;
-                    if let Some(ack) = ack {
-                        let op = self.comm.blocked_send("send(rendezvous)", dest, tag, site);
-                        await_ack_event(self.comm, &ctx, ack, dest, op).await?;
-                    }
-                    Ok(())
-                }
-            }
-        }
+        self.send_at(data, dest, tag, CallSite::here())
     }
 
     /// `MPI_Ssend`. See [`Comm::ssend`].
@@ -368,33 +270,7 @@ impl<'c, 'w: 'c> StepComm<'c, 'w> {
         dest: usize,
         tag: u32,
     ) -> impl Future<Output = Result<()>> + use<'a, 'c, 'w, T> {
-        let site = CallSite::here();
-        async move {
-            match self.mode.clone() {
-                Mode::Blocking => self.comm.ssend(data, dest, tag),
-                Mode::Event(ctx) => {
-                    self.comm.validate_rank(dest, "destination")?;
-                    if dest == self.comm.rank() {
-                        return Err(Error::InvalidArgument(
-                            "ssend to self would block forever".into(),
-                        ));
-                    }
-                    self.comm.record(Primitive::Ssend);
-                    let ack =
-                        self.comm
-                            .transport_send(data, dest, MsgClass::User(tag), true, site)?;
-                    let op = self.comm.blocked_send("ssend", dest, tag, site);
-                    await_ack_event(
-                        self.comm,
-                        &ctx,
-                        ack.expect("synchronous send has an ack channel"),
-                        dest,
-                        op,
-                    )
-                    .await
-                }
-            }
-        }
+        self.ssend_at(data, dest, tag, CallSite::here())
     }
 
     /// `MPI_Recv` into a fresh vector. See [`Comm::recv`].
@@ -404,32 +280,7 @@ impl<'c, 'w: 'c> StepComm<'c, 'w> {
         src: S,
         tag: G,
     ) -> impl Future<Output = Result<(Vec<T>, Status)>> + use<'a, 'c, 'w, T, S, G> {
-        let site = CallSite::here();
-        let (src, tag) = (src.into(), tag.into());
-        async move {
-            match self.mode.clone() {
-                Mode::Blocking => self.comm.recv_at(src, tag, site),
-                Mode::Event(ctx) => {
-                    if let SourceSel::Rank(r) = src {
-                        self.comm.validate_rank(r, "source")?;
-                    }
-                    self.comm.record(Primitive::Recv);
-                    let spec = MatchSpec::User(src, tag);
-                    let env = recv_env_event(
-                        self.comm,
-                        &ctx,
-                        &spec,
-                        Some(("recv", site)),
-                        RankStep::Recv,
-                    )
-                    .await?;
-                    let candidates = self.comm.mailbox_mut().last_candidates();
-                    self.comm
-                        .record_user_recv::<T>(&env, &spec, candidates, site);
-                    self.comm.decode_user_payload(&env)
-                }
-            }
-        }
+        self.recv_at(src.into(), tag.into(), CallSite::here())
     }
 
     /// `MPI_Recv` into a caller buffer. See [`Comm::recv_into`].
@@ -440,41 +291,7 @@ impl<'c, 'w: 'c> StepComm<'c, 'w> {
         src: S,
         tag: G,
     ) -> impl Future<Output = Result<Status>> + use<'a, 'c, 'w, T, S, G> {
-        let site = CallSite::here();
-        let (src, tag) = (src.into(), tag.into());
-        async move {
-            match self.mode.clone() {
-                Mode::Blocking => self.comm.recv_into_at(buf, src, tag, site),
-                Mode::Event(ctx) => {
-                    if let SourceSel::Rank(r) = src {
-                        self.comm.validate_rank(r, "source")?;
-                    }
-                    self.comm.record(Primitive::Recv);
-                    let spec = MatchSpec::User(src, tag);
-                    let env = recv_env_event(
-                        self.comm,
-                        &ctx,
-                        &spec,
-                        Some(("recv", site)),
-                        RankStep::Recv,
-                    )
-                    .await?;
-                    let candidates = self.comm.mailbox_mut().last_candidates();
-                    self.comm
-                        .record_user_recv::<T>(&env, &spec, candidates, site);
-                    let status = Status::of(&env);
-                    env.ensure_type::<T>()?;
-                    if env.payload.len() > buf.len() * T::SIZE {
-                        return Err(Error::Truncated {
-                            message_bytes: status.bytes,
-                            buffer_bytes: buf.len() * T::SIZE,
-                        });
-                    }
-                    crate::datatype::decode_into(&env.payload, buf);
-                    Ok(status)
-                }
-            }
-        }
+        self.recv_into_at(buf, src.into(), tag.into(), CallSite::here())
     }
 
     /// `MPI_Wait` on a send request. See [`Comm::wait_send`].
@@ -483,8 +300,7 @@ impl<'c, 'w: 'c> StepComm<'c, 'w> {
         &'a mut self,
         req: SendRequest,
     ) -> impl Future<Output = Result<()>> + use<'a, 'c, 'w> {
-        let site = CallSite::here();
-        async move { wait_send_step(self, req, site).await }
+        self.wait_send_at(req, CallSite::here())
     }
 
     /// `MPI_Waitall` on send requests. See [`Comm::wait_all_sends`].
@@ -493,13 +309,7 @@ impl<'c, 'w: 'c> StepComm<'c, 'w> {
         &'a mut self,
         reqs: Vec<SendRequest>,
     ) -> impl Future<Output = Result<()>> + use<'a, 'c, 'w> {
-        let site = CallSite::here();
-        async move {
-            for req in reqs {
-                wait_send_step(self, req, site).await?;
-            }
-            Ok(())
-        }
+        self.wait_all_sends_at(reqs, CallSite::here())
     }
 
     /// `MPI_Wait` on a receive request. See [`Comm::wait_recv`].
@@ -508,31 +318,7 @@ impl<'c, 'w: 'c> StepComm<'c, 'w> {
         &'a mut self,
         req: RecvRequest<T>,
     ) -> impl Future<Output = Result<(Vec<T>, Status)>> + use<'a, 'c, 'w, T> {
-        let site = CallSite::here();
-        async move {
-            match self.mode.clone() {
-                Mode::Blocking => self.comm.wait_recv(req),
-                Mode::Event(ctx) => {
-                    self.comm.record(Primitive::Wait);
-                    let (spec, id) = req.into_spec();
-                    let env = recv_env_event(
-                        self.comm,
-                        &ctx,
-                        &spec,
-                        Some(("wait_recv", site)),
-                        RankStep::Recv,
-                    )
-                    .await?;
-                    let candidates = self.comm.mailbox_mut().last_candidates();
-                    self.comm
-                        .record_user_recv::<T>(&env, &spec, candidates, site);
-                    if let Some(id) = id {
-                        self.comm.record_event(CheckEvent::RequestCompleted { id });
-                    }
-                    self.comm.decode_user_payload(&env)
-                }
-            }
-        }
+        self.wait_recv_at(req, CallSite::here())
     }
 
     /// `MPI_Probe`. See [`Comm::probe`].
@@ -542,35 +328,7 @@ impl<'c, 'w: 'c> StepComm<'c, 'w> {
         src: S,
         tag: G,
     ) -> impl Future<Output = Result<Status>> + use<'a, 'c, 'w, S, G> {
-        let site = CallSite::here();
-        let (src, tag) = (src.into(), tag.into());
-        async move {
-            match self.mode.clone() {
-                Mode::Blocking => self.comm.probe_at(src, tag, site),
-                Mode::Event(ctx) => {
-                    self.comm.enact_crash()?;
-                    self.comm.record(Primitive::Probe);
-                    let spec = MatchSpec::User(src, tag);
-                    let target = spec.source_rank();
-                    let acked = self.comm.acked_failures();
-                    if let Some(st) = self.comm.mailbox_mut().peek_matching(&spec) {
-                        return Ok(st);
-                    }
-                    let op = self.comm.blocked_recv(&spec, Some(("probe", site)));
-                    let progress = self.comm.progress();
-                    let _guard = progress.enter_blocked_as(op);
-                    loop {
-                        if progress.should_stop(target, acked) {
-                            return Err(progress.stop_error(target, acked));
-                        }
-                        park(&ctx, self.comm.sim_time(), RankStep::Recv).await;
-                        if let Some(st) = self.comm.mailbox_mut().peek_matching(&spec) {
-                            return Ok(st);
-                        }
-                    }
-                }
-            }
-        }
+        self.probe_at(src.into(), tag.into(), CallSite::here())
     }
 
     // ------------------------------------------------------------------
@@ -580,31 +338,7 @@ impl<'c, 'w: 'c> StepComm<'c, 'w> {
     /// `MPI_Barrier`. See [`Comm::barrier`].
     #[track_caller]
     pub fn barrier<'a>(&'a mut self) -> impl Future<Output = Result<()>> + use<'a, 'c, 'w> {
-        let site = CallSite::here();
-        async move {
-            match self.mode.clone() {
-                Mode::Blocking => self.comm.barrier_dispatch(None, site),
-                Mode::Event(ctx) => {
-                    self.comm
-                        .record_coll("barrier", None, None, None, "-", site);
-                    self.comm.record(Primitive::Barrier);
-                    let base = self.comm.next_coll_base();
-                    let p = self.comm.size();
-                    let rank = self.comm.rank();
-                    let mut round = 0u64;
-                    let mut dist = 1usize;
-                    while dist < p {
-                        let to = (rank + dist) % p;
-                        let from = (rank + p - dist) % p;
-                        self.comm.coll_send::<u8>(&[], to, base + round)?;
-                        let _ = coll_recv_event::<u8>(self.comm, &ctx, from, base + round).await?;
-                        dist <<= 1;
-                        round += 1;
-                    }
-                    Ok(())
-                }
-            }
-        }
+        coll::barrier(self, Scope::world("barrier"), None, CallSite::here())
     }
 
     /// `MPI_Bcast`. See [`Comm::bcast`].
@@ -615,24 +349,7 @@ impl<'c, 'w: 'c> StepComm<'c, 'w> {
         root: usize,
     ) -> impl Future<Output = Result<Vec<T>>> + use<'a, 'c, 'w, T> {
         let site = CallSite::here();
-        async move {
-            match self.mode.clone() {
-                Mode::Blocking => self.comm.bcast_dispatch(data, root, None, site),
-                Mode::Event(ctx) => {
-                    let count = if self.comm.rank() == root {
-                        data.map(|d| d.len())
-                    } else {
-                        None
-                    };
-                    self.comm
-                        .record_coll("bcast", Some(root), None, count, T::NAME, site);
-                    self.comm.validate_rank(root, "root")?;
-                    self.comm.record(Primitive::Bcast);
-                    let base = self.comm.next_coll_base();
-                    bcast_flat_event(self.comm, &ctx, data, root, base, true).await
-                }
-            }
-        }
+        coll::bcast(self, Scope::world("bcast"), data, root, None, site)
     }
 
     /// `MPI_Scatter`. See [`Comm::scatter`].
@@ -643,49 +360,7 @@ impl<'c, 'w: 'c> StepComm<'c, 'w> {
         root: usize,
     ) -> impl Future<Output = Result<Vec<T>>> + use<'a, 'c, 'w, T> {
         let site = CallSite::here();
-        async move {
-            match self.mode.clone() {
-                Mode::Blocking => self.comm.scatter_at(data, root, site),
-                Mode::Event(ctx) => {
-                    let count = if self.comm.rank() == root {
-                        data.map(|d| d.len())
-                    } else {
-                        None
-                    };
-                    self.comm
-                        .record_coll("scatter", Some(root), None, count, T::NAME, site);
-                    self.comm.validate_rank(root, "root")?;
-                    self.comm.record(Primitive::Scatter);
-                    let base = self.comm.next_coll_base();
-                    let (rank, size) = (self.comm.rank(), self.comm.size());
-                    if rank == root {
-                        let data = data.ok_or_else(|| {
-                            Error::InvalidArgument("scatter root must supply the data".into())
-                        })?;
-                        if !data.len().is_multiple_of(size) {
-                            return Err(Error::InvalidArgument(format!(
-                                "scatter of {} elements does not divide evenly over {} ranks (use scatterv)",
-                                data.len(),
-                                size
-                            )));
-                        }
-                        let chunk = data.len() / size;
-                        let mut own = Vec::new();
-                        for r in 0..size {
-                            let slice = &data[r * chunk..(r + 1) * chunk];
-                            if r == root {
-                                own = slice.to_vec();
-                            } else {
-                                self.comm.coll_send(slice, r, base)?;
-                            }
-                        }
-                        Ok(own)
-                    } else {
-                        coll_recv_event::<T>(self.comm, &ctx, root, base).await
-                    }
-                }
-            }
-        }
+        coll::scatter(self, Scope::world("scatter"), data, None, root, false, site)
     }
 
     /// `MPI_Gatherv`. See [`Comm::gatherv`].
@@ -695,34 +370,7 @@ impl<'c, 'w: 'c> StepComm<'c, 'w> {
         data: &'a [T],
         root: usize,
     ) -> impl Future<Output = Result<Option<Vec<Vec<T>>>>> + use<'a, 'c, 'w, T> {
-        let site = CallSite::here();
-        async move {
-            match self.mode.clone() {
-                Mode::Blocking => self.comm.gatherv_at(data, root, site),
-                Mode::Event(ctx) => {
-                    self.comm
-                        .record_coll("gatherv", Some(root), None, None, T::NAME, site);
-                    self.comm.validate_rank(root, "root")?;
-                    self.comm.record(Primitive::Gatherv);
-                    let base = self.comm.next_coll_base();
-                    let (rank, size) = (self.comm.rank(), self.comm.size());
-                    if rank == root {
-                        let mut out = Vec::with_capacity(size);
-                        for r in 0..size {
-                            if r == root {
-                                out.push(data.to_vec());
-                            } else {
-                                out.push(coll_recv_event::<T>(self.comm, &ctx, r, base).await?);
-                            }
-                        }
-                        Ok(Some(out))
-                    } else {
-                        self.comm.coll_send(data, root, base)?;
-                        Ok(None)
-                    }
-                }
-            }
-        }
+        coll::gatherv(self, Scope::world("gatherv"), data, root, CallSite::here())
     }
 
     /// `MPI_Allgather` (ring). See [`Comm::allgather`].
@@ -731,57 +379,13 @@ impl<'c, 'w: 'c> StepComm<'c, 'w> {
         &'a mut self,
         data: &'a [T],
     ) -> impl Future<Output = Result<Vec<T>>> + use<'a, 'c, 'w, T> {
-        let site = CallSite::here();
-        async move {
-            match self.mode.clone() {
-                Mode::Blocking => self.comm.allgather_dispatch(data, None, site),
-                Mode::Event(ctx) => {
-                    self.comm
-                        .record_coll("allgather", None, None, Some(data.len()), T::NAME, site);
-                    self.comm.record(Primitive::Allgather);
-                    let base = self.comm.next_coll_base();
-                    let (rank, p) = (self.comm.rank(), self.comm.size());
-                    let chunk = data.len();
-                    let mut blocks: Vec<Option<Bytes>> = (0..p).map(|_| None).collect();
-                    blocks[rank] = Some(encode_slice(data));
-                    let right = (rank + 1) % p;
-                    let left = (rank + p - 1) % p;
-                    for k in 0..p.saturating_sub(1) {
-                        let send_block = (rank + p - k) % p;
-                        let payload = blocks[send_block]
-                            .as_ref()
-                            .expect("block held from previous round")
-                            .clone();
-                        self.comm.coll_send_bytes(
-                            payload,
-                            T::NAME,
-                            T::SIZE,
-                            right,
-                            base + k as u64,
-                        )?;
-                        let recv_block = (rank + p - k - 1) % p;
-                        let env = coll_recv_raw_event::<T>(self.comm, &ctx, left, base + k as u64)
-                            .await?;
-                        if env.payload.len() != chunk * T::SIZE {
-                            return Err(Error::InvalidArgument(
-                                "allgather contributions differ in length".into(),
-                            ));
-                        }
-                        blocks[recv_block] = Some(env.payload);
-                    }
-                    let mut out = Vec::with_capacity(chunk * p);
-                    for (r, block) in blocks.into_iter().enumerate() {
-                        let block = block.expect("all blocks circulated");
-                        if r == rank {
-                            out.extend_from_slice(data);
-                        } else {
-                            decode_extend(&block, &mut out);
-                        }
-                    }
-                    Ok(out)
-                }
-            }
-        }
+        coll::allgather(
+            self,
+            Scope::world("allgather"),
+            data,
+            None,
+            CallSite::here(),
+        )
     }
 
     /// `MPI_Reduce` with a built-in operator. See [`Comm::reduce`].
@@ -792,30 +396,8 @@ impl<'c, 'w: 'c> StepComm<'c, 'w> {
         op: Op,
         root: usize,
     ) -> impl Future<Output = Result<Option<Vec<T>>>> + use<'a, 'c, 'w, T> {
-        let site = CallSite::here();
-        async move {
-            match self.mode.clone() {
-                Mode::Blocking => self.comm.reduce_op_dispatch(data, op, root, None, site),
-                Mode::Event(ctx) => {
-                    self.comm.record_coll(
-                        "reduce",
-                        Some(root),
-                        Some(op),
-                        Some(data.len()),
-                        T::NAME,
-                        site,
-                    );
-                    self.comm.validate_rank(root, "root")?;
-                    self.comm.check_op::<T>(op)?;
-                    self.comm.record(Primitive::Reduce);
-                    let base = self.comm.next_coll_base();
-                    reduce_tree_event(self.comm, &ctx, data, root, base, &move |a: &T, b: &T| {
-                        T::reduce(op, *a, *b)
-                    })
-                    .await
-                }
-            }
-        }
+        let (scope, fold, site) = (Scope::world("reduce"), coll::builtin(op), CallSite::here());
+        coll::reduce(self, scope, data, root, None, fold, site)
     }
 
     /// `MPI_Allreduce` with a built-in operator. See [`Comm::allreduce`].
@@ -825,29 +407,12 @@ impl<'c, 'w: 'c> StepComm<'c, 'w> {
         data: &'a [T],
         op: Op,
     ) -> impl Future<Output = Result<Vec<T>>> + use<'a, 'c, 'w, T> {
-        let site = CallSite::here();
-        async move {
-            match self.mode.clone() {
-                Mode::Blocking => self.comm.allreduce_op_dispatch(data, op, None, site),
-                Mode::Event(ctx) => {
-                    self.comm.record_coll(
-                        "allreduce",
-                        None,
-                        Some(op),
-                        Some(data.len()),
-                        T::NAME,
-                        site,
-                    );
-                    self.comm.check_op::<T>(op)?;
-                    self.comm.record(Primitive::Allreduce);
-                    let combine = move |a: &T, b: &T| T::reduce(op, *a, *b);
-                    let base = self.comm.next_coll_base();
-                    let reduced =
-                        reduce_tree_event(self.comm, &ctx, data, 0, base, &combine).await?;
-                    bcast_internal_event(self.comm, &ctx, reduced.as_deref(), 0, base + 512).await
-                }
-            }
-        }
+        let (scope, fold, site) = (
+            Scope::world("allreduce"),
+            coll::builtin(op),
+            CallSite::here(),
+        );
+        coll::allreduce(self, scope, data, None, fold, site)
     }
 
     /// `MPIX_Comm_agree` analogue. See [`Comm::agree`].
@@ -855,260 +420,197 @@ impl<'c, 'w: 'c> StepComm<'c, 'w> {
     pub fn agree<'a>(
         &'a mut self,
     ) -> impl Future<Output = Result<Vec<(usize, f64)>>> + use<'a, 'c, 'w> {
-        let site = CallSite::here();
-        async move {
-            match self.mode.clone() {
-                Mode::Blocking => self.comm.agree_at(site),
-                Mode::Event(ctx) => {
-                    self.comm.enact_crash()?;
-                    let rank = self.comm.rank();
-                    let op = BlockedOp {
-                        rank,
-                        op: "agree",
-                        waiting_on: WaitTarget::AnyRank,
-                        detail: "failure agreement".into(),
-                        site,
-                    };
-                    let progress = self.comm.progress();
-                    let _guard = progress.enter_blocked_as(op);
-                    let my_gen = progress.agree_enter(rank);
-                    ctx.hints.borrow_mut().agree_entered = true;
-                    loop {
-                        if let Some((failed, epoch)) = progress.agree_poll(my_gen) {
-                            self.comm.ack_failures(epoch);
-                            return Ok(failed);
-                        }
-                        if progress.is_poisoned() {
-                            return Err(progress.deadlock_error());
-                        }
-                        ctx.hints.borrow_mut().agree_parked.push(rank);
-                        park(&ctx, self.comm.sim_time(), RankStep::Agree).await;
-                    }
-                }
-            }
-        }
+        self.agree_at(CallSite::here())
     }
-}
 
-// ----------------------------------------------------------------------
-// Event-mode internals
-// ----------------------------------------------------------------------
+    // ------------------------------------------------------------------
+    // The one implementation of each blocking primitive
+    // ------------------------------------------------------------------
 
-/// Shared wait_send body (the blocking arm also goes through here so the
-/// one `site` covers every request in a waitall).
-async fn wait_send_step<'a, 'c, 'w>(
-    sc: &'a mut StepComm<'c, 'w>,
-    req: SendRequest,
-    site: CallSite,
-) -> Result<()> {
-    match sc.mode.clone() {
-        Mode::Blocking => sc.comm.wait_send_at(req, site),
-        Mode::Event(ctx) => {
-            sc.comm.record(Primitive::Wait);
-            if let Some(ack) = req.ack {
-                let op = sc.comm.blocked_send("wait_send", req.dest, req.tag, site);
-                await_ack_event(sc.comm, &ctx, ack, req.dest, op).await?;
-            }
-            if let Some(id) = req.id {
-                sc.comm.record_event(CheckEvent::RequestCompleted { id });
-            }
-            Ok(())
+    pub(crate) async fn send_at<T: Datatype>(
+        &mut self,
+        data: &[T],
+        dest: usize,
+        tag: u32,
+        site: CallSite,
+    ) -> Result<()> {
+        self.comm.validate_rank(dest, "destination")?;
+        self.comm.record(Primitive::Send);
+        let synchronous =
+            data.len() * T::SIZE > self.comm.eager_threshold() && dest != self.comm.rank();
+        let ack = self
+            .comm
+            .transport_send(data, dest, MsgClass::User(tag), synchronous, site)?;
+        if let Some(ack) = ack {
+            let what = "send(rendezvous)";
+            self.wait
+                .ack(self.comm, ack, dest, tag, what, &site)
+                .await?;
         }
+        Ok(())
     }
-}
 
-/// Event-mode mirror of the rendezvous ack wait: poll the ack channel,
-/// parking between attempts. Same completion accounting as
-/// `Comm::await_ack`.
-async fn await_ack_event<'c, 'w>(
-    comm: &'c mut Comm<'w>,
-    ctx: &EventCtx,
-    ack: Receiver<f64>,
-    dst: usize,
-    op: BlockedOp,
-) -> Result<()> {
-    let before = comm.sim_time();
-    let acked = comm.acked_failures();
-    let progress = comm.progress();
-    let _guard = progress.enter_blocked_as(op);
-    loop {
-        match ack.try_recv() {
-            Ok(t) => {
-                comm.finish_ack(t, dst, before);
-                return Ok(());
-            }
-            Err(TryRecvError::Empty) => {
-                if progress.should_stop(Some(dst), acked) {
-                    return Err(progress.stop_error(Some(dst), acked));
-                }
-                park(ctx, comm.sim_time(), RankStep::RendezvousAck).await;
-            }
-            Err(TryRecvError::Disconnected) => {
-                return Err(if progress.should_stop(Some(dst), acked) {
-                    progress.stop_error(Some(dst), acked)
-                } else {
-                    Error::WorldShutDown
-                });
-            }
+    pub(crate) async fn ssend_at<T: Datatype>(
+        &mut self,
+        data: &[T],
+        dest: usize,
+        tag: u32,
+        site: CallSite,
+    ) -> Result<()> {
+        self.comm.validate_rank(dest, "destination")?;
+        if dest == self.comm.rank() {
+            return Err(Error::InvalidArgument(
+                "ssend to self would block forever".into(),
+            ));
         }
+        self.comm.record(Primitive::Ssend);
+        let ack = self
+            .comm
+            .transport_send(data, dest, MsgClass::User(tag), true, site)?
+            .expect("synchronous send has an ack channel");
+        self.wait
+            .ack(self.comm, ack, dest, tag, "ssend", &site)
+            .await
     }
-}
 
-/// Event-mode mirror of `Comm::transport_recv`: poll the mailbox, parking
-/// between attempts. Completing a match releases a rendezvous sender, so
-/// the sender's rank is pushed as a wake hint for the engine.
-async fn recv_env_event<'c, 'w>(
-    comm: &'c mut Comm<'w>,
-    ctx: &EventCtx,
-    spec: &MatchSpec,
-    user: Option<(&'static str, CallSite)>,
-    step: RankStep,
-) -> Result<Envelope> {
-    if let Some(env) = comm.try_transport_recv(spec)? {
-        ctx.hints.borrow_mut().wake.push(env.src);
-        return Ok(env);
+    /// Wait for a user message matching `spec` and log the completed
+    /// receive; `user` names the primitive and its call site for deadlock
+    /// explanations.
+    async fn recv_user<T: Datatype>(
+        &mut self,
+        spec: MatchSpec,
+        user: (&'static str, CallSite),
+    ) -> Result<Envelope> {
+        let env = self.wait.recv(self.comm, &spec, Some(&user)).await?;
+        let candidates = self.comm.mailbox_mut().last_candidates();
+        self.comm
+            .record_user_recv::<T>(&env, &spec, candidates, user.1);
+        Ok(env)
     }
-    let target = spec.source_rank();
-    let acked = comm.acked_failures();
-    let op = comm.blocked_recv(spec, user);
-    let progress = comm.progress();
-    let _guard = progress.enter_blocked_as(op);
-    loop {
-        if progress.should_stop(target, acked) {
-            return Err(progress.stop_error(target, acked));
-        }
-        park(ctx, comm.sim_time(), step).await;
-        if let Some(env) = comm.try_transport_recv(spec)? {
-            ctx.hints.borrow_mut().wake.push(env.src);
-            return Ok(env);
-        }
-    }
-}
 
-/// Event-mode mirror of `Comm::coll_recv_raw`.
-async fn coll_recv_raw_event<'c, 'w, T: Datatype>(
-    comm: &'c mut Comm<'w>,
-    ctx: &EventCtx,
-    src: usize,
-    tag: u64,
-) -> Result<Envelope> {
-    let spec = MatchSpec::Internal(src, tag);
-    let env = recv_env_event(comm, ctx, &spec, None, RankStep::Collective).await?;
-    env.ensure_type::<T>()?;
-    Ok(env)
-}
+    pub(crate) async fn recv_at<T: Datatype>(
+        &mut self,
+        src: SourceSel,
+        tag: TagSel,
+        site: CallSite,
+    ) -> Result<(Vec<T>, Status)> {
+        if let SourceSel::Rank(r) = src {
+            self.comm.validate_rank(r, "source")?;
+        }
+        self.comm.record(Primitive::Recv);
+        let env = self
+            .recv_user::<T>(MatchSpec::User(src, tag), ("recv", site))
+            .await?;
+        self.comm.decode_user_payload(&env)
+    }
 
-/// Event-mode mirror of `Comm::coll_recv`.
-async fn coll_recv_event<'c, 'w, T: Datatype>(
-    comm: &'c mut Comm<'w>,
-    ctx: &EventCtx,
-    src: usize,
-    tag: u64,
-) -> Result<Vec<T>> {
-    let env = coll_recv_raw_event::<T>(comm, ctx, src, tag).await?;
-    Ok(decode_vec(&env.payload))
-}
+    pub(crate) async fn recv_into_at<T: Datatype>(
+        &mut self,
+        buf: &mut [T],
+        src: SourceSel,
+        tag: TagSel,
+        site: CallSite,
+    ) -> Result<Status> {
+        if let SourceSel::Rank(r) = src {
+            self.comm.validate_rank(r, "source")?;
+        }
+        self.comm.record(Primitive::Recv);
+        let env = self
+            .recv_user::<T>(MatchSpec::User(src, tag), ("recv", site))
+            .await?;
+        let status = Status::of(&env);
+        env.ensure_type::<T>()?;
+        if env.payload.len() > buf.len() * T::SIZE {
+            return Err(Error::Truncated {
+                message_bytes: status.bytes,
+                buffer_bytes: buf.len() * T::SIZE,
+            });
+        }
+        decode_into(&env.payload, buf);
+        Ok(status)
+    }
 
-/// Event-mode mirror of `Comm::bcast_flat` / `Comm::bcast_internal`
-/// (`user` selects the root-data validation of the user-facing variant).
-async fn bcast_flat_event<'c, 'w, T: Datatype>(
-    comm: &'c mut Comm<'w>,
-    ctx: &EventCtx,
-    data: Option<&[T]>,
-    root: usize,
-    base: u64,
-    user: bool,
-) -> Result<Vec<T>> {
-    let p = comm.size();
-    let vrank = (comm.rank() + p - root) % p;
-    let mut payload: Bytes = if user && comm.rank() == root {
-        encode_slice(
-            data.ok_or_else(|| Error::InvalidArgument("bcast root must supply the data".into()))?,
-        )
-    } else {
-        match data {
-            Some(d) => encode_slice(d),
-            None => Bytes::new(),
-        }
-    };
-    let mut mask = 1usize;
-    let mut recv_bit = 0u64;
-    while mask < p {
-        if vrank & mask != 0 {
-            let parent = (vrank - mask + root) % p;
-            payload = coll_recv_raw_event::<T>(comm, ctx, parent, base + recv_bit)
-                .await?
-                .payload;
-            break;
-        }
-        mask <<= 1;
-        recv_bit += 1;
+    pub(crate) async fn sendrecv_at<T: Datatype, U: Datatype>(
+        &mut self,
+        senddata: &[T],
+        dest: usize,
+        sendtag: u32,
+        recv: MatchSpec,
+        site: CallSite,
+    ) -> Result<(Vec<U>, Status)> {
+        self.comm.validate_rank(dest, "destination")?;
+        self.comm.record(Primitive::Sendrecv);
+        // Buffered send regardless of the eager threshold: MPI_Sendrecv
+        // guarantees progress.
+        self.comm
+            .transport_send(senddata, dest, MsgClass::User(sendtag), false, site)?;
+        let env = self.recv_user::<U>(recv, ("sendrecv", site)).await?;
+        self.comm.decode_user_payload(&env)
     }
-    if vrank == 0 {
-        mask = 1;
-        while mask < p {
-            mask <<= 1;
-        }
-    }
-    let mut bit = mask >> 1;
-    while bit > 0 {
-        if vrank + bit < p {
-            let child = (vrank + bit + root) % p;
-            let tag = base + bit.trailing_zeros() as u64;
-            comm.coll_send_bytes(payload.clone(), T::NAME, T::SIZE, child, tag)?;
-        }
-        bit >>= 1;
-    }
-    match data {
-        Some(d) => Ok(d.to_vec()),
-        None => Ok(decode_vec(&payload)),
-    }
-}
 
-/// Event-mode mirror of the allreduce broadcast phase
-/// (`Comm::bcast_internal`).
-async fn bcast_internal_event<'c, 'w, T: Datatype>(
-    comm: &'c mut Comm<'w>,
-    ctx: &EventCtx,
-    data: Option<&[T]>,
-    root: usize,
-    base: u64,
-) -> Result<Vec<T>> {
-    bcast_flat_event(comm, ctx, data, root, base, false).await
-}
-
-/// Event-mode mirror of `Comm::reduce_tree`.
-async fn reduce_tree_event<'c, 'w, T: Datatype, F: Fn(&T, &T) -> T>(
-    comm: &'c mut Comm<'w>,
-    ctx: &EventCtx,
-    data: &[T],
-    root: usize,
-    base: u64,
-    combine: &F,
-) -> Result<Option<Vec<T>>> {
-    let p = comm.size();
-    let vrank = (comm.rank() + p - root) % p;
-    let mut acc = data.to_vec();
-    let mut mask = 1usize;
-    let mut round = 0u64;
-    while mask < p {
-        if vrank & mask != 0 {
-            let parent = (vrank - mask + root) % p;
-            comm.coll_send(&acc, parent, base + round)?;
-            return Ok(None);
+    pub(crate) async fn wait_send_at(&mut self, req: SendRequest, site: CallSite) -> Result<()> {
+        self.comm.record(Primitive::Wait);
+        if let Some(ack) = req.ack {
+            let (dest, tag) = (req.dest, req.tag);
+            self.wait
+                .ack(self.comm, ack, dest, tag, "wait_send", &site)
+                .await?;
         }
-        let child = vrank + mask;
-        if child < p {
-            let part = coll_recv_event::<T>(comm, ctx, (child + root) % p, base + round).await?;
-            if part.len() != acc.len() {
-                return Err(Error::InvalidArgument(
-                    "reduce contributions differ in length".into(),
-                ));
-            }
-            fold_into(&mut acc, &part, combine);
+        if let Some(id) = req.id {
+            self.comm.record_event(CheckEvent::RequestCompleted { id });
         }
-        mask <<= 1;
-        round += 1;
+        Ok(())
     }
-    Ok(Some(acc))
+
+    /// One `site` covers every request of the batch.
+    pub(crate) async fn wait_all_sends_at(
+        &mut self,
+        reqs: Vec<SendRequest>,
+        site: CallSite,
+    ) -> Result<()> {
+        for req in reqs {
+            self.wait_send_at(req, site).await?;
+        }
+        Ok(())
+    }
+
+    pub(crate) async fn wait_recv_at<T: Datatype>(
+        &mut self,
+        req: RecvRequest<T>,
+        site: CallSite,
+    ) -> Result<(Vec<T>, Status)> {
+        self.comm.record(Primitive::Wait);
+        let (spec, id) = req.into_spec();
+        let env = self.recv_user::<T>(spec, ("wait_recv", site)).await?;
+        if let Some(id) = id {
+            self.comm.record_event(CheckEvent::RequestCompleted { id });
+        }
+        self.comm.decode_user_payload(&env)
+    }
+
+    pub(crate) async fn probe_at(
+        &mut self,
+        src: SourceSel,
+        tag: TagSel,
+        site: CallSite,
+    ) -> Result<Status> {
+        self.comm.enact_crash()?;
+        self.comm.record(Primitive::Probe);
+        let spec = MatchSpec::User(src, tag);
+        self.wait.probe(self.comm, &spec, &site).await
+    }
+
+    pub(crate) async fn agree_at(&mut self, site: CallSite) -> Result<Vec<(usize, f64)>> {
+        self.comm.enact_crash()?;
+        let op = BlockedOp {
+            rank: self.comm.rank(),
+            op: "agree",
+            waiting_on: WaitTarget::AnyRank,
+            detail: "failure agreement".into(),
+            site,
+        };
+        let (failed, epoch) = self.wait.agree(self.comm, op).await?;
+        self.comm.ack_failures(epoch);
+        Ok(failed)
+    }
 }

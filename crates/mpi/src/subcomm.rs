@@ -14,14 +14,13 @@
 //! never cross-match — MPI's communicator-isolation guarantee.
 
 use crate::check::CallSite;
-use crate::coll;
+use crate::coll::{self, Fold, Scope};
 use crate::comm::Comm;
-use crate::datatype::{decode_vec, encode_slice, Datatype};
+use crate::datatype::Datatype;
 use crate::error::{Error, Result};
-use crate::reduce::{fold_into, Op, Reducible};
+use crate::reduce::{Op, Reducible};
 use crate::stats::Primitive;
-use crate::tune::{CollAlgo, CollKind};
-use bytes::Bytes;
+use crate::step::{block_on, StepComm};
 
 /// Tag stride per collective on a sub-communicator (matches the world's).
 const COLL_TAG_STRIDE: u64 = 1024;
@@ -63,13 +62,18 @@ impl SubComm {
         self.members[sub_rank]
     }
 
-    fn next_base(&mut self) -> u64 {
+    /// Context id isolating this communicator's internal tag space.
+    pub(crate) fn ctx(&self) -> u64 {
+        self.ctx
+    }
+
+    pub(crate) fn next_base(&mut self) -> u64 {
         let base = (self.ctx << 40) | (self.seq * COLL_TAG_STRIDE);
         self.seq += 1;
         base
     }
 
-    fn validate_root(&self, root: usize) -> Result<()> {
+    pub(crate) fn validate_root(&self, root: usize) -> Result<()> {
         if root >= self.size() {
             return Err(Error::InvalidArgument(format!(
                 "root {root} out of range for sub-communicator of size {}",
@@ -141,46 +145,9 @@ impl Comm<'_> {
     /// Barrier over a sub-communicator (dissemination).
     #[track_caller]
     pub fn sub_barrier(&mut self, sc: &mut SubComm) -> Result<()> {
-        self.record_sub_coll(
-            "sub_barrier",
-            sc.ctx,
-            &sc.members,
-            None,
-            None,
-            None,
-            "-",
-            CallSite::here(),
-        );
-        self.record(Primitive::Barrier);
-        let base = sc.next_base();
-        match self.resolve_algo_members(CollKind::Barrier, 0, None, sc.members()) {
-            None => self.sub_barrier_flat(sc, base),
-            Some(algo) => {
-                self.begin_algo(algo, false);
-                let r = if algo == CollAlgo::Hierarchical {
-                    coll::hier_barrier(self, &sc.members, sc.my_idx, base)
-                } else {
-                    self.sub_barrier_flat(sc, base)
-                };
-                self.end_algo();
-                r
-            }
-        }
-    }
-
-    fn sub_barrier_flat(&mut self, sc: &SubComm, base: u64) -> Result<()> {
-        let p = sc.size();
-        let mut dist = 1usize;
-        let mut round = 0u64;
-        while dist < p {
-            let to = sc.members[(sc.my_idx + dist) % p];
-            let from = sc.members[(sc.my_idx + p - dist) % p];
-            self.coll_send::<u8>(&[], to, base + round)?;
-            let _ = self.coll_recv::<u8>(from, base + round)?;
-            dist <<= 1;
-            round += 1;
-        }
-        Ok(())
+        let (step, site) = (&mut StepComm::blocking(self), CallSite::here());
+        let scope = Scope::sub(sc, "sub_barrier");
+        block_on(coll::barrier(step, scope, None, site))
     }
 
     /// Broadcast over a sub-communicator. `root` is a *sub-rank*.
@@ -191,128 +158,15 @@ impl Comm<'_> {
         data: Option<&[T]>,
         root: usize,
     ) -> Result<Vec<T>> {
-        self.record_sub_coll(
-            "sub_bcast",
-            sc.ctx,
-            &sc.members,
-            Some(root),
-            None,
-            if sc.my_idx == root {
-                data.map(|d| d.len())
-            } else {
-                None
-            },
-            T::NAME,
-            CallSite::here(),
-        );
-        sc.validate_root(root)?;
-        self.record(Primitive::Bcast);
-        let base = sc.next_base();
-        if !self.tuning_enabled() {
-            return self.sub_bcast_flat(sc, data, root, base);
-        }
-        // Tuned path: only the root knows the payload size, so it makes
-        // the (pure, table-driven) selection over the sub-communicator's
-        // own topology and announces `[algo, count]` in a header
-        // broadcast over the flat binomial tree.
-        let header = if sc.my_idx == root {
-            let d = data
-                .ok_or_else(|| Error::InvalidArgument("sub_bcast root must supply data".into()))?;
-            let algo = self
-                .resolve_algo_members(CollKind::Bcast, d.len() * T::SIZE, None, sc.members())
-                .expect("tuned path has a table");
-            encode_slice(&[algo.wire_id(), d.len() as u64])
-        } else {
-            Bytes::new()
-        };
-        let header = coll::tree_bcast_bytes::<u64>(
-            self,
-            &sc.members,
-            sc.my_idx,
-            root,
-            base + coll::T_HEADER,
-            header,
-        )?;
-        let header: Vec<u64> = decode_vec(&header);
-        let algo = header
-            .first()
-            .and_then(|&w| CollAlgo::from_wire_id(w))
-            .filter(|_| header.len() == 2)
-            .ok_or_else(|| Error::InvalidArgument("corrupt bcast algorithm header".into()))?;
-        let count = header[1] as usize;
-        self.begin_algo(algo, false);
-        let r = match algo {
-            CollAlgo::Flat => self.sub_bcast_flat(sc, data, root, base),
-            CollAlgo::Chunked => {
-                coll::chunked_bcast(self, &sc.members, sc.my_idx, data, root, count, base)
-            }
-            CollAlgo::Hierarchical => {
-                coll::hier_bcast(self, &sc.members, sc.my_idx, data, root, base)
-            }
-        };
-        self.end_algo();
-        r
-    }
-
-    fn sub_bcast_flat<T: Datatype>(
-        &mut self,
-        sc: &SubComm,
-        data: Option<&[T]>,
-        root: usize,
-        base: u64,
-    ) -> Result<Vec<T>> {
-        let p = sc.size();
-        let vrank = (sc.my_idx + p - root) % p;
-        // Zero-copy forwarding, like the world bcast: encode once at the
-        // root, relay the refcounted payload, decode once at each leaf.
-        let mut payload: Bytes =
-            if sc.my_idx == root {
-                encode_slice(data.ok_or_else(|| {
-                    Error::InvalidArgument("sub_bcast root must supply data".into())
-                })?)
-            } else {
-                Bytes::new()
-            };
-        let mut mask = 1usize;
-        let mut recv_bit = 0u64;
-        while mask < p {
-            if vrank & mask != 0 {
-                let parent = sc.members[(vrank - mask + root) % p];
-                payload = self.coll_recv_raw::<T>(parent, base + recv_bit)?.payload;
-                break;
-            }
-            mask <<= 1;
-            recv_bit += 1;
-        }
-        if vrank == 0 {
-            mask = 1;
-            while mask < p {
-                mask <<= 1;
-            }
-        }
-        let mut bit = mask >> 1;
-        while bit > 0 {
-            if vrank + bit < p {
-                let child = sc.members[(vrank + bit + root) % p];
-                self.coll_send_bytes(
-                    payload.clone(),
-                    T::NAME,
-                    T::SIZE,
-                    child,
-                    base + bit.trailing_zeros() as u64,
-                )?;
-            }
-            bit >>= 1;
-        }
-        if sc.my_idx == root {
-            Ok(data.expect("validated above").to_vec())
-        } else {
-            Ok(decode_vec(&payload))
-        }
+        let (step, site) = (&mut StepComm::blocking(self), CallSite::here());
+        let scope = Scope::sub(sc, "sub_bcast");
+        block_on(coll::bcast(step, scope, data, root, None, site))
     }
 
     /// Reduction over a sub-communicator with a custom combiner; the
-    /// sub-rank `root` receives the result.
+    /// sub-rank `root` receives the result. A custom combiner's algebra
+    /// is opaque, so hierarchical re-association is never assumed exact
+    /// (see `tune::constrain`).
     #[track_caller]
     pub fn sub_reduce_with<T: Datatype, F: Fn(&T, &T) -> T>(
         &mut self,
@@ -321,96 +175,10 @@ impl Comm<'_> {
         root: usize,
         combine: F,
     ) -> Result<Option<Vec<T>>> {
-        self.record_sub_coll(
-            "sub_reduce",
-            sc.ctx,
-            &sc.members,
-            Some(root),
-            None,
-            Some(data.len()),
-            T::NAME,
-            CallSite::here(),
-        );
-        sc.validate_root(root)?;
-        self.record(Primitive::Reduce);
-        // A custom combiner's algebra is opaque, so hierarchical
-        // re-association is never assumed exact (see `tune::constrain`).
-        self.sub_reduce_run(sc, data, root, false, &combine)
-    }
-
-    fn sub_reduce_run<T: Datatype, F: Fn(&T, &T) -> T>(
-        &mut self,
-        sc: &mut SubComm,
-        data: &[T],
-        root: usize,
-        exact: bool,
-        combine: &F,
-    ) -> Result<Option<Vec<T>>> {
-        let base = sc.next_base();
-        match self.resolve_algo_members_reassoc(
-            CollKind::Reduce,
-            data.len() * T::SIZE,
-            None,
-            exact,
-            sc.members(),
-        ) {
-            None => self.sub_reduce_tree(sc, data, root, base, combine),
-            Some(algo) => {
-                self.begin_algo(algo, false);
-                let r = match algo {
-                    CollAlgo::Flat => self.sub_reduce_tree(sc, data, root, base, combine),
-                    CollAlgo::Chunked => coll::chunked_reduce(
-                        self,
-                        &sc.members,
-                        sc.my_idx,
-                        data,
-                        root,
-                        base,
-                        combine,
-                    ),
-                    CollAlgo::Hierarchical => {
-                        coll::hier_reduce(self, &sc.members, sc.my_idx, data, root, base, combine)
-                    }
-                };
-                self.end_algo();
-                r
-            }
-        }
-    }
-
-    fn sub_reduce_tree<T: Datatype, F: Fn(&T, &T) -> T>(
-        &mut self,
-        sc: &SubComm,
-        data: &[T],
-        root: usize,
-        base: u64,
-        combine: &F,
-    ) -> Result<Option<Vec<T>>> {
-        let p = sc.size();
-        let vrank = (sc.my_idx + p - root) % p;
-        let mut acc = data.to_vec();
-        let mut mask = 1usize;
-        let mut round = 0u64;
-        while mask < p {
-            if vrank & mask != 0 {
-                let parent = sc.members[(vrank - mask + root) % p];
-                self.coll_send(&acc, parent, base + round)?;
-                return Ok(None);
-            }
-            let child = vrank + mask;
-            if child < p {
-                let part = self.coll_recv::<T>(sc.members[(child + root) % p], base + round)?;
-                if part.len() != acc.len() {
-                    return Err(Error::InvalidArgument(
-                        "sub_reduce contributions differ in length".into(),
-                    ));
-                }
-                fold_into(&mut acc, &part, combine);
-            }
-            mask <<= 1;
-            round += 1;
-        }
-        Ok(Some(acc))
+        let (step, site) = (&mut StepComm::blocking(self), CallSite::here());
+        let scope = Scope::sub(sc, "sub_reduce");
+        let fold = Fold::custom(combine);
+        block_on(coll::reduce(step, scope, data, root, None, fold, site))
     }
 
     /// Reduction over a sub-communicator with a built-in operator.
@@ -422,22 +190,10 @@ impl Comm<'_> {
         op: Op,
         root: usize,
     ) -> Result<Option<Vec<T>>> {
-        self.record_sub_coll(
-            "sub_reduce",
-            sc.ctx,
-            &sc.members,
-            Some(root),
-            Some(op),
-            Some(data.len()),
-            T::NAME,
-            CallSite::here(),
-        );
-        sc.validate_root(root)?;
-        self.check_op::<T>(op)?;
-        self.record(Primitive::Reduce);
-        self.sub_reduce_run(sc, data, root, T::exact_reassoc(op), &move |a, b| {
-            T::reduce(op, *a, *b)
-        })
+        let (step, site) = (&mut StepComm::blocking(self), CallSite::here());
+        let scope = Scope::sub(sc, "sub_reduce");
+        let fold = coll::builtin(op);
+        block_on(coll::reduce(step, scope, data, root, None, fold, site))
     }
 
     /// Allreduce over a sub-communicator.
@@ -448,125 +204,10 @@ impl Comm<'_> {
         data: &[T],
         op: Op,
     ) -> Result<Vec<T>> {
-        self.record_sub_coll(
-            "sub_allreduce",
-            sc.ctx,
-            &sc.members,
-            None,
-            Some(op),
-            Some(data.len()),
-            T::NAME,
-            CallSite::here(),
-        );
-        self.check_op::<T>(op)?;
-        self.record(Primitive::Allreduce);
-        let combine = move |a: &T, b: &T| T::reduce(op, *a, *b);
-        match self.resolve_algo_members_reassoc(
-            CollKind::Allreduce,
-            data.len() * T::SIZE,
-            None,
-            T::exact_reassoc(op),
-            sc.members(),
-        ) {
-            None => {
-                let base = sc.next_base();
-                self.sub_allreduce_flat(sc, data, base, &combine)
-            }
-            Some(CollAlgo::Flat) => {
-                let base = sc.next_base();
-                self.begin_algo(CollAlgo::Flat, false);
-                let r = self.sub_allreduce_flat(sc, data, base, &combine);
-                self.end_algo();
-                r
-            }
-            Some(CollAlgo::Chunked) => {
-                // Two tag bases, one per phase (the chunked reduce uses
-                // the whole 1024-tag range of its own base).
-                let rbase = sc.next_base();
-                let bbase = sc.next_base();
-                self.begin_algo(CollAlgo::Chunked, false);
-                let r =
-                    coll::chunked_reduce(self, &sc.members, sc.my_idx, data, 0, rbase, &combine)
-                        .and_then(|reduced| {
-                            coll::chunked_bcast(
-                                self,
-                                &sc.members,
-                                sc.my_idx,
-                                reduced.as_deref(),
-                                0,
-                                data.len(),
-                                bbase,
-                            )
-                        });
-                self.end_algo();
-                r
-            }
-            Some(CollAlgo::Hierarchical) => {
-                let rbase = sc.next_base();
-                let bbase = sc.next_base();
-                self.begin_algo(CollAlgo::Hierarchical, false);
-                let r = coll::hier_reduce(self, &sc.members, sc.my_idx, data, 0, rbase, &combine)
-                    .and_then(|reduced| {
-                        coll::hier_bcast(self, &sc.members, sc.my_idx, reduced.as_deref(), 0, bbase)
-                    });
-                self.end_algo();
-                r
-            }
-        }
-    }
-
-    fn sub_allreduce_flat<T: Datatype, F: Fn(&T, &T) -> T>(
-        &mut self,
-        sc: &SubComm,
-        data: &[T],
-        base: u64,
-        combine: &F,
-    ) -> Result<Vec<T>> {
-        let reduced = self.sub_reduce_tree(sc, data, 0, base, combine)?;
-        // Broadcast phase with a shifted tag sub-range, forwarding the
-        // encoded result zero-copy down the tree.
-        let p = sc.size();
-        let mut payload: Bytes = match &reduced {
-            Some(d) => encode_slice(d),
-            None => Bytes::new(),
-        };
-        let mut mask = 1usize;
-        let mut recv_bit = 0u64;
-        while mask < p {
-            if sc.my_idx & mask != 0 {
-                let parent = sc.members[sc.my_idx - mask];
-                payload = self
-                    .coll_recv_raw::<T>(parent, base + 512 + recv_bit)?
-                    .payload;
-                break;
-            }
-            mask <<= 1;
-            recv_bit += 1;
-        }
-        if sc.my_idx == 0 {
-            mask = 1;
-            while mask < p {
-                mask <<= 1;
-            }
-        }
-        let mut bit = mask >> 1;
-        while bit > 0 {
-            if sc.my_idx + bit < p {
-                let child = sc.members[sc.my_idx + bit];
-                self.coll_send_bytes(
-                    payload.clone(),
-                    T::NAME,
-                    T::SIZE,
-                    child,
-                    base + 512 + bit.trailing_zeros() as u64,
-                )?;
-            }
-            bit >>= 1;
-        }
-        match reduced {
-            Some(d) => Ok(d),
-            None => Ok(decode_vec(&payload)),
-        }
+        let (step, site) = (&mut StepComm::blocking(self), CallSite::here());
+        let scope = Scope::sub(sc, "sub_allreduce");
+        let fold = coll::builtin(op);
+        block_on(coll::allreduce(step, scope, data, None, fold, site))
     }
 
     /// Gather equal-length contributions to sub-rank `root`.
@@ -577,39 +218,8 @@ impl Comm<'_> {
         data: &[T],
         root: usize,
     ) -> Result<Option<Vec<T>>> {
-        self.record_sub_coll(
-            "sub_gather",
-            sc.ctx,
-            &sc.members,
-            Some(root),
-            None,
-            Some(data.len()),
-            T::NAME,
-            CallSite::here(),
-        );
-        sc.validate_root(root)?;
-        self.record(Primitive::Gather);
-        let base = sc.next_base();
-        if sc.my_idx == root {
-            let expect = data.len();
-            let mut out = Vec::with_capacity(expect * sc.size());
-            for idx in 0..sc.size() {
-                let part = if idx == root {
-                    data.to_vec()
-                } else {
-                    self.coll_recv::<T>(sc.members[idx], base)?
-                };
-                if part.len() != expect {
-                    return Err(Error::InvalidArgument(
-                        "sub_gather contributions differ in length".into(),
-                    ));
-                }
-                out.extend_from_slice(&part);
-            }
-            Ok(Some(out))
-        } else {
-            self.coll_send(data, sc.members[root], base)?;
-            Ok(None)
-        }
+        let (step, site) = (&mut StepComm::blocking(self), CallSite::here());
+        let scope = Scope::sub(sc, "sub_gather");
+        block_on(coll::gather(step, scope, data, root, None, site))
     }
 }

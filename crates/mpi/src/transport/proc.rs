@@ -41,11 +41,12 @@ use crate::mailbox::{Mailbox, Progress, ProgressNotifier};
 use crate::stats::CommStats;
 use crate::transport::wire::{read_frame, write_frame, Frame, RankResult, RankValue};
 use crate::transport::{Outbox, Outboxes, SendFailed, Transport, WorldWiring};
+use crate::tune::WorldTuning;
 use crate::world::{RunOutput, WorldConfig};
 use pdc_cluster::{CostModel, Placement};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap};
-use std::io::{BufReader, BufWriter, Write as _};
+use std::io::{self, BufReader, BufWriter, Read, Write as _};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
@@ -300,6 +301,27 @@ impl Outbox for ProcOutbox {
     }
 }
 
+/// Read the first frame of a connection accepted by rank `me`'s listener:
+/// the dialling peer's `Hello`, which must name a rank above `me` (only
+/// higher ranks dial a listener) and inside a world of `size`. Returns
+/// the peer's rank, or a typed [`io::ErrorKind::InvalidData`] /
+/// [`io::ErrorKind::UnexpectedEof`] error for anything else.
+fn read_hello<R: Read>(r: &mut R, me: usize, size: usize) -> io::Result<usize> {
+    let invalid = |msg: String| io::Error::new(io::ErrorKind::InvalidData, msg);
+    match read_frame(r)? {
+        Some(Frame::Hello { rank }) if rank > me && rank < size => Ok(rank),
+        Some(Frame::Hello { rank }) => Err(invalid(format!(
+            "Hello from rank {rank}; only ranks {}..{size} dial rank {me}",
+            me + 1
+        ))),
+        Some(other) => Err(invalid(format!("expected Hello, got {other:?}"))),
+        None => Err(io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            "peer closed the connection before its Hello",
+        )),
+    }
+}
+
 /// The multi-process transport for one world: built around this process's
 /// rank, opened against the world's [`Progress`], torn down by
 /// [`Transport::finalize`] once the local rank (and every peer's result)
@@ -373,18 +395,11 @@ impl ProcTransport {
             // Read the Hello UNBUFFERED: a BufReader here would read ahead
             // and swallow any data frames the peer raced onto the socket
             // right behind its Hello — bytes that would vanish when the
-            // temporary reader is dropped. `read_frame` only uses
-            // `read_exact`, so it consumes exactly one frame.
-            match read_frame(&mut (&stream))
-                .expect("read hello")
-                .expect("hello frame")
-            {
-                Frame::Hello { rank } => {
-                    assert!(rank > self.rank, "only higher ranks dial this listener");
-                    streams[rank] = Some(stream);
-                }
-                other => panic!("expected Hello, got {other:?}"),
-            }
+            // temporary reader is dropped. `read_frame` never reads past
+            // the frame, so it consumes exactly one.
+            let rank = read_hello(&mut (&stream), self.rank, self.size)
+                .unwrap_or_else(|e| panic!("rank {}: bad mesh handshake: {e}", self.rank));
+            streams[rank] = Some(stream);
         }
         streams
     }
@@ -701,6 +716,7 @@ where
     // *other* processes are making progress, so deadlock detection is
     // deliberately absent (see docs/backends.md). `await_results` bounds
     // the damage with a hard deadline.
+    let tuning = WorldTuning::bind(cfg.tuning.as_ref(), cost.placement());
     let mut comm = Comm::new(
         rank,
         &wiring.outboxes,
@@ -711,7 +727,7 @@ where
         cfg.tracing,
         cfg.check,
         faults,
-        cfg.tuning.clone(),
+        tuning,
     );
     let value = match catch_unwind(AssertUnwindSafe(|| f(&mut comm))) {
         Ok(result) => result,
@@ -797,4 +813,47 @@ where
         }),
         events,
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn frames(frames: &[Frame]) -> Vec<u8> {
+        let mut buf = Vec::new();
+        for frame in frames {
+            write_frame(&mut buf, frame).expect("encode");
+        }
+        buf
+    }
+
+    #[test]
+    fn handshake_accepts_a_hello_from_a_higher_rank() {
+        let bytes = frames(&[Frame::Hello { rank: 3 }, Frame::Done { rank: 3 }]);
+        let mut cursor = &bytes[..];
+        assert_eq!(read_hello(&mut cursor, 1, 4).expect("valid hello"), 3);
+        assert!(
+            matches!(read_frame(&mut cursor), Ok(Some(Frame::Done { rank: 3 }))),
+            "the frame behind the Hello is left unread"
+        );
+    }
+
+    #[test]
+    fn handshake_rejects_a_frame_that_is_not_hello() {
+        let bytes = frames(&[Frame::Done { rank: 2 }]);
+        let err = read_hello(&mut &bytes[..], 0, 4).expect_err("not a Hello");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("expected Hello"), "{err}");
+    }
+
+    #[test]
+    fn handshake_rejects_a_hello_from_an_impossible_rank() {
+        for rank in [0, 2, 9] {
+            let bytes = frames(&[Frame::Hello { rank }]);
+            let err = read_hello(&mut &bytes[..], 2, 4).expect_err("rank out of range");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        }
+        let err = read_hello(&mut &[][..], 2, 4).expect_err("closed before Hello");
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+    }
 }

@@ -360,7 +360,10 @@ pub(crate) fn write_frame<W: Write>(w: &mut W, frame: &Frame) -> io::Result<()> 
 }
 
 /// Read one frame. `Ok(None)` is a clean EOF *between* frames (the peer
-/// closed its socket); EOF mid-frame is an error.
+/// closed its socket); EOF mid-frame is an error. Never reads past the
+/// frame, and the body buffer grows only as bytes arrive, so a length
+/// prefix announcing up to [`MAX_FRAME`] bytes allocates nothing it is
+/// not sent.
 pub(crate) fn read_frame<R: Read>(r: &mut R) -> io::Result<Option<Frame>> {
     let mut len_buf = [0u8; 4];
     match r.read_exact(&mut len_buf) {
@@ -372,10 +375,15 @@ pub(crate) fn read_frame<R: Read>(r: &mut R) -> io::Result<Option<Frame>> {
     if len == 0 || len > MAX_FRAME {
         return Err(bad("bad frame length"));
     }
-    let mut body = vec![0u8; len as usize];
-    r.read_exact(&mut body)?;
-    let ty = body[0];
-    Frame::decode(ty, &body[1..]).map(Some)
+    let mut body = Vec::new();
+    r.take(u64::from(len)).read_to_end(&mut body)?;
+    if body.len() != len as usize {
+        return Err(io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            "connection closed mid-frame",
+        ));
+    }
+    Frame::decode(body[0], &body[1..]).map(Some)
 }
 
 #[cfg(test)]
@@ -389,6 +397,37 @@ mod tests {
         let back = read_frame(&mut cursor).expect("decode").expect("one frame");
         assert!(cursor.is_empty(), "no trailing bytes");
         back
+    }
+
+    /// A reader that serves `data` and then EOF, recording the largest
+    /// buffer it was ever asked to fill.
+    struct Recording<'a> {
+        data: &'a [u8],
+        largest_read: usize,
+    }
+
+    impl Read for Recording<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.largest_read = self.largest_read.max(buf.len());
+            self.data.read(buf)
+        }
+    }
+
+    #[test]
+    fn truncated_max_length_frame_fails_without_a_large_buffer() {
+        let mut bytes = MAX_FRAME.to_le_bytes().to_vec();
+        bytes.extend_from_slice(&[TY_HELLO, 1, 2, 3]);
+        let mut reader = Recording {
+            data: &bytes,
+            largest_read: 0,
+        };
+        let err = read_frame(&mut reader).expect_err("the frame is cut short");
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+        assert!(
+            reader.largest_read <= 64 * 1024,
+            "read into a {} byte buffer for 4 bytes of body",
+            reader.largest_read
+        );
     }
 
     #[test]

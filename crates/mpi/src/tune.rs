@@ -31,6 +31,7 @@ use crate::reduce::Op;
 use crate::world::{World, WorldConfig};
 use pdc_cluster::{Placement, PlacementPolicy};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// Chunk granularity of the pipelined reduction, in bytes; payloads
 /// below twice this stay unchunked ([`applicable`]).
@@ -307,6 +308,29 @@ impl serde::Deserialize for TuneCell {
             probe_bytes: serde::Deserialize::from_value(v.field("probe_bytes"))?,
             best: serde::Deserialize::from_value(v.field("best"))?,
             measured: serde::Deserialize::from_value(v.field("measured"))?,
+        })
+    }
+}
+
+/// A tuning table bound to one world: the world's placement layout is
+/// classified once, when the world starts, instead of by an O(ranks) walk
+/// on every rank's every collective call.
+pub(crate) struct WorldTuning {
+    pub(crate) table: Arc<TuningTable>,
+    pub(crate) world_layout: PlacementLayout,
+}
+
+impl WorldTuning {
+    /// Bind `table` (if any) to a world placed by `placement`.
+    pub(crate) fn bind(
+        table: Option<&Arc<TuningTable>>,
+        placement: &Placement,
+    ) -> Option<Arc<WorldTuning>> {
+        table.map(|table| {
+            Arc::new(WorldTuning {
+                table: Arc::clone(table),
+                world_layout: PlacementLayout::of_placement(placement),
+            })
         })
     }
 }
@@ -877,7 +901,7 @@ mod tests {
         // The bug this key fixes: at identical (op, bytes, ranks, nodes),
         // the placement policy alone must be able to flip the selected
         // algorithm. Layouts are derived from real placements through
-        // `Placement::node_of`, exactly as `Comm::resolve_algo` does.
+        // `Placement::node_of`, exactly as the collective dispatch does.
         let t = TuningTable {
             machine_class: CI_MACHINE_CLASS.into(),
             version: 2,

@@ -10,7 +10,7 @@ use crate::sched::{Scheduler, VirtualRanks};
 use crate::stats::CommStats;
 use crate::trace::{CollSpan, PhaseSpan, Timeline};
 use crate::transport::{ThreadTransport, Transport, VirtualTransport, WorldWiring};
-use crate::tune::TuningTable;
+use crate::tune::{TuningTable, WorldTuning};
 use pdc_cluster::{CostModel, MachineModel, Placement, PlacementPolicy};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex};
@@ -659,6 +659,7 @@ impl World {
             Box::new(ThreadTransport)
         };
         let WorldWiring { outboxes, inboxes } = transport.open(cfg.size, &progress);
+        let tuning = WorldTuning::bind(cfg.tuning.as_ref(), cost.placement());
 
         let started = Instant::now();
         type RankOutcome<T> = (Result<T>, RankReport);
@@ -676,7 +677,7 @@ impl World {
                 let check = cfg.check;
                 let faults = faults.clone();
                 let sched = sched.clone();
-                let tuning = cfg.tuning.clone();
+                let tuning = tuning.clone();
                 let body = move || {
                     // Bind this thread to the cooperative scheduler first
                     // (the guard drops last, retiring the rank after

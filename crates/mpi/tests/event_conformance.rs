@@ -7,15 +7,19 @@
 //! results, the simulated clock (bit-for-bit), per-rank [`CommStats`], and
 //! the checker event logs are byte-identical. Modules 2, 3, and 6 are the
 //! real course programs; the fault and cancellation scenarios cover the
-//! failure paths the engine replaces.
+//! failure paths the engine replaces; the tuned scenarios run every
+//! collective under tuning tables that select the chunked and
+//! hierarchical algorithms on multi-node layouts.
 
 use pdc_datagen::uniform_points;
 use pdc_modules::module2::{Access, DistanceMatrixProgram};
 use pdc_modules::module3::{BucketStrategy, DistributionSortProgram, InputDist};
 use pdc_modules::module6::{HaloVariant, StencilProgram};
+use pdc_mpi::tune::TuneCell;
 use pdc_mpi::{
-    drive, CancelToken, CheckEvent, CheckMode, Comm, Error, FaultPlan, Op, Result, StepComm,
-    StepFuture, StepProgram, World, WorldConfig,
+    drive, CancelToken, CheckEvent, CheckMode, CollAlgo, CollKind, Comm, Error, FaultPlan, Op,
+    PlacementLayout, Result, SizeClass, StepComm, StepFuture, StepProgram, TuningTable, World,
+    WorldConfig,
 };
 
 /// Sizes every module scenario sweeps (the ISSUE's {2, 5, 32}).
@@ -232,4 +236,151 @@ fn cancellation_outcome_is_backend_identical() {
         WorldConfig::new(3).with_watchdog(None).with_cancel(token)
     };
     conform("cancel/pre-cancelled", 3, cfg, &BlockForever);
+}
+
+// ---------------------------------------------------------------------
+// Tuned collectives: every backend runs the same algorithm
+// implementations, so a tuning table selects the same hierarchical and
+// chunked algorithms everywhere.
+// ---------------------------------------------------------------------
+
+/// Ranks and nodes of the tuned scenarios: a multi-node block layout
+/// with uneven node occupancy at 12 ranks, and one of the tuner's own
+/// topologies at 32.
+const TUNED_LAYOUTS: [(usize, usize); 2] = [(12, 3), (32, 4)];
+
+fn checked_in_table() -> TuningTable {
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../TUNING_mpi.json");
+    TuningTable::load(&path).expect("checked-in TUNING_mpi.json loads")
+}
+
+/// A table selecting `algo` for every collective kind at every size
+/// class; selection still clamps it to what is applicable.
+fn forcing_table(ranks: usize, nodes: usize, algo: CollAlgo) -> TuningTable {
+    let classes = [
+        SizeClass::Tiny,
+        SizeClass::Small,
+        SizeClass::Large,
+        SizeClass::Huge,
+    ];
+    let cells = CollKind::ALL
+        .iter()
+        .flat_map(|&kind| {
+            classes.map(|size_class| TuneCell {
+                kind,
+                size_class,
+                ranks,
+                nodes,
+                layout: PlacementLayout::Blocked,
+                probe_bytes: 0,
+                best: algo,
+                measured: Vec::new(),
+            })
+        })
+        .collect();
+    TuningTable {
+        machine_class: "forced".into(),
+        version: 2,
+        cells,
+    }
+}
+
+/// Every collective a step program can call, on payloads large enough to
+/// pipeline (256 KiB), folding everything received into a checksum.
+struct CollectiveTour;
+
+impl StepProgram<u64> for CollectiveTour {
+    fn build<'c, 'w: 'c>(&'c self, mut sc: StepComm<'c, 'w>) -> StepFuture<'c, Result<u64>> {
+        Box::pin(async move {
+            const BIG: usize = 32 * 1024;
+            let (rank, size) = (sc.rank(), sc.size());
+            sc.barrier().await?;
+            let floats: Vec<f64> = (0..BIG).map(|i| (i + rank) as f64 / 3.0).collect();
+            let ints: Vec<u64> = (0..BIG as u64).map(|i| i ^ rank as u64).collect();
+            let seen = sc.bcast((rank == 2).then_some(&floats[..]), 2).await?;
+            let all: Vec<u64> = (0..3 * size as u64).collect();
+            let mine = sc.scatter((rank == 1).then_some(&all[..]), 1).await?;
+            let ragged: Vec<u64> = (0..rank as u64 % 4).collect();
+            let gathered = sc.gatherv(&ragged, 0).await?;
+            let everyone = sc.allgather(&mine).await?;
+            let float_sum = sc.reduce(&floats, Op::Sum, size - 1).await?;
+            let int_max = sc.reduce(&ints, Op::Max, 0).await?;
+            let int_sum = sc.allreduce(&ints, Op::Sum).await?;
+            let float_min = sc.allreduce(&floats[..4], Op::Min).await?;
+            let mut check = seen.iter().map(|x| x.to_bits()).fold(0, u64::wrapping_add);
+            let ints_seen = everyone.iter().chain(&int_sum);
+            check = ints_seen.fold(check, |a, &b| a.wrapping_add(b));
+            let floats_seen = float_sum.iter().flatten().chain(&float_min);
+            check = floats_seen.fold(check, |a, b| a.wrapping_add(b.to_bits()));
+            for v in gathered.iter().flatten().chain(&int_max) {
+                check = v.iter().fold(check, |a, &b| a.wrapping_add(b));
+            }
+            Ok(check)
+        })
+    }
+}
+
+#[test]
+fn collectives_under_forced_algorithms_are_backend_identical() {
+    for (ranks, nodes) in TUNED_LAYOUTS {
+        for algo in [CollAlgo::Chunked, CollAlgo::Hierarchical] {
+            let table = forcing_table(ranks, nodes, algo);
+            let cfg = || {
+                WorldConfig::new(ranks)
+                    .on_nodes(nodes)
+                    .with_tuning(table.clone())
+            };
+            conform(&format!("tour/{algo:?}"), ranks, cfg, &CollectiveTour);
+            let out = World::run(cfg(), |comm| drive(comm, |sc| CollectiveTour.build(sc)))
+                .expect("tour runs");
+            assert!(
+                out.total_stats().algo_volume(algo).calls > 0,
+                "the table selected {algo:?}"
+            );
+        }
+    }
+}
+
+#[test]
+fn collectives_under_the_checked_in_table_are_backend_identical() {
+    let table = checked_in_table();
+    for (ranks, nodes) in TUNED_LAYOUTS {
+        let cfg = || {
+            WorldConfig::new(ranks)
+                .on_nodes(nodes)
+                .with_tuning(table.clone())
+        };
+        conform("tour/TUNING_mpi.json", ranks, cfg, &CollectiveTour);
+    }
+}
+
+#[test]
+fn modules_under_the_checked_in_table_are_backend_identical() {
+    let table = checked_in_table();
+    let points = uniform_points(96, 4, 0.0, 100.0, 3);
+    let module2 = DistanceMatrixProgram {
+        points,
+        access: Access::RowWise,
+    };
+    let stencil = StencilProgram {
+        n_per_rank: 6,
+        iters: 4,
+        variant: HaloVariant::Overlapped,
+    };
+    for (ranks, nodes) in TUNED_LAYOUTS {
+        let cfg = || {
+            WorldConfig::new(ranks)
+                .on_nodes(nodes)
+                .with_tuning(table.clone())
+        };
+        let sort = DistributionSortProgram {
+            n_per_rank: 60,
+            dist: InputDist::Exponential,
+            strategy: BucketStrategy::Histogram { bins: ranks },
+            seed: 7,
+        };
+        conform("module2/tuned", ranks, cfg, &module2);
+        conform("module3/tuned", ranks, cfg, &sort);
+        conform("module6/tuned", ranks, cfg, &stencil);
+    }
 }

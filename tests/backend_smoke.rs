@@ -1,16 +1,26 @@
-//! Fast cross-backend smoke test: the thread and event backends run the
-//! same Module 3 step program at a size where every mailbox indexes its
-//! pending queue, and must agree byte for byte.
+//! Fast cross-backend smoke tests: the thread and event backends run the
+//! same step programs and must agree byte for byte.
 //!
+//! Module 3 runs at a size where every mailbox indexes its pending queue.
 //! At 48 ranks each rank's exchange leaves 47 messages pending after the
 //! barrier, more than the depth at which a mailbox switches from scanning
 //! its queue to an index. Wildcard probes and exact-source receives then
 //! go through the index on both backends, so a matching difference shows
-//! up here as a different result, simulated clock, or `CommStats`. The
-//! crate-level `event_conformance` suite covers more sizes and programs.
+//! up here as a different result, simulated clock, or `CommStats`.
+//!
+//! A tour of every step-program collective runs on a two-node placement
+//! under a tuning table that forces the chunked and hierarchical
+//! algorithms, which both backends run from the same implementation.
+//!
+//! The crate-level `event_conformance` suite covers more sizes and
+//! programs.
 
 use pdc_modules::module3::{BucketStrategy, DistributionSortProgram, InputDist};
-use pdc_mpi::{drive, StepProgram, World, WorldConfig};
+use pdc_mpi::tune::TuneCell;
+use pdc_mpi::{
+    drive, CollAlgo, CollKind, Op, PlacementLayout, Result, SizeClass, StepComm, StepFuture,
+    StepProgram, TuningTable, World, WorldConfig,
+};
 
 #[test]
 fn module3_deep_mailboxes_are_thread_event_identical() {
@@ -40,4 +50,104 @@ fn module3_deep_mailboxes_are_thread_event_identical() {
     );
     assert_eq!(thread.sim_time.to_bits(), event.sim_time.to_bits());
     assert_eq!(format!("{:?}", thread.stats), format!("{:?}", event.stats));
+}
+
+/// Every collective a step program can call, with payloads large enough
+/// for the chunked algorithms (256 KiB) and small enough to keep the test
+/// fast. Returns a checksum of everything the rank received.
+struct CollectiveTour;
+
+impl StepProgram<u64> for CollectiveTour {
+    fn build<'c, 'w: 'c>(&'c self, mut sc: StepComm<'c, 'w>) -> StepFuture<'c, Result<u64>> {
+        Box::pin(async move {
+            const BIG: usize = 32 * 1024;
+            let (rank, size) = (sc.rank(), sc.size());
+            sc.barrier().await?;
+            let block: Vec<f64> = (0..BIG).map(|i| (i * (rank + 1)) as f64 * 0.5).collect();
+            let root_block = (rank == 1).then_some(&block[..]);
+            let seen = sc.bcast(root_block, 1).await?;
+            let all: Vec<u64> = (0..2 * size as u64).collect();
+            let mine = sc.scatter((rank == 0).then_some(&all[..]), 0).await?;
+            let ragged: Vec<u64> = (0..rank as u64).collect();
+            let gathered = sc.gatherv(&ragged, size - 1).await?;
+            let everyone = sc.allgather(&mine).await?;
+            let summed = sc.reduce(&block, Op::Sum, 0).await?;
+            let total = sc.allreduce(&[rank as u64 + 1], Op::Sum).await?;
+            let mut check = seen.iter().map(|x| x.to_bits()).fold(0, u64::wrapping_add);
+            check = check.wrapping_add(everyone.iter().sum::<u64>());
+            check = check.wrapping_add(total[0]);
+            for v in gathered.into_iter().flatten() {
+                check = check.wrapping_add(v.iter().sum::<u64>());
+            }
+            for x in summed.into_iter().flatten() {
+                check = check.wrapping_add(x.to_bits());
+            }
+            Ok(check)
+        })
+    }
+}
+
+/// A table that selects `picks` at every size class for a block-placed
+/// world of `ranks` ranks on `nodes` nodes.
+fn forcing_table(ranks: usize, nodes: usize, picks: &[(CollKind, CollAlgo)]) -> TuningTable {
+    let classes = [
+        SizeClass::Tiny,
+        SizeClass::Small,
+        SizeClass::Large,
+        SizeClass::Huge,
+    ];
+    let cells = picks
+        .iter()
+        .flat_map(|&(kind, best)| {
+            classes.map(|size_class| TuneCell {
+                kind,
+                size_class,
+                ranks,
+                nodes,
+                layout: PlacementLayout::Blocked,
+                probe_bytes: 0,
+                best,
+                measured: Vec::new(),
+            })
+        })
+        .collect();
+    TuningTable {
+        machine_class: "forced".into(),
+        version: 2,
+        cells,
+    }
+}
+
+#[test]
+fn tuned_collectives_are_thread_event_identical() {
+    const RANKS: usize = 8;
+    let table = forcing_table(
+        RANKS,
+        2,
+        &[
+            (CollKind::Barrier, CollAlgo::Hierarchical),
+            (CollKind::Bcast, CollAlgo::Chunked),
+            (CollKind::Allgather, CollAlgo::Hierarchical),
+            (CollKind::Reduce, CollAlgo::Chunked),
+            (CollKind::Allreduce, CollAlgo::Hierarchical),
+        ],
+    );
+    let cfg = || {
+        WorldConfig::new(RANKS)
+            .on_nodes(2)
+            .with_tuning(table.clone())
+    };
+    let thread = World::run(cfg(), |comm| drive(comm, |sc| CollectiveTour.build(sc)))
+        .expect("thread backend runs");
+    let event = World::run_event(cfg().with_virtual(2).with_sched_seed(0), &CollectiveTour)
+        .expect("event backend runs the tuned collectives");
+
+    assert_eq!(thread.values, event.values);
+    assert_eq!(thread.sim_time.to_bits(), event.sim_time.to_bits());
+    assert_eq!(format!("{:?}", thread.stats), format!("{:?}", event.stats));
+    let total = event.total_stats();
+    // One call per rank for each forced collective.
+    let ranks = RANKS as u64;
+    assert_eq!(total.algo_volume(CollAlgo::Chunked).calls, 2 * ranks);
+    assert_eq!(total.algo_volume(CollAlgo::Hierarchical).calls, 3 * ranks);
 }
