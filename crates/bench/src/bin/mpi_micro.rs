@@ -11,28 +11,24 @@
 //!                           result records the rate in its `drop_rate`
 //!                           field (fault-free points carry `null`)
 //! mpi-micro --ranks N       world size for the collective points
-//!                           (default 8; hundreds are practical with
-//!                           --sched-seed)
-//! mpi-micro --sched-seed S  run every world under the deterministic
-//!                           virtual-rank scheduler with seed S (see
-//!                           docs/scheduler.md); each result records the
-//!                           seed in its `sched_seed` field (thread-mode
-//!                           points carry `null`)
+//!                           (default 8)
 //! mpi-micro --tune-file F   load a collective tuning table (see
 //!                           docs/collectives.md) and measure each cell
 //!                           of the simulated collective sweep twice —
 //!                           seed flat (`…_sim[flat]`) and tuned
 //!                           selection (`…_sim[auto]`); --check then
 //!                           also gates the tuned-vs-flat speedup
-//! mpi-micro --backend B     transport backend: thread (default),
-//!                           virtual (deterministic scheduler, seed 0
-//!                           unless --sched-seed), or proc (one OS
+//! mpi-micro --backend B     transport backend of the wall-clock
+//!                           points: thread (default) or proc (one OS
 //!                           process per rank over Unix sockets; every
-//!                           world uses the --ranks size, the simulated
-//!                           sweep is skipped, and each result records
+//!                           world uses the --ranks size, the event-engine
+//!                           cells are skipped, and each result records
 //!                           `"backend": "proc"` — exempt from the
 //!                           bench-gate thresholds)
 //! ```
+//!
+//! The simulated-clock sweep and the mailbox-layer cells always run on
+//! the seeded event engine (seed 0) and record `"backend": "event"`.
 //!
 //! The JSON artifact (`BENCH_mpi.json`) records wall-clock p50/p95 per
 //! primitive and payload size so later PRs have a perf trajectory to
@@ -49,7 +45,6 @@ fn main() -> ExitCode {
     let mut check = false;
     let mut drop_rate: Option<f64> = None;
     let mut ranks: Option<usize> = None;
-    let mut sched_seed: Option<u64> = None;
     let mut tune_file: Option<String> = None;
     let mut backend = Backend::Thread;
     let mut it = args.iter().peekable();
@@ -92,19 +87,6 @@ fn main() -> ExitCode {
                     }
                 }
             }
-            "--sched-seed" => {
-                let Some(value) = it.next() else {
-                    eprintln!("--sched-seed needs an unsigned integer (e.g. --sched-seed 42)");
-                    return ExitCode::FAILURE;
-                };
-                match value.parse::<u64>() {
-                    Ok(s) => sched_seed = Some(s),
-                    Err(_) => {
-                        eprintln!("--sched-seed must be an unsigned integer, got {value:?}");
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
             "--tune-file" => {
                 let Some(value) = it.next() else {
                     eprintln!("--tune-file needs a path (e.g. --tune-file TUNING_mpi.json)");
@@ -114,13 +96,13 @@ fn main() -> ExitCode {
             }
             "--backend" => {
                 let Some(value) = it.next() else {
-                    eprintln!("--backend needs a name: thread, virtual, or proc");
+                    eprintln!("--backend needs a name: thread or proc");
                     return ExitCode::FAILURE;
                 };
                 match Backend::parse(value) {
                     Some(b) => backend = b,
                     None => {
-                        eprintln!("unknown backend {value:?} (expected thread, virtual, or proc)");
+                        eprintln!("unknown backend {value:?} (expected thread or proc)");
                         return ExitCode::FAILURE;
                     }
                 }
@@ -129,17 +111,12 @@ fn main() -> ExitCode {
                 eprintln!("unknown argument: {other}");
                 eprintln!(
                     "usage: mpi-micro [--quick] [--json [PATH]] [--check] [--drop-rate P] \
-                     [--ranks N] [--sched-seed S] [--tune-file F] [--backend B]"
+                     [--ranks N] [--tune-file F] [--backend B]"
                 );
                 return ExitCode::FAILURE;
             }
         }
     }
-    if backend == Backend::Proc && sched_seed.is_some() {
-        eprintln!("--backend proc runs real OS processes and cannot use the virtual scheduler; drop --sched-seed");
-        return ExitCode::FAILURE;
-    }
-
     let (mut cfg, mode) = if quick {
         (MicroConfig::quick(), "quick")
     } else {
@@ -149,7 +126,6 @@ fn main() -> ExitCode {
     if let Some(n) = ranks {
         cfg.coll_ranks = n;
     }
-    cfg.sched_seed = sched_seed;
     cfg.backend = backend;
     let tuning = match tune_file {
         Some(path) => match TuningTable::load(std::path::Path::new(&path)) {

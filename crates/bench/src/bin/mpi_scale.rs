@@ -5,14 +5,14 @@
 //! mpi-scale --json [PATH]   also write the suite as JSON (default
 //!                           BENCH_scale.json in the working directory)
 //! mpi-scale --check         exit 1 if any strong-scaling shape breaks
-//! mpi-scale --workers N     worker-pool bound (default 8)
 //! mpi-scale --sched-seed S  scheduling seed (default 0 — the baseline's)
 //! mpi-scale --ranks N       world size of the stackless event-backend
 //!                           points (default 100000; 1000000 works — see
 //!                           EXPERIMENTS.md)
 //! ```
 //!
-//! Times are simulated (α–β + roofline), so the sweep is bit-reproducible
+//! Every point runs on the event engine. Times are simulated (α–β +
+//! roofline), so the sweep is bit-reproducible
 //! and the committed `BENCH_scale.json` baseline is gated exactly by
 //! `scripts/bench_gate`. See `docs/scheduler.md` and `EXPERIMENTS.md`.
 
@@ -36,19 +36,6 @@ fn main() -> ExitCode {
                     _ => "BENCH_scale.json".to_string(),
                 };
                 json = Some(path);
-            }
-            "--workers" => {
-                let Some(value) = it.next() else {
-                    eprintln!("--workers needs a count (e.g. --workers 8)");
-                    return ExitCode::FAILURE;
-                };
-                match value.parse::<usize>() {
-                    Ok(n) if n > 0 => cfg.workers = n,
-                    _ => {
-                        eprintln!("--workers must be a positive integer, got {value:?}");
-                        return ExitCode::FAILURE;
-                    }
-                }
             }
             "--sched-seed" => {
                 let Some(value) = it.next() else {
@@ -79,8 +66,7 @@ fn main() -> ExitCode {
             other => {
                 eprintln!("unknown argument: {other}");
                 eprintln!(
-                    "usage: mpi-scale [--json [PATH]] [--check] [--workers N] \
-                     [--sched-seed S] [--ranks N]"
+                    "usage: mpi-scale [--json [PATH]] [--check] [--sched-seed S] [--ranks N]"
                 );
                 return ExitCode::FAILURE;
             }

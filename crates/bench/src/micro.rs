@@ -18,15 +18,13 @@ use pdc_mpi::{
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
-/// Transport backend a benchmark point runs on (`--backend`).
+/// Transport backend a benchmark point runs on (`--backend`). The
+/// simulated-clock and per-layer cells always run on the event engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Backend {
     /// One OS thread per rank in this process (the default engine).
     #[default]
     Thread,
-    /// pdc-sched's deterministic virtual-rank scheduler (seed 0 unless
-    /// `--sched-seed` says otherwise).
-    Virtual,
     /// One OS *process* per rank over Unix-domain sockets
     /// (`World::run_proc`) — real `mpirun`-style execution.
     Proc,
@@ -37,7 +35,6 @@ impl Backend {
     pub fn name(self) -> &'static str {
         match self {
             Backend::Thread => "thread",
-            Backend::Virtual => "virtual",
             Backend::Proc => "proc",
         }
     }
@@ -46,7 +43,6 @@ impl Backend {
     pub fn parse(s: &str) -> Option<Backend> {
         match s {
             "thread" => Some(Backend::Thread),
-            "virtual" => Some(Backend::Virtual),
             "proc" => Some(Backend::Proc),
             _ => None,
         }
@@ -81,14 +77,14 @@ pub struct MicroResult {
     /// Appended to the `BENCH_mpi.json` schema — older artifacts without
     /// the field still parse (missing → `null` → `None`).
     pub drop_rate: Option<f64>,
-    /// Scheduling seed of the virtual-rank backend the point ran under
-    /// (`--sched-seed`; see `docs/scheduler.md`); `null` = the default
-    /// thread-per-rank backend. Appended to the schema exactly like
+    /// Scheduling seed of the event engine the point ran on (see
+    /// `docs/scheduler.md`); `null` for the wall-clock points of the
+    /// thread and proc backends. Appended to the schema exactly like
     /// `drop_rate` — older artifacts still parse.
     pub sched_seed: Option<u64>,
-    /// Transport backend the point ran on (`--backend`): `"virtual"` or
-    /// `"proc"`; `null` = the default in-process thread engine (also
-    /// what every pre-backend artifact measured). Appended to the schema
+    /// Transport backend the point ran on: `"event"` or `"proc"` (the
+    /// `--backend` flag); `null` = the default in-process thread engine
+    /// (also what every pre-backend artifact measured). Appended to the schema
     /// exactly like `drop_rate` — older artifacts still parse, and
     /// `scripts/bench_gate` exempts `"proc"` points from its thresholds
     /// (real-OS-process timings include fork/socket costs).
@@ -132,17 +128,14 @@ pub struct MicroConfig {
     /// Message-drop rate to inject into every point (with the default
     /// retry policy repairing the losses); `None` = fault-free.
     pub drop_rate: Option<f64>,
-    /// World size for the collective points (`--ranks`); the virtual
-    /// backend makes hundreds practical.
+    /// World size for the collective points (`--ranks`).
     pub coll_ranks: usize,
-    /// Run every world under the deterministic virtual-rank scheduler
-    /// with this seed (`--sched-seed`); `None` = thread-per-rank.
-    pub sched_seed: Option<u64>,
-    /// Transport backend for every point (`--backend`). `Proc` runs each
-    /// world as real OS processes: every world in the suite then shares
-    /// one size (`coll_ranks` — a `run_proc` constraint), the p2p points
-    /// idle their extra ranks, and the simulated-clock sweep is skipped
-    /// (it is a virtual-world construct, identical on every backend).
+    /// Transport backend for every wall-clock point (`--backend`).
+    /// `Proc` runs each world as real OS processes: every world in the
+    /// suite then shares one size (`coll_ranks` — a `run_proc`
+    /// constraint), the p2p points idle their extra ranks, and the
+    /// event-engine cells are skipped (they are in-process worlds, and
+    /// the simulated clock is identical on every backend).
     pub backend: Backend,
 }
 
@@ -157,7 +150,6 @@ impl MicroConfig {
             coll_iters_large: 5,
             drop_rate: None,
             coll_ranks: COLL_RANKS,
-            sched_seed: None,
             backend: Backend::Thread,
         }
     }
@@ -172,7 +164,6 @@ impl MicroConfig {
             coll_iters_large: 20,
             drop_rate: None,
             coll_ranks: COLL_RANKS,
-            sched_seed: None,
             backend: Backend::Thread,
         }
     }
@@ -186,17 +177,13 @@ fn percentile(sorted: &[f64], q: f64) -> f64 {
     sorted[idx]
 }
 
-/// Runtime regime a benchmark point executes under: an optional injected
-/// drop rate, an optional virtual-rank scheduling seed, and the
-/// transport backend. `Default` is the plain thread-per-rank,
-/// fault-free regime.
+/// Runtime regime a wall-clock benchmark point executes under: an
+/// optional injected drop rate and the transport backend. `Default` is
+/// the plain thread-per-rank, fault-free regime.
 #[derive(Debug, Clone, Copy)]
 pub struct PointMode {
     /// Message-drop rate (repaired by the default retry policy).
     pub drop_rate: Option<f64>,
-    /// Deterministic-scheduler seed; `Some` switches the world to the
-    /// virtual-rank backend (as does `backend == Virtual`, at seed 0).
-    pub sched_seed: Option<u64>,
     /// Transport backend the point's world runs on.
     pub backend: Backend,
     /// World size for the two-rank p2p points. 2 on the in-process
@@ -210,7 +197,6 @@ impl Default for PointMode {
     fn default() -> Self {
         Self {
             drop_rate: None,
-            sched_seed: None,
             backend: Backend::Thread,
             p2p_ranks: 2,
         }
@@ -221,7 +207,6 @@ impl PointMode {
     fn from_config(cfg: &MicroConfig) -> Self {
         Self {
             drop_rate: cfg.drop_rate,
-            sched_seed: cfg.sched_seed,
             backend: cfg.backend,
             p2p_ranks: match cfg.backend {
                 Backend::Proc => cfg.coll_ranks,
@@ -240,12 +225,14 @@ impl PointMode {
     }
 }
 
-/// Worker-pool bound for virtual-rank microbenchmark points.
-const MICRO_WORKERS: usize = 4;
-
-/// Arm `cfg` with a drops-only fault plan (repaired by the default retry
-/// policy) and/or the virtual-rank backend, as the mode requests.
-fn with_mode(cfg: WorldConfig, mode: PointMode) -> WorldConfig {
+/// Run one benchmark world on the mode's backend — real OS processes for
+/// [`Backend::Proc`], threads otherwise — with a drops-only fault plan
+/// (repaired by the default retry policy) when the mode asks for one.
+fn run_point<T, F>(cfg: WorldConfig, mode: PointMode, f: F) -> Result<RunOutput<T>>
+where
+    T: serde::Serialize + serde::Deserialize + Send,
+    F: Fn(&mut Comm) -> Result<T> + Send + Sync,
+{
     let cfg = match mode.drop_rate {
         Some(p) => cfg.with_faults(
             FaultPlan::seeded(0xB5)
@@ -254,26 +241,6 @@ fn with_mode(cfg: WorldConfig, mode: PointMode) -> WorldConfig {
         ),
         None => cfg,
     };
-    let virtual_seed = match (mode.backend, mode.sched_seed) {
-        // Virtual ranks are an in-process engine; `run_proc` rejects them.
-        (Backend::Proc, _) => None,
-        (Backend::Virtual, seed) => Some(seed.unwrap_or(0)),
-        (Backend::Thread, seed) => seed,
-    };
-    match virtual_seed {
-        Some(seed) => cfg.with_virtual(MICRO_WORKERS).with_sched_seed(seed),
-        None => cfg,
-    }
-}
-
-/// Run one benchmark world on the mode's backend: real OS processes for
-/// [`Backend::Proc`], the in-process engines otherwise.
-fn run_point<T, F>(cfg: WorldConfig, mode: PointMode, f: F) -> Result<RunOutput<T>>
-where
-    T: serde::Serialize + serde::Deserialize + Send,
-    F: Fn(&mut Comm) -> Result<T> + Send + Sync,
-{
-    let cfg = with_mode(cfg, mode);
     match mode.backend {
         Backend::Proc => World::run_proc(cfg, f),
         _ => World::run(cfg, f),
@@ -302,7 +269,7 @@ fn summarize(
         mean_us: mean,
         mb_per_s: bytes_per_op.map(|b| b as f64 / p50),
         drop_rate: mode.drop_rate,
-        sched_seed: mode.sched_seed,
+        sched_seed: None,
         backend: mode.backend_field(),
         bytes_per_rank: None,
         layer: None,
@@ -481,9 +448,44 @@ pub const SIM_SIZES: [usize; 2] = [65_536, 1 << 20];
 /// only smooths per-iteration constants).
 const SIM_ITERS: usize = 3;
 
+/// Step program behind [`collective_sim`]: [`SIM_ITERS`] back-to-back
+/// calls of one collective at a per-rank payload of `bytes`.
+struct CollSim {
+    which: Coll,
+    bytes: usize,
+}
+
+impl StepProgram<()> for CollSim {
+    fn build<'c, 'w: 'c>(&'c self, mut sc: StepComm<'c, 'w>) -> StepFuture<'c, Result<()>> {
+        Box::pin(async move {
+            let elems = (self.bytes / 8).max(1);
+            let data = vec![1.0f64; elems];
+            let all2all = vec![1.0f64; elems * sc.size()];
+            for _ in 0..SIM_ITERS {
+                match self.which {
+                    Coll::Bcast => {
+                        let root_data = (sc.rank() == 0).then_some(&data[..]);
+                        sc.bcast(root_data, 0).await?;
+                    }
+                    Coll::Allgather => {
+                        sc.allgather(&data).await?;
+                    }
+                    Coll::Allreduce => {
+                        sc.allreduce(&data, Op::Sum).await?;
+                    }
+                    Coll::Alltoall => {
+                        sc.alltoall(&all2all).await?;
+                    }
+                }
+            }
+            Ok(())
+        })
+    }
+}
+
 /// One simulated-clock collective cell: `which` at a per-rank payload of
-/// `bytes` on `ranks` ranks over `nodes` nodes, on a seed-0 virtual-rank
-/// world. With `table = None` the cell pins the seed flat algorithm
+/// `bytes` on `ranks` ranks over `nodes` nodes, on the event engine at
+/// seed 0. With `table = None` the cell pins the seed flat algorithm
 /// (named `<coll>_sim[flat]`); with a tuning table it pins tuned
 /// selection (`<coll>_sim[auto]`). Deterministic: the reported p50 is
 /// exact simulated time, so the bench gate can hold these cells to a
@@ -497,7 +499,6 @@ pub fn collective_sim(
 ) -> Result<MicroResult> {
     let mut cfg = WorldConfig::new(ranks)
         .on_nodes(nodes)
-        .with_virtual(MICRO_WORKERS)
         .with_sched_seed(0)
         // Pin the regime: the flat cells must not silently pick up a
         // table from PDC_MPI_TUNE_FILE.
@@ -505,33 +506,7 @@ pub fn collective_sim(
     if let Some(t) = table {
         cfg = cfg.with_tuning(t.clone());
     }
-    let out = World::run(cfg, move |comm| {
-        let elems = (bytes / 8).max(1);
-        let data = vec![1.0f64; elems];
-        let all2all = vec![1.0f64; elems * comm.size()];
-        for _ in 0..SIM_ITERS {
-            match which {
-                Coll::Bcast => {
-                    let root_data = if comm.rank() == 0 {
-                        Some(&data[..])
-                    } else {
-                        None
-                    };
-                    let _ = comm.bcast(root_data, 0)?;
-                }
-                Coll::Allgather => {
-                    let _ = comm.allgather(&data)?;
-                }
-                Coll::Allreduce => {
-                    let _ = comm.allreduce(&data, Op::Sum)?;
-                }
-                Coll::Alltoall => {
-                    let _ = comm.alltoall(&all2all)?;
-                }
-            }
-        }
-        Ok(())
-    })?;
+    let out = World::run_event(cfg, &CollSim { which, bytes })?;
     let us = out.sim_time * 1e6 / SIM_ITERS as f64;
     Ok(MicroResult {
         bench: format!(
@@ -548,10 +523,7 @@ pub fn collective_sim(
         mb_per_s: Some(bytes as f64 / us),
         drop_rate: None,
         sched_seed: Some(0),
-        // Sim cells always run the in-process virtual engine — the
-        // simulated clock is a property of the cost model, not of the
-        // transport — so they carry no backend marker.
-        backend: None,
+        backend: Some("event".to_string()),
         bytes_per_rank: None,
         layer: None,
     })
@@ -616,14 +588,9 @@ impl StepProgram<Vec<f64>> for MailboxDrain {
 /// `depth + 1`.
 pub fn mailbox_match(depth: usize, wildcard: bool, rounds: usize) -> Result<MicroResult> {
     let cfg = WorldConfig::new(depth + 1)
-        .with_virtual(1)
         .with_sched_seed(0)
         .with_eager_threshold(usize::MAX);
     let out = World::run_event(cfg, &MailboxDrain { rounds, wildcard })?;
-    let mode = PointMode {
-        sched_seed: Some(0),
-        ..PointMode::default()
-    };
     let samples = out.values.into_iter().next().expect("rank 0 samples");
     let name = if wildcard { "any" } else { "exact" };
     let mut r = summarize(
@@ -632,8 +599,9 @@ pub fn mailbox_match(depth: usize, wildcard: bool, rounds: usize) -> Result<Micr
         8,
         samples,
         Some(8),
-        mode,
+        PointMode::default(),
     );
+    r.sched_seed = Some(0);
     r.backend = Some("event".to_string());
     r.layer = Some("mailbox".to_string());
     Ok(r)
@@ -686,8 +654,8 @@ pub fn run_suite(cfg: MicroConfig, mode: &str, tuning: Option<&TuningTable>) -> 
         }
     }
     // The simulated-clock sweep prices the α–β model, which is identical
-    // on every transport; under `--backend proc` it is skipped (its
-    // virtual worlds also could not share the proc worlds' uniform size).
+    // on every transport; it runs on the in-process event engine, so
+    // `--backend proc` skips it.
     if cfg.backend != Backend::Proc {
         for which in [Coll::Bcast, Coll::Allreduce] {
             for &(ranks, nodes) in &SIM_TOPOS {
@@ -765,10 +733,10 @@ impl MicroSuite {
                 }
                 continue;
             }
-            // Lossy points pay retransmissions by design, virtual-rank
-            // points pay a scheduling barrier per blocking call, and
-            // multi-process points pay fork/socket costs that vary with
-            // machine load; only the default fault-free thread-mode
+            // Lossy points pay retransmissions by design, seeded
+            // event-engine cells time one layer rather than a transport,
+            // and multi-process points pay fork/socket costs that vary
+            // with machine load; only the default fault-free thread-mode
             // points defend the trajectory.
             if r.drop_rate.is_some() || r.sched_seed.is_some() || r.backend.is_some() {
                 continue;

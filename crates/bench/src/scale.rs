@@ -1,10 +1,10 @@
 //! Strong-scaling sweeps at virtual-rank scale (256–4096 ranks).
 //!
 //! The paper's Monsoon-cluster experiments stop where a thread-per-rank
-//! runtime does — a few dozen ranks. The deterministic scheduler
-//! ([`pdc_mpi::sched`]) multiplexes thousands of logical ranks onto a
-//! small worker pool, so these sweeps rerun Modules 2/3/6 at cluster
-//! scale and reproduce the paper's strong-scaling *shapes*:
+//! runtime does — a few dozen ranks. The event engine
+//! ([`pdc_mpi::event`]) runs every rank as a resumable state machine of
+//! about a kilobyte on one thread, so these sweeps rerun Modules 2/3/6 at
+//! cluster scale and reproduce the paper's strong-scaling *shapes*:
 //!
 //! * **Module 6** (1-D stencil, nodes scaled with ranks): while the
 //!   per-rank slab is large the sweep is compute-dominated and speeds up
@@ -28,10 +28,10 @@
 
 use crate::micro::{MicroResult, MicroSuite};
 use pdc_datagen::uniform_points;
-use pdc_modules::module2::{distance_matrix_rank, Access, DistanceMatrixProgram};
-use pdc_modules::module3::{distribution_sort_rank, BucketStrategy, InputDist};
-use pdc_modules::module6::{stencil_rank, HaloVariant, StencilProgram};
-use pdc_mpi::{EventMemStats, Result, TuningTable, World, WorldConfig};
+use pdc_modules::module2::{Access, DistanceMatrixProgram};
+use pdc_modules::module3::{BucketStrategy, DistributionSortProgram, InputDist};
+use pdc_modules::module6::{stencil_step, HaloVariant, StencilProgram};
+use pdc_mpi::{Result, StepComm, StepFuture, StepProgram, TuningTable, World, WorldConfig};
 
 /// Rank counts of the sweep.
 pub const SCALE_RANKS: [usize; 3] = [256, 1024, 4096];
@@ -71,8 +71,6 @@ pub const STENCIL_ITERS: usize = 16;
 /// Scheduling parameters of a sweep run.
 #[derive(Debug, Clone, Copy)]
 pub struct ScaleConfig {
-    /// Worker-pool bound for the cooperative scheduler.
-    pub workers: usize,
     /// Scheduling seed (`PDC_MPI_SCHED_SEED` semantics); the committed
     /// baseline uses 0.
     pub seed: u64,
@@ -84,7 +82,6 @@ pub struct ScaleConfig {
 impl Default for ScaleConfig {
     fn default() -> Self {
         Self {
-            workers: 8,
             seed: 0,
             event_ranks: EVENT_RANKS,
         }
@@ -92,20 +89,45 @@ impl Default for ScaleConfig {
 }
 
 fn virtual_cfg(ranks: usize, nodes: usize, cfg: ScaleConfig) -> WorldConfig {
-    WorldConfig::virtual_ranks(ranks, cfg.workers)
+    WorldConfig::new(ranks)
         .with_sched_seed(cfg.seed)
         .on_nodes(nodes)
 }
 
-fn sim_point(
+/// Module 6's halo-exchange body alone (no checksum reduction), as the
+/// strong-scaling points time it.
+struct StencilSweep {
+    n_per_rank: usize,
+}
+
+impl StepProgram<Vec<f64>> for StencilSweep {
+    fn build<'c, 'w: 'c>(&'c self, mut sc: StepComm<'c, 'w>) -> StepFuture<'c, Result<Vec<f64>>> {
+        let n_per_rank = self.n_per_rank;
+        Box::pin(async move {
+            stencil_step(
+                &mut sc,
+                n_per_rank,
+                STENCIL_ITERS,
+                HaloVariant::BlockingFirst,
+            )
+            .await
+        })
+    }
+}
+
+/// Run `program` on `world` on the event engine and record its simulated
+/// time and per-rank engine memory as the sweep point `bench`.
+fn point<T, P: StepProgram<T>>(
     bench: &str,
-    ranks: usize,
+    world: WorldConfig,
     payload_bytes: usize,
-    sim_time: f64,
+    program: &P,
     cfg: ScaleConfig,
-) -> MicroResult {
-    let us = sim_time * 1e6;
-    MicroResult {
+) -> Result<MicroResult> {
+    let ranks = world.size;
+    let (result, mem) = World::run_event_with_mem(world, program);
+    let us = result?.sim_time * 1e6;
+    Ok(MicroResult {
         bench: bench.to_string(),
         ranks,
         payload_bytes,
@@ -116,52 +138,44 @@ fn sim_point(
         mb_per_s: None,
         drop_rate: None,
         sched_seed: Some(cfg.seed),
-        backend: None,
-        bytes_per_rank: None,
+        backend: Some("event".to_string()),
+        bytes_per_rank: Some(mem.bytes_per_rank as u64),
         layer: None,
+    })
+}
+
+fn module2_program() -> DistanceMatrixProgram {
+    DistanceMatrixProgram {
+        points: uniform_points(M2_POINTS, 8, 0.0, 100.0, 42),
+        access: Access::RowWise,
     }
 }
 
 /// Module 2 at `ranks` ranks on the fixed [`FIXED_NODES`]-node
 /// allocation: the memory-bound point of the sweep.
 pub fn module2_point(ranks: usize, cfg: ScaleConfig) -> Result<MicroResult> {
-    let points = uniform_points(M2_POINTS, 8, 0.0, 100.0, 42);
-    let out = World::run(virtual_cfg(ranks, FIXED_NODES, cfg), move |comm| {
-        distance_matrix_rank(comm, &points, Access::RowWise)
-    })?;
-    Ok(sim_point(
+    let world = virtual_cfg(ranks, FIXED_NODES, cfg);
+    point(
         "scale_module2",
-        ranks,
+        world,
         M2_POINTS * 8 * 8,
-        out.sim_time,
+        &module2_program(),
         cfg,
-    ))
+    )
 }
 
 /// Module 3 at `ranks` ranks, [`RANKS_PER_NODE`] per node: the
 /// near-linear point of the sweep (fixed total input of
 /// [`TOTAL_ELEMS`] elements).
 pub fn sort_point(ranks: usize, cfg: ScaleConfig) -> Result<MicroResult> {
-    let n_per_rank = TOTAL_ELEMS / ranks;
-    let out = World::run(
-        virtual_cfg(ranks, ranks / RANKS_PER_NODE, cfg),
-        move |comm| {
-            distribution_sort_rank(
-                comm,
-                n_per_rank,
-                InputDist::Uniform,
-                BucketStrategy::Histogram { bins: 4 * ranks },
-                7,
-            )
-        },
-    )?;
-    Ok(sim_point(
-        "scale_sort",
-        ranks,
-        TOTAL_ELEMS * 8,
-        out.sim_time,
-        cfg,
-    ))
+    let program = DistributionSortProgram {
+        n_per_rank: TOTAL_ELEMS / ranks,
+        dist: InputDist::Uniform,
+        strategy: BucketStrategy::Histogram { bins: 4 * ranks },
+        seed: 7,
+    };
+    let world = virtual_cfg(ranks, ranks / RANKS_PER_NODE, cfg);
+    point("scale_sort", world, TOTAL_ELEMS * 8, &program, cfg)
 }
 
 /// Module 6 at `ranks` ranks, [`RANKS_PER_NODE`] per node: fixed
@@ -169,84 +183,37 @@ pub fn sort_point(ranks: usize, cfg: ScaleConfig) -> Result<MicroResult> {
 /// the per-iteration halo latency does not — ≈ linear while
 /// compute-dominated, communication-limited at the top of the sweep.
 pub fn stencil_point(ranks: usize, cfg: ScaleConfig) -> Result<MicroResult> {
-    let n_per_rank = STENCIL_ELEMS / ranks;
-    let out = World::run(
-        virtual_cfg(ranks, ranks / RANKS_PER_NODE, cfg),
-        move |comm| stencil_rank(comm, n_per_rank, STENCIL_ITERS, HaloVariant::BlockingFirst),
-    )?;
-    Ok(sim_point(
-        "scale_stencil",
-        ranks,
-        STENCIL_ELEMS * 8,
-        out.sim_time,
-        cfg,
-    ))
-}
-
-fn event_point(
-    bench: &str,
-    ranks: usize,
-    payload_bytes: usize,
-    sim_time: f64,
-    mem: &EventMemStats,
-    cfg: ScaleConfig,
-) -> MicroResult {
-    let mut r = sim_point(bench, ranks, payload_bytes, sim_time, cfg);
-    r.backend = Some("event".to_string());
-    r.bytes_per_rank = Some(mem.bytes_per_rank as u64);
-    r
-}
-
-/// Module 2 on the stackless event backend at `cfg.event_ranks` virtual
-/// ranks: scatter of row assignments, the row scan, one reduction. The
-/// engine's heap touches O(events) state, so the sweep's memory is the
-/// per-rank footprint reported in `bytes_per_rank` — not `ranks` OS
-/// thread stacks.
-pub fn event_module2_point(cfg: ScaleConfig) -> Result<MicroResult> {
-    let ranks = cfg.event_ranks;
-    let program = DistanceMatrixProgram {
-        points: uniform_points(M2_POINTS, 8, 0.0, 100.0, 42),
-        access: Access::RowWise,
+    let program = StencilSweep {
+        n_per_rank: STENCIL_ELEMS / ranks,
     };
-    let (result, mem) = World::run_event_with_mem(virtual_cfg(ranks, FIXED_NODES, cfg), &program);
-    let out = result?;
-    Ok(event_point(
-        "scale_module2_event",
-        ranks,
-        M2_POINTS * 8 * 8,
-        out.sim_time,
-        &mem,
-        cfg,
-    ))
+    let world = virtual_cfg(ranks, ranks / RANKS_PER_NODE, cfg);
+    point("scale_stencil", world, STENCIL_ELEMS * 8, &program, cfg)
+}
+
+/// Module 2 at `cfg.event_ranks` virtual ranks: scatter of row
+/// assignments, the row scan, one reduction. The engine's heap touches
+/// O(events) state, so the sweep's memory is the per-rank footprint
+/// reported in `bytes_per_rank` — not `ranks` OS thread stacks.
+pub fn event_module2_point(cfg: ScaleConfig) -> Result<MicroResult> {
+    let world = virtual_cfg(cfg.event_ranks, FIXED_NODES, cfg);
+    let bench = "scale_module2_event";
+    point(bench, world, M2_POINTS * 8 * 8, &module2_program(), cfg)
 }
 
 /// [`event_module2_point`] with the checked-in `TUNING_mpi.json`
 /// installed: every collective goes through algorithm selection on the
 /// event backend, as it does on the others.
 pub fn event_module2_tuned_point(cfg: ScaleConfig) -> Result<MicroResult> {
-    let ranks = cfg.event_ranks;
     let table = TuningTable::from_json(include_str!("../../../TUNING_mpi.json"))
         .expect("checked-in TUNING_mpi.json parses");
-    let program = DistanceMatrixProgram {
-        points: uniform_points(M2_POINTS, 8, 0.0, 100.0, 42),
-        access: Access::RowWise,
-    };
-    let world = virtual_cfg(ranks, FIXED_NODES, cfg).with_tuning(table);
-    let (result, mem) = World::run_event_with_mem(world, &program);
-    let out = result?;
-    Ok(event_point(
-        "scale_module2_event[auto]",
-        ranks,
-        M2_POINTS * 8 * 8,
-        out.sim_time,
-        &mem,
-        cfg,
-    ))
+    let world = virtual_cfg(cfg.event_ranks, FIXED_NODES, cfg).with_tuning(table);
+    let bench = "scale_module2_event[auto]";
+    point(bench, world, M2_POINTS * 8 * 8, &module2_program(), cfg)
 }
 
-/// Module 6 on the stackless event backend at `cfg.event_ranks` virtual
-/// ranks: per-iteration halo isends, receives, and deferred waits —
-/// the densest park/resume pattern of the three modules.
+/// Module 6 at `cfg.event_ranks` virtual ranks: per-iteration halo
+/// isends, receives, and deferred waits — the densest park/resume
+/// pattern of the three modules.
 pub fn event_stencil_point(cfg: ScaleConfig) -> Result<MicroResult> {
     let ranks = cfg.event_ranks;
     // Fixed per-rank slab (weak scaling): a fixed total grid would
@@ -256,19 +223,8 @@ pub fn event_stencil_point(cfg: ScaleConfig) -> Result<MicroResult> {
         iters: 4,
         variant: HaloVariant::BlockingFirst,
     };
-    let (result, mem) = World::run_event_with_mem(
-        virtual_cfg(ranks, (ranks / RANKS_PER_NODE).max(1), cfg),
-        &program,
-    );
-    let out = result?;
-    Ok(event_point(
-        "scale_stencil_event",
-        ranks,
-        ranks * 16 * 8,
-        out.sim_time,
-        &mem,
-        cfg,
-    ))
+    let world = virtual_cfg(ranks, (ranks / RANKS_PER_NODE).max(1), cfg);
+    point("scale_stencil_event", world, ranks * 16 * 8, &program, cfg)
 }
 
 /// The full 256–4096-rank sweep (the sort capped at

@@ -14,7 +14,8 @@
 //!
 //! Learning outcomes 1–3 and 11 of Table I.
 
-use pdc_mpi::{Comm, Op, Result, SourceSel, World, WorldConfig, ANY_SOURCE, ANY_TAG};
+use pdc_mpi::{drive, Comm, Op, Result, SourceSel, StepComm, World, WorldConfig};
+use pdc_mpi::{ANY_SOURCE, ANY_TAG};
 use serde::{Deserialize, Serialize};
 
 /// Result of the ping-pong activity.
@@ -74,41 +75,48 @@ pub fn ring(size: usize, variant: RingVariant, eager_threshold: usize) -> Result
     Ok(out.values)
 }
 
-/// One ring exchange on an existing communicator (exposed so the audit and
-/// the examples can reuse it).
-pub fn ring_step(comm: &mut Comm, variant: RingVariant) -> Result<u64> {
-    let p = comm.size();
-    let right = (comm.rank() + 1) % p;
-    let left = (comm.rank() + p - 1) % p;
-    let token = [comm.rank() as u64];
+/// [`ring_step`] in resumable (step) form: the one copy of the exchange.
+pub async fn ring_exchange_step(mut sc: StepComm<'_, '_>, variant: RingVariant) -> Result<u64> {
+    let p = sc.size();
+    let right = (sc.rank() + 1) % p;
+    let left = (sc.rank() + p - 1) % p;
+    let token = [sc.rank() as u64];
     match variant {
         RingVariant::NaiveBlocking => {
-            comm.send(&token, right, 0)?;
-            let (v, _) = comm.recv::<u64>(left, 0)?;
+            sc.send(&token, right, 0).await?;
+            let (v, _) = sc.recv::<u64, _, _>(left, 0).await?;
             Ok(v[0])
         }
         RingVariant::ParityShifted => {
-            if comm.rank() % 2 == 0 {
-                comm.send(&token, right, 0)?;
-                let (v, _) = comm.recv::<u64>(left, 0)?;
+            if sc.rank().is_multiple_of(2) {
+                sc.send(&token, right, 0).await?;
+                let (v, _) = sc.recv::<u64, _, _>(left, 0).await?;
                 Ok(v[0])
             } else {
-                let (v, _) = comm.recv::<u64>(left, 0)?;
-                comm.send(&token, right, 0)?;
+                let (v, _) = sc.recv::<u64, _, _>(left, 0).await?;
+                sc.send(&token, right, 0).await?;
                 Ok(v[0])
             }
         }
         RingVariant::Nonblocking => {
-            let req = comm.isend(&token, right, 0)?;
-            let (v, _) = comm.recv::<u64>(left, 0)?;
-            comm.wait_send(req)?;
+            let req = sc.isend(&token, right, 0)?;
+            let (v, _) = sc.recv::<u64, _, _>(left, 0).await?;
+            sc.wait_send(req).await?;
             Ok(v[0])
         }
         RingVariant::SendRecv => {
-            let (v, _) = comm.sendrecv::<u64, u64>(&token, right, 0, left, 0)?;
+            let (v, _) = sc
+                .sendrecv::<u64, u64, _, _>(&token, right, 0, left, 0)
+                .await?;
             Ok(v[0])
         }
     }
+}
+
+/// One ring exchange on an existing communicator (exposed so the audit and
+/// the examples can reuse it).
+pub fn ring_step(comm: &mut Comm, variant: RingVariant) -> Result<u64> {
+    drive(comm, |sc| Box::pin(ring_exchange_step(sc, variant)))
 }
 
 /// Report of one random-communication run.
@@ -186,51 +194,64 @@ pub fn random_comm_rank(
     seed: u64,
     use_any_source: bool,
 ) -> Result<u64> {
-    let dests = destinations(comm.rank(), comm.size(), fanout, seed);
+    drive(comm, |sc| {
+        Box::pin(random_comm_step(sc, fanout, seed, use_any_source))
+    })
+}
+
+/// [`random_comm_rank`] in resumable (step) form: the single source of
+/// truth for the exercise's communication pattern.
+pub async fn random_comm_step(
+    mut sc: StepComm<'_, '_>,
+    fanout: usize,
+    seed: u64,
+    use_any_source: bool,
+) -> Result<u64> {
+    let dests = destinations(sc.rank(), sc.size(), fanout, seed);
     // Counts exchange: counts[d] = messages I will send to rank d.
-    let mut counts = vec![0u64; comm.size()];
+    let mut counts = vec![0u64; sc.size()];
     for &d in &dests {
         counts[d] += 1;
     }
     if use_any_source {
         // Elementwise allreduce: slot r of the result is the number of
         // messages arriving at rank r.
-        comm.phase_begin("counts");
-        let incoming_total = comm.allreduce(&counts, Op::Sum)?[comm.rank()];
-        comm.phase_end();
-        comm.phase_begin("exchange");
+        sc.phase_begin("counts");
+        let incoming_total = sc.allreduce(&counts, Op::Sum).await?[sc.rank()];
+        sc.phase_end();
+        sc.phase_begin("exchange");
         let mut reqs = Vec::with_capacity(dests.len());
         for &d in &dests {
-            reqs.push(comm.isend(&[comm.rank() as u64 + 1], d, 7)?);
+            reqs.push(sc.isend(&[sc.rank() as u64 + 1], d, 7)?);
         }
         let mut sum = 0u64;
         for _ in 0..incoming_total {
-            let (v, _) = comm.recv::<u64>(ANY_SOURCE, ANY_TAG)?;
+            let (v, _) = sc.recv::<u64, _, _>(ANY_SOURCE, ANY_TAG).await?;
             sum += v[0];
         }
-        comm.wait_all_sends(reqs)?;
-        comm.phase_end();
+        sc.wait_all_sends(reqs).await?;
+        sc.phase_end();
         Ok(sum)
     } else {
-        comm.phase_begin("counts");
-        let incoming = comm.alltoall(&counts)?;
-        comm.phase_end();
+        sc.phase_begin("counts");
+        let incoming = sc.alltoall(&counts).await?;
+        sc.phase_end();
         // Send phase (nonblocking so nobody stalls), then exact receives.
-        comm.phase_begin("exchange");
+        sc.phase_begin("exchange");
         let mut reqs = Vec::with_capacity(dests.len());
         for &d in &dests {
-            reqs.push(comm.isend(&[comm.rank() as u64 + 1], d, 7)?);
+            reqs.push(sc.isend(&[sc.rank() as u64 + 1], d, 7)?);
         }
         let mut sum = 0u64;
         for (src, &n) in incoming.iter().enumerate() {
             for _ in 0..n {
-                let (v, st) = comm.recv::<u64>(SourceSel::Rank(src), 7)?;
+                let (v, st) = sc.recv::<u64, _, _>(SourceSel::Rank(src), 7).await?;
                 debug_assert_eq!(st.source, src);
                 sum += v[0];
             }
         }
-        comm.wait_all_sends(reqs)?;
-        comm.phase_end();
+        sc.wait_all_sends(reqs).await?;
+        sc.phase_end();
         Ok(sum)
     }
 }

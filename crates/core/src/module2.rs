@@ -263,7 +263,7 @@ pub fn distance_matrix_rank(comm: &mut Comm, points: &Dataset, access: Access) -
 }
 
 /// [`distance_matrix_rank`] in resumable (step) form: the single source
-/// of truth for the module's communication pattern. The thread/virtual
+/// of truth for the module's communication pattern. The thread and proc
 /// backends drive it to completion in one poll; the event backend parks
 /// it at each communication point.
 pub async fn distance_matrix_step<'c, 'w: 'c>(

@@ -46,7 +46,9 @@ pub enum BucketStrategy {
     /// Equal-frequency boundaries from a histogram of rank 0's local data
     /// (the module's prescribed remedy).
     Histogram {
-        /// Number of histogram bins used to estimate the distribution.
+        /// Number of histogram bins used to estimate the distribution;
+        /// raised to the world size when smaller, since every bucket
+        /// needs at least one bin.
         bins: usize,
     },
     /// Regular-sampling splitters (the classic sample sort): every rank
@@ -127,7 +129,7 @@ async fn agree_boundaries_step(
             // distribution, as the module prescribes) and derives
             // equal-frequency boundaries.
             let boundaries: Option<Vec<f64>> = if sc.rank() == 0 {
-                Some(histogram_splitters(local, p, bins))
+                Some(histogram_splitters(local, p, bins.max(p)))
             } else {
                 None
             };

@@ -18,7 +18,7 @@
 //! Learning outcomes 4, 8, 10–15 (Table I).
 
 use pdc_datagen::Asteroid;
-use pdc_mpi::{Comm, Op, Result, World, WorldConfig};
+use pdc_mpi::{drive, Comm, Op, Result, StepComm, World, WorldConfig};
 use pdc_spatial::{KdTree, QueryStats, RTree, Rect};
 use serde::{Deserialize, Serialize};
 
@@ -140,17 +140,30 @@ pub fn range_queries_rank(
     queries: &[QueryBox],
     engine: Engine,
 ) -> Result<(u64, u64)> {
+    drive(comm, |sc| {
+        Box::pin(range_queries_step(sc, catalog, queries, engine))
+    })
+}
+
+/// [`range_queries_rank`] in resumable (step) form: the single source of
+/// truth for the module's communication pattern.
+pub async fn range_queries_step(
+    mut sc: StepComm<'_, '_>,
+    catalog: &[Asteroid],
+    queries: &[QueryBox],
+    engine: Engine,
+) -> Result<(u64, u64)> {
     let n_points = catalog.len();
     let n_queries = queries.len();
-    let p = comm.size();
-    let r = comm.rank();
+    let p = sc.size();
+    let r = sc.rank();
     // Contiguous query partition (input data is pre-distributed per the
     // module; no initial communication needed).
     let q_lo = r * n_queries / p;
     let q_hi = (r + 1) * n_queries / p;
     let my_queries = &queries[q_lo..q_hi];
 
-    comm.phase_begin("query_scan");
+    sc.phase_begin("query_scan");
     let (matches, tested): (u64, u64) = match engine {
         Engine::BruteForce => {
             let mut m = 0u64;
@@ -161,7 +174,7 @@ pub fn range_queries_rank(
             // Compute-bound: 4 comparisons (≈4 flops) per point test;
             // the catalog (16 B/point) is streamed from DRAM once and
             // then served from cache across queries.
-            comm.charge_kernel(tested as f64 * 4.0, (n_points * 16) as f64);
+            sc.charge_kernel(tested as f64 * 4.0, (n_points * 16) as f64);
             (m, tested)
         }
         Engine::RTree => {
@@ -183,7 +196,7 @@ pub fn range_queries_rank(
             // dependent access into an out-of-cache structure.
             let bytes = stats.bytes_touched(NODE_BYTES, POINT_BYTES) as f64;
             let flops = stats.points_tested as f64 * 4.0;
-            comm.charge_kernel(flops, bytes);
+            sc.charge_kernel(flops, bytes);
             (m, stats.points_tested)
         }
         Engine::KdTree => {
@@ -205,18 +218,18 @@ pub fn range_queries_rank(
             // nodes), with smaller per-node footprints.
             let bytes = stats.bytes_touched(KD_NODE_BYTES, POINT_BYTES) as f64;
             let flops = stats.points_tested as f64 * 4.0;
-            comm.charge_kernel(flops, bytes);
+            sc.charge_kernel(flops, bytes);
             (m, stats.points_tested)
         }
     };
 
-    comm.phase_end();
+    sc.phase_end();
 
     // Global result via MPI_Reduce (the module's required primitive).
-    comm.phase_begin("reduce");
-    let total = comm.reduce(&[matches], Op::Sum, 0)?;
-    let tested_total = comm.reduce(&[tested], Op::Sum, 0)?;
-    comm.phase_end();
+    sc.phase_begin("reduce");
+    let total = sc.reduce(&[matches], Op::Sum, 0).await?;
+    let tested_total = sc.reduce(&[tested], Op::Sum, 0).await?;
+    sc.phase_end();
     Ok((
         total.map(|t| t[0]).unwrap_or(0),
         tested_total.map(|t| t[0]).unwrap_or(0),

@@ -19,7 +19,7 @@
 //! function of `k`. Learning outcomes 4, 8, 10–15 (Table I).
 
 use pdc_datagen::Dataset;
-use pdc_mpi::{Comm, Error, FaultPlan, Op, Result, World, WorldConfig};
+use pdc_mpi::{drive, Comm, Error, FaultPlan, Op, Result, StepComm, World, WorldConfig};
 use serde::{Deserialize, Serialize};
 use std::sync::{Arc, Mutex};
 
@@ -142,8 +142,8 @@ fn max_move(old: &[f64], new: &[f64], dim: usize) -> f64 {
 
 /// Per-iteration compute charge: `n_local` points × `k` centroids ×
 /// (3 flops per dimension), streaming the local points once.
-fn charge_assignment(comm: &mut Comm, n_local: usize, k: usize, dim: usize) {
-    comm.charge_kernel(
+fn charge_assignment(sc: &mut StepComm<'_, '_>, n_local: usize, k: usize, dim: usize) {
+    sc.charge_kernel(
         n_local as f64 * k as f64 * 3.0 * dim as f64,
         (n_local * dim * 8) as f64,
     );
@@ -202,12 +202,24 @@ pub fn kmeans_rank(
     option: CommOption,
     tol: f64,
 ) -> Result<(Vec<f64>, f64, usize)> {
+    drive(comm, |sc| Box::pin(kmeans_step(sc, points, k, option, tol)))
+}
+
+/// [`kmeans_rank`] in resumable (step) form: the single source of truth
+/// for the module's communication pattern.
+pub async fn kmeans_step(
+    mut sc: StepComm<'_, '_>,
+    points: &Dataset,
+    k: usize,
+    option: CommOption,
+    tol: f64,
+) -> Result<(Vec<f64>, f64, usize)> {
     let dim = points.dim();
     let n = points.len();
-    let p = comm.size();
+    let p = sc.size();
     // Scatter contiguous point blocks.
-    comm.phase_begin("scatter");
-    let (flat, counts): (Option<Vec<f64>>, Option<Vec<usize>>) = if comm.rank() == 0 {
+    sc.phase_begin("scatter");
+    let (flat, counts): (Option<Vec<f64>>, Option<Vec<usize>>) = if sc.rank() == 0 {
         let counts = (0..p)
             .map(|r| ((r + 1) * n / p - r * n / p) * dim)
             .collect();
@@ -215,33 +227,33 @@ pub fn kmeans_rank(
     } else {
         (None, None)
     };
-    let local_flat = comm.scatterv(flat.as_deref(), counts.as_deref(), 0)?;
+    let local_flat = sc.scatterv(flat.as_deref(), counts.as_deref(), 0).await?;
     let local = Dataset::from_flat(dim, local_flat);
     let n_local = local.len();
 
     // Initial centroids: first k points, broadcast from root.
-    let init: Option<Vec<f64>> = if comm.rank() == 0 {
+    let init: Option<Vec<f64>> = if sc.rank() == 0 {
         Some((0..k).flat_map(|i| points.point(i).to_vec()).collect())
     } else {
         None
     };
-    let mut centroids = comm.bcast(init.as_deref(), 0)?;
-    comm.phase_end();
+    let mut centroids = sc.bcast(init.as_deref(), 0).await?;
+    sc.phase_end();
 
     let mut iterations = 0;
     for _ in 0..MAX_ITERS {
         iterations += 1;
         // Local assignment phase.
-        comm.phase_begin("assign");
+        sc.phase_begin("assign");
         let mut assign = vec![0u32; n_local];
         for (i, a) in assign.iter_mut().enumerate() {
             *a = nearest_centroid(local.point(i), &centroids, dim).0 as u32;
         }
-        charge_assignment(comm, n_local, k, dim);
-        comm.phase_end();
+        charge_assignment(&mut sc, n_local, k, dim);
+        sc.phase_end();
 
         // Centroid update phase.
-        comm.phase_begin("update");
+        sc.phase_begin("update");
         let new_centroids = match option {
             CommOption::WeightedMeans => {
                 // Pack sums and counts into one buffer: k*(dim+1).
@@ -253,14 +265,14 @@ pub fn kmeans_rank(
                         buf[c * dim + d] += x;
                     }
                 }
-                let total = comm.allreduce(&buf, Op::Sum)?;
+                let total = sc.allreduce(&buf, Op::Sum).await?;
                 finalize_centroids(&total[..k * dim], &total[k * dim..], &centroids, dim)
             }
             CommOption::ExplicitAssignment => {
                 // Ship full assignments and points to the root every
                 // iteration (the deliberately expensive option).
-                let parts = comm.gatherv(&assign, 0)?;
-                let pts = comm.gatherv(local.flat(), 0)?;
+                let parts = sc.gatherv(&assign, 0).await?;
+                let pts = sc.gatherv(local.flat(), 0).await?;
                 let updated: Option<Vec<f64>> = match (parts, pts) {
                     (Some(parts), Some(pts)) => {
                         let mut sums = vec![0.0f64; k * dim];
@@ -277,10 +289,10 @@ pub fn kmeans_rank(
                     }
                     _ => None,
                 };
-                comm.bcast(updated.as_deref(), 0)?
+                sc.bcast(updated.as_deref(), 0).await?
             }
         };
-        comm.phase_end();
+        sc.phase_end();
         let moved = max_move(&centroids, &new_centroids, dim);
         centroids = new_centroids;
         // Everyone computes the same `moved` from the same centroids,
@@ -291,12 +303,12 @@ pub fn kmeans_rank(
     }
 
     // Final inertia via reduce.
-    comm.phase_begin("inertia");
+    sc.phase_begin("inertia");
     let local_inertia: f64 = (0..n_local)
         .map(|i| nearest_centroid(local.point(i), &centroids, dim).1)
         .sum();
-    let inertia = comm.allreduce(&[local_inertia], Op::Sum)?[0];
-    comm.phase_end();
+    let inertia = sc.allreduce(&[local_inertia], Op::Sum).await?[0];
+    sc.phase_end();
     Ok((centroids, inertia, iterations))
 }
 
@@ -392,10 +404,25 @@ pub fn kmeans_rank_ft(
     resume: Option<KMeansCheckpoint>,
     stable_store: &Mutex<Option<KMeansCheckpoint>>,
 ) -> Result<(Vec<f64>, f64, usize)> {
+    drive(comm, |sc| {
+        Box::pin(kmeans_ft_step(sc, points, k, tol, resume, stable_store))
+    })
+}
+
+/// [`kmeans_rank_ft`] in resumable (step) form: the single source of
+/// truth for the fault-tolerant variant's communication pattern.
+pub async fn kmeans_ft_step(
+    mut sc: StepComm<'_, '_>,
+    points: &Dataset,
+    k: usize,
+    tol: f64,
+    resume: Option<KMeansCheckpoint>,
+    stable_store: &Mutex<Option<KMeansCheckpoint>>,
+) -> Result<(Vec<f64>, f64, usize)> {
     let dim = points.dim();
     let n = points.len();
-    let p = comm.size();
-    let (flat, counts): (Option<Vec<f64>>, Option<Vec<usize>>) = if comm.rank() == 0 {
+    let p = sc.size();
+    let (flat, counts): (Option<Vec<f64>>, Option<Vec<usize>>) = if sc.rank() == 0 {
         let counts = (0..p)
             .map(|r| ((r + 1) * n / p - r * n / p) * dim)
             .collect();
@@ -403,19 +430,19 @@ pub fn kmeans_rank_ft(
     } else {
         (None, None)
     };
-    let local_flat = comm.scatterv(flat.as_deref(), counts.as_deref(), 0)?;
+    let local_flat = sc.scatterv(flat.as_deref(), counts.as_deref(), 0).await?;
     let local = Dataset::from_flat(dim, local_flat);
     let n_local = local.len();
 
     let (start_iter, mut centroids) = match resume {
         Some((it, c)) => (it, c),
         None => {
-            let init: Option<Vec<f64>> = if comm.rank() == 0 {
+            let init: Option<Vec<f64>> = if sc.rank() == 0 {
                 Some((0..k).flat_map(|i| points.point(i).to_vec()).collect())
             } else {
                 None
             };
-            (0, comm.bcast(init.as_deref(), 0)?)
+            (0, sc.bcast(init.as_deref(), 0).await?)
         }
     };
 
@@ -426,7 +453,7 @@ pub fn kmeans_rank_ft(
         for (i, a) in assign.iter_mut().enumerate() {
             *a = nearest_centroid(local.point(i), &centroids, dim).0 as u32;
         }
-        charge_assignment(comm, n_local, k, dim);
+        charge_assignment(&mut sc, n_local, k, dim);
         let mut buf = vec![0.0f64; k * (dim + 1)];
         for (i, &a) in assign.iter().enumerate() {
             let c = a as usize;
@@ -435,12 +462,12 @@ pub fn kmeans_rank_ft(
                 buf[c * dim + d] += x;
             }
         }
-        let total = comm.allreduce(&buf, Op::Sum)?;
+        let total = sc.allreduce(&buf, Op::Sum).await?;
         let new_centroids =
             finalize_centroids(&total[..k * dim], &total[k * dim..], &centroids, dim);
         let moved = max_move(&centroids, &new_centroids, dim);
         centroids = new_centroids;
-        if comm.rank() == 0 {
+        if sc.rank() == 0 {
             *stable_store.lock().expect("checkpoint store") = Some((iterations, centroids.clone()));
         }
         if moved <= tol {
@@ -451,7 +478,7 @@ pub fn kmeans_rank_ft(
     let local_inertia: f64 = (0..n_local)
         .map(|i| nearest_centroid(local.point(i), &centroids, dim).1)
         .sum();
-    let inertia = comm.allreduce(&[local_inertia], Op::Sum)?[0];
+    let inertia = sc.allreduce(&[local_inertia], Op::Sum).await?[0];
     Ok((centroids, inertia, iterations))
 }
 

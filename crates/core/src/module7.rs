@@ -18,7 +18,7 @@
 //!
 //! Learning outcomes exercised: 4, 8, 13 (communication volumes), 15.
 
-use pdc_mpi::{Comm, Result, World, WorldConfig};
+use pdc_mpi::{drive, Comm, Result, StepComm, World, WorldConfig};
 use serde::{Deserialize, Serialize};
 
 /// Communication strategy for the distributed top-k.
@@ -141,23 +141,37 @@ pub fn top_k_rank(
     strategy: TopKStrategy,
     seed: u64,
 ) -> Result<Vec<f64>> {
-    comm.phase_begin("local_select");
-    let scores = local_scores(n_per_rank, comm.rank(), seed);
+    drive(comm, |sc| {
+        Box::pin(top_k_step(sc, n_per_rank, k, strategy, seed))
+    })
+}
+
+/// [`top_k_rank`] in resumable (step) form: the single source of truth
+/// for the module's communication pattern.
+pub async fn top_k_step(
+    mut sc: StepComm<'_, '_>,
+    n_per_rank: usize,
+    k: usize,
+    strategy: TopKStrategy,
+    seed: u64,
+) -> Result<Vec<f64>> {
+    sc.phase_begin("local_select");
+    let scores = local_scores(n_per_rank, sc.rank(), seed);
     // Local work: selection is an O(n log n) sort here (students may
     // improve it — outcome 15).
     let n = scores.len() as f64;
-    comm.charge_kernel(4.0 * n * n.log2().max(1.0), 16.0 * n);
-    comm.phase_end();
+    sc.charge_kernel(4.0 * n * n.log2().max(1.0), 16.0 * n);
+    sc.phase_end();
 
-    comm.phase_begin("merge");
+    sc.phase_begin("merge");
     let result: Option<Vec<f64>> = match strategy {
         TopKStrategy::GatherAll => {
-            let all = comm.gather(&scores, 0)?;
+            let all = sc.gather(&scores, 0).await?;
             Ok::<_, pdc_mpi::Error>(all.map(|all| top_k(&all, k)))
         }
         TopKStrategy::LocalPrune => {
             let local = top_k(&scores, k.min(n_per_rank));
-            let cand = comm.gatherv(&local, 0)?;
+            let cand = sc.gatherv(&local, 0).await?;
             Ok(cand.map(|blocks| {
                 let flat: Vec<f64> = blocks.into_iter().flatten().collect();
                 top_k(&flat, k)
@@ -170,34 +184,38 @@ pub fn top_k_rank(
             // point-to-point primitives — see `tree_merge`.)
             let mut local = top_k(&scores, k.min(n_per_rank));
             local.resize(k, f64::NEG_INFINITY);
-            tree_merge(comm, local, k)
+            tree_merge(&mut sc, local, k).await
         }
     }?;
-    comm.phase_end();
+    sc.phase_end();
     // Broadcast the answer so every rank returns it (and so the result
     // is rank-count invariant to the caller).
-    comm.phase_begin("bcast");
-    let answer = comm.bcast(result.as_deref(), 0)?;
-    comm.phase_end();
+    sc.phase_begin("bcast");
+    let answer = sc.bcast(result.as_deref(), 0).await?;
+    sc.phase_end();
     Ok(answer)
 }
 
 /// Binomial-tree merge of fixed-length descending lists toward rank 0,
 /// built from point-to-point primitives (the "custom reduction" students
 /// write by hand).
-fn tree_merge(comm: &mut Comm, mut acc: Vec<f64>, k: usize) -> Result<Option<Vec<f64>>> {
+async fn tree_merge(
+    sc: &mut StepComm<'_, '_>,
+    mut acc: Vec<f64>,
+    k: usize,
+) -> Result<Option<Vec<f64>>> {
     const TAG: u32 = 77;
-    let p = comm.size();
-    let rank = comm.rank();
+    let p = sc.size();
+    let rank = sc.rank();
     let mut mask = 1usize;
     while mask < p {
         if rank & mask != 0 {
-            comm.send(&acc, rank - mask, TAG)?;
+            sc.send(&acc, rank - mask, TAG).await?;
             return Ok(None);
         }
         let partner = rank + mask;
         if partner < p {
-            let (part, _) = comm.recv::<f64>(partner, TAG)?;
+            let (part, _) = sc.recv::<f64, _, _>(partner, TAG).await?;
             acc = merge_top_k(&acc, &part, k);
             acc.resize(k, f64::NEG_INFINITY);
         }

@@ -18,7 +18,7 @@
 //! pairs, self-pairs excluded).
 
 use pdc_datagen::Dataset;
-use pdc_mpi::{Comm, Op, Result, World, WorldConfig};
+use pdc_mpi::{drive, Comm, Op, Result, StepComm, World, WorldConfig};
 use serde::{Deserialize, Serialize};
 
 /// Join algorithm variant.
@@ -125,11 +125,11 @@ fn count_pairs_within(
     pairs
 }
 
-fn brute_force_rank(comm: &mut Comm, points: &Dataset, eps2: f64) -> (u64, u64) {
+fn brute_force_rank(sc: &StepComm<'_, '_>, points: &Dataset, eps2: f64) -> (u64, u64) {
     // Pair (i, j), i < j, is tested by the rank owning row i.
     let n = points.len();
-    let p = comm.size();
-    let r = comm.rank();
+    let p = sc.size();
+    let r = sc.rank();
     let lo = r * n / p;
     let hi = (r + 1) * n / p;
     let mut pairs = 0u64;
@@ -147,10 +147,14 @@ fn brute_force_rank(comm: &mut Comm, points: &Dataset, eps2: f64) -> (u64, u64) 
 
 type CellKey = (i64, i64);
 
-fn grid_rank(comm: &mut Comm, points: &Dataset, epsilon: f64) -> Result<(u64, u64)> {
+async fn grid_step(
+    sc: &mut StepComm<'_, '_>,
+    points: &Dataset,
+    epsilon: f64,
+) -> Result<(u64, u64)> {
     use std::collections::BTreeMap;
-    let p = comm.size();
-    let r = comm.rank();
+    let p = sc.size();
+    let r = sc.rank();
     let n = points.len();
     let eps2 = epsilon * epsilon;
 
@@ -166,7 +170,7 @@ fn grid_rank(comm: &mut Comm, points: &Dataset, epsilon: f64) -> Result<(u64, u6
         let dst = owner(cell, p);
         outgoing[dst].extend_from_slice(&[cell.0 as f64, cell.1 as f64, pt[0], pt[1]]);
     }
-    let received = comm.alltoallv(outgoing)?;
+    let received = sc.alltoallv(outgoing).await?;
 
     // Bin the received points by cell.
     let mut cells: BTreeMap<CellKey, Vec<[f64; 2]>> = BTreeMap::new();
@@ -215,7 +219,7 @@ fn grid_rank(comm: &mut Comm, points: &Dataset, epsilon: f64) -> Result<(u64, u6
             }
         }
     }
-    let halos = comm.alltoallv(ship)?;
+    let halos = sc.alltoallv(ship).await?;
     // halo entry: [processing_cell, source_cell, x, y] — bin by the pair.
     let mut halo_cells: BTreeMap<(CellKey, CellKey), Vec<[f64; 2]>> = BTreeMap::new();
     for block in halos {
@@ -289,19 +293,32 @@ pub fn self_join_rank(
     epsilon: f64,
     method: JoinMethod,
 ) -> Result<(u64, u64, u64)> {
+    drive(comm, |sc| {
+        Box::pin(self_join_step(sc, points, epsilon, method))
+    })
+}
+
+/// [`self_join_rank`] in resumable (step) form: the single source of
+/// truth for the module's communication pattern.
+pub async fn self_join_step(
+    mut sc: StepComm<'_, '_>,
+    points: &Dataset,
+    epsilon: f64,
+    method: JoinMethod,
+) -> Result<(u64, u64, u64)> {
     let eps2 = epsilon * epsilon;
-    comm.phase_begin("join");
+    sc.phase_begin("join");
     let (pairs, candidates) = match method {
-        JoinMethod::BruteForce => brute_force_rank(comm, points, eps2),
-        JoinMethod::Grid => grid_rank(comm, points, epsilon)?,
+        JoinMethod::BruteForce => brute_force_rank(&sc, points, eps2),
+        JoinMethod::Grid => grid_step(&mut sc, points, epsilon).await?,
     };
     // Charge: 5 flops per candidate test; grid pays its shuffles via
     // the traced messages automatically.
-    comm.charge_kernel(candidates as f64 * 5.0, candidates as f64 * 8.0);
-    comm.phase_end();
-    comm.phase_begin("reduce");
-    let totals = comm.allreduce(&[pairs, candidates], Op::Sum)?;
-    comm.phase_end();
+    sc.charge_kernel(candidates as f64 * 5.0, candidates as f64 * 8.0);
+    sc.phase_end();
+    sc.phase_begin("reduce");
+    let totals = sc.allreduce(&[pairs, candidates], Op::Sum).await?;
+    sc.phase_end();
     Ok((totals[0], totals[1], candidates))
 }
 

@@ -9,7 +9,7 @@
 //! per direction, deadlock-free by construction — then applies the
 //! five-point update with Dirichlet zero boundaries.
 
-use pdc_mpi::{dims_create, CartTopology, Comm, Op, Result, World, WorldConfig};
+use pdc_mpi::{dims_create, drive, CartTopology, Comm, Op, Result, StepComm, World, WorldConfig};
 use serde::{Deserialize, Serialize};
 
 /// Diffusion coefficient of `u += α (∑ neighbours − 4u)`.
@@ -94,8 +94,20 @@ pub fn stencil2d_rank(
     gy: usize,
     iters: usize,
 ) -> Result<Vec<f64>> {
+    drive(comm, |sc| Box::pin(stencil2d_step(sc, cart, gx, gy, iters)))
+}
+
+/// [`stencil2d_rank`] in resumable (step) form: the single source of
+/// truth for the extension's halo pattern.
+pub async fn stencil2d_step(
+    mut sc: StepComm<'_, '_>,
+    cart: &CartTopology,
+    gx: usize,
+    gy: usize,
+    iters: usize,
+) -> Result<Vec<f64>> {
     let (pr, pc) = (cart.dims()[0], cart.dims()[1]);
-    let coords = cart.coords(comm.rank());
+    let coords = cart.coords(sc.rank());
     let (ry, rx) = (coords[0], coords[1]);
     // Block extents (last block takes the remainder).
     let lx0 = rx * (gx / pc);
@@ -124,19 +136,19 @@ pub fn stencil2d_rank(
     let mut next = g.u.clone();
 
     // Neighbour ranks (None = physical boundary).
-    let (up, down) = cart.shift(comm.rank(), 0, 1); // dim 0 = rows (y)
-    let (left, right) = cart.shift(comm.rank(), 1, 1); // dim 1 = cols (x)
-                                                       // `shift(dim, +1)` returns (source, destination): the rank "above" us
-                                                       // in the dimension is the source; the one "below" is the destination.
+    let (up, down) = cart.shift(sc.rank(), 0, 1); // dim 0 = rows (y)
+    let (left, right) = cart.shift(sc.rank(), 1, 1); // dim 1 = cols (x)
+                                                     // `shift(dim, +1)` returns (source, destination): the rank "above" us
+                                                     // in the dimension is the source; the one "below" is the destination.
 
     for _ in 0..iters {
         // Row exchange (contiguous): send bottom row down, receive top
         // ghost from up; then the reverse.
-        comm.phase_begin("halo");
+        sc.phase_begin("halo");
         let bottom: Vec<f64> = (1..=lx).map(|x| g.at(x, ly)).collect();
         let top: Vec<f64> = (1..=lx).map(|x| g.at(x, 1)).collect();
-        let recv_top = exchange(comm, &bottom, down, up, DOWN)?;
-        let recv_bottom = exchange(comm, &top, up, down, UP)?;
+        let recv_top = exchange(&mut sc, &bottom, down, up, DOWN).await?;
+        let recv_bottom = exchange(&mut sc, &top, up, down, UP).await?;
         if let Some(row) = recv_top {
             for (x, v) in row.into_iter().enumerate() {
                 let i = g.idx(x + 1, 0);
@@ -152,8 +164,8 @@ pub fn stencil2d_rank(
         // Column exchange (strided gather/scatter).
         let rightmost: Vec<f64> = (1..=ly).map(|y| g.at(lx, y)).collect();
         let leftmost: Vec<f64> = (1..=ly).map(|y| g.at(1, y)).collect();
-        let recv_left = exchange(comm, &rightmost, right, left, RIGHT)?;
-        let recv_right = exchange(comm, &leftmost, left, right, LEFT)?;
+        let recv_left = exchange(&mut sc, &rightmost, right, left, RIGHT).await?;
+        let recv_right = exchange(&mut sc, &leftmost, left, right, LEFT).await?;
         if let Some(col) = recv_left {
             for (y, v) in col.into_iter().enumerate() {
                 let i = g.idx(0, y + 1);
@@ -167,11 +179,11 @@ pub fn stencil2d_rank(
             }
         }
 
-        comm.phase_end();
+        sc.phase_end();
 
         // Five-point update (ghost ring supplies neighbours; physical
         // boundaries keep their zero ghosts).
-        comm.phase_begin("compute");
+        sc.phase_begin("compute");
         for y in 1..=ly {
             for x in 1..=lx {
                 let c = g.at(x, y);
@@ -181,8 +193,8 @@ pub fn stencil2d_rank(
         }
         // Copy interior; ghosts are refreshed each iteration anyway.
         std::mem::swap(&mut g.u, &mut next);
-        comm.charge_kernel((lx * ly) as f64 * 6.0, (lx * ly) as f64 * 16.0);
-        comm.phase_end();
+        sc.charge_kernel((lx * ly) as f64 * 6.0, (lx * ly) as f64 * 16.0);
+        sc.phase_end();
     }
 
     // Strip ghosts.
@@ -197,23 +209,23 @@ pub fn stencil2d_rank(
 
 /// Send `data` toward `dst` and receive the opposite halo from `src`
 /// (either may be a physical boundary).
-fn exchange(
-    comm: &mut Comm,
+async fn exchange(
+    sc: &mut StepComm<'_, '_>,
     data: &[f64],
     dst: Option<usize>,
     src: Option<usize>,
     tag: u32,
 ) -> Result<Option<Vec<f64>>> {
     let req = match dst {
-        Some(d) => Some(comm.isend(data, d, tag)?),
+        Some(d) => Some(sc.isend(data, d, tag)?),
         None => None,
     };
     let got = match src {
-        Some(s) => Some(comm.recv::<f64>(s, tag)?.0),
+        Some(s) => Some(sc.recv::<f64, _, _>(s, tag).await?.0),
         None => None,
     };
     if let Some(req) = req {
-        comm.wait_send(req)?;
+        sc.wait_send(req).await?;
     }
     Ok(got)
 }

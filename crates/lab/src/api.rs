@@ -19,14 +19,16 @@ pub struct RunRequest {
     pub size: u64,
     /// World size in MPI ranks.
     pub ranks: u64,
-    /// Concurrent workers for the virtual-rank backend (default 4).
+    /// Accepted for compatibility with older clients; selects nothing
+    /// (the event engine behind `virtual` runs is single-threaded) and is
+    /// not part of the job's identity.
     pub workers: Option<u64>,
-    /// Deterministic seed for data generation and the virtual scheduler
-    /// (default 0).
+    /// Deterministic seed for data generation and the event engine's
+    /// schedule (default 0).
     pub seed: Option<u64>,
-    /// `virtual` (default; deterministic, cacheable) or `thread`
-    /// (OS-scheduled, never cached). `proc` is rejected: the server is
-    /// itself multi-threaded.
+    /// `virtual` (default; seeded event engine, deterministic,
+    /// cacheable) or `thread` (OS-scheduled, never cached). `proc` is
+    /// rejected: the server is itself multi-threaded.
     pub backend: Option<String>,
     /// Deterministic fault-injection plan; `None` runs a perfect machine.
     pub fault_plan: Option<FaultPlan>,
@@ -62,7 +64,7 @@ impl RunRequest {
         self.backend.as_deref().unwrap_or("virtual")
     }
 
-    /// Effective worker count.
+    /// Effective worker count (see [`RunRequest::workers`]).
     pub fn workers_or_default(&self) -> usize {
         self.workers.unwrap_or(4).max(1) as usize
     }

@@ -1,8 +1,8 @@
 //! Content-addressed job identity.
 //!
 //! A lab job on the `virtual` backend is a pure function of its request:
-//! the virtual-rank scheduler replays bit-identically for a fixed
-//! `(program, size, workers, seed)`, data generation is seeded, and the
+//! the event engine replays bit-identically for a fixed
+//! `(program, size, seed)`, data generation is seeded, and the
 //! simulated clock never reads wall time. The cache key is therefore a
 //! hash of every input that can influence the artifacts — including the
 //! process-wide environment knobs (`PDC_MPI_EAGER_THRESHOLD`,
@@ -28,8 +28,10 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 
 /// The canonical identity string for a request — every field that feeds
 /// the execution, in a fixed order. Fields that do *not* affect the
-/// artifacts (tenant, priority, deadline) are deliberately excluded: two
-/// tenants asking the same question share one cached answer.
+/// artifacts (tenant, priority, deadline, and the `workers` knob, which
+/// selects nothing) are deliberately excluded: two tenants asking the
+/// same question share one cached answer. The leading version names the
+/// engine generation behind cached runs (`v2`: the event engine).
 pub fn canonical(req: &RunRequest) -> String {
     // Snapshot the same environment knobs the runner's WorldConfig will
     // see. A throwaway config is the cheapest faithful way to read them.
@@ -43,11 +45,10 @@ pub fn canonical(req: &RunRequest) -> String {
         None => String::new(),
     };
     format!(
-        "v1|module={}|size={}|ranks={}|workers={}|seed={}|backend={}|faults={}|eager={}|tuning={:016x}",
+        "v2|module={}|size={}|ranks={}|seed={}|backend={}|faults={}|eager={}|tuning={:016x}",
         req.module,
         req.size,
         req.ranks,
-        req.workers_or_default(),
         req.seed_or_default(),
         req.backend_or_default(),
         faults,
@@ -79,12 +80,13 @@ mod tests {
     }
 
     #[test]
-    fn identity_ignores_tenant_and_deadline() {
+    fn identity_ignores_tenant_deadline_and_workers() {
         let mut a = RunRequest::new("stencil", 1024, 8);
         let mut b = a.clone();
         a.tenant = Some("alice".into());
         a.priority = Some(5);
         a.deadline_ms = Some(1000);
+        a.workers = Some(2);
         b.tenant = Some("bob".into());
         assert_eq!(job_key(&a), job_key(&b));
     }
@@ -102,9 +104,6 @@ mod tests {
         let mut other = base.clone();
         other.ranks = 16;
         assert_ne!(job_key(&other), key, "ranks");
-        let mut other = base.clone();
-        other.workers = Some(2);
-        assert_ne!(job_key(&other), key, "workers");
         let mut other = base.clone();
         other.module = "sort".into();
         assert_ne!(job_key(&other), key, "module");

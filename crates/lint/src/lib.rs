@@ -1,7 +1,8 @@
 //! # pdc-lint: static communication analyzer for rank programs
 //!
 //! `pdc-lint` reads the *source* of per-rank module bodies — `*_rank`
-//! functions and any function taking a `&mut Comm` parameter — and
+//! functions, resumable `*_step` bodies, and any function taking a
+//! `&mut Comm` or `StepComm` rank handle — and
 //! extracts a symbolic per-rank communication summary: the ordered
 //! sequence of sends, receives, and collectives each rank would
 //! perform, with peer expressions like `(rank + 1) % size` folded at a
@@ -99,11 +100,12 @@ impl Linter {
         Ok(())
     }
 
-    /// Entry points: functions with a `Comm` parameter that are either
-    /// named `*_rank` or never called as a helper from other parsed
-    /// functions. Helpers are analyzed *inlined into* their callers —
-    /// standalone they would look like one-sided programs and produce
-    /// spurious unmatched-send findings.
+    /// Entry points: functions with a rank handle that are either named
+    /// `*_rank` / `*_step` (module bodies, blocking and resumable) or
+    /// never called as a helper from other parsed functions. Helpers are
+    /// analyzed *inlined into* their callers — standalone they would look
+    /// like one-sided programs and produce spurious unmatched-send
+    /// findings.
     fn entry_points(&self) -> Vec<(usize, &parse::FnDef)> {
         let mut called: HashSet<&str> = HashSet::new();
         for file in &self.ctx.files {
@@ -114,7 +116,8 @@ impl Linter {
         let mut entries = Vec::new();
         for (fi, file) in self.ctx.files.iter().enumerate() {
             for f in &file.fns {
-                if f.name.ends_with("_rank") || !called.contains(f.name.as_str()) {
+                let body = f.name.ends_with("_rank") || f.name.ends_with("_step");
+                if body || !called.contains(f.name.as_str()) {
                     entries.push((fi, f));
                 }
             }

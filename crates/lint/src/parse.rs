@@ -1,8 +1,11 @@
 //! Item extraction and IR construction.
 //!
-//! From a lexed file pdc-lint extracts every `fn` that takes a
-//! `&mut Comm` parameter (the rank-program convention) and lowers its
-//! body to a small statement tree ([`Node`]). Expressions are kept as
+//! From a lexed file pdc-lint extracts every `fn` that takes a rank
+//! handle — a `&mut Comm` parameter, or a `StepComm` by value or `&mut`
+//! (a resumable step body) — and lowers its body to a small statement
+//! tree ([`Node`]). A step body's `sc.op(..).await?` lowers exactly like
+//! `comm.op(..)?`: the trailing `.await` is a postfix the symbolic layer
+//! skips. Expressions are kept as
 //! token slices — the symbolic layer in [`crate::sym`] evaluates them
 //! per model `(rank, size)` — while control flow, `Comm` method calls,
 //! helper calls, and closures are made explicit so the walker can
@@ -24,9 +27,11 @@ fn is_assign_eq(trees: &[Tree], i: usize) -> bool {
     {
         return false;
     }
-    if i > 0 {
-        if let Some(c) = trees[i - 1].as_punct() {
-            if "<>!=+-*/%&|^".contains(c) {
+    // A compound operator's head is glued to the `=`; `Option<Vec<T>> =`
+    // (a type closing before a spaced `=`) is still a plain assignment.
+    if let Some(Tree::Leaf(prev)) = i.checked_sub(1).map(|p| &trees[p]) {
+        if let Tok::Punct(c) = prev.tok {
+            if prev.joint && "<>!=+-*/%&|^".contains(c) {
                 return false;
             }
         }
@@ -306,8 +311,8 @@ fn parse_const(trees: &[Tree], at: usize, consts: &mut HashMap<String, i64>) {
     }
 }
 
-/// At `trees[at]` = fn name. Returns None for fns without a `&mut Comm`
-/// parameter.
+/// At `trees[at]` = fn name. Returns None for fns without a rank-handle
+/// (`Comm` or `StepComm`) parameter.
 fn parse_fn(trees: &[Tree], at: usize) -> Option<FnDef> {
     let name = trees.get(at)?.as_ident()?.to_string();
     let line = trees[at].line();
@@ -352,7 +357,9 @@ fn parse_fn(trees: &[Tree], at: usize) -> Option<FnDef> {
             .filter_map(|t| t.as_ident())
             .rfind(|s| *s != "mut" && *s != "ref")?
             .to_string();
-        let is_comm = p[colon..].iter().any(|t| t.is_ident("Comm"));
+        let is_comm = p[colon..]
+            .iter()
+            .any(|t| t.is_ident("Comm") || t.is_ident("StepComm"));
         if is_comm && comm_param.is_none() {
             comm_param = Some(pname.clone());
         }
@@ -812,16 +819,15 @@ impl Builder {
                 i = next;
                 continue;
             }
-            // Helper call: `name(args…)` with the comm var as a bare
-            // top-level argument. Skip method calls (`.name(...)`).
+            // Helper call: `name(args…)` with the comm var (or a borrow
+            // of it, `&comm` / `&mut sc`) as a top-level argument. Skip
+            // method calls (`.name(...)`).
             if let (Some(name), Some(args)) = (
                 t.as_ident(),
                 trees.get(i + 1).and_then(|t| t.as_group(Delim::Paren)),
             ) {
                 let is_method = i > 0 && trees[i - 1].is_punct('.');
-                let comm_arg = split_top(args, ',')
-                    .iter()
-                    .any(|a| a.len() == 1 && a[0].as_ident() == Some(self.comm.as_str()));
+                let comm_arg = split_top(args, ',').iter().any(|a| self.is_comm_arg(a));
                 if !is_method && comm_arg && name != self.comm {
                     let arg_toks: Vec<Vec<Tree>> =
                         split_top(args, ',').iter().map(|a| a.to_vec()).collect();
@@ -848,6 +854,17 @@ impl Builder {
             }
         }
         out
+    }
+
+    /// `comm`, `&comm`, or `&mut comm` for the current comm variable.
+    fn is_comm_arg(&self, arg: &[Tree]) -> bool {
+        let ident = match arg {
+            [t] => t,
+            [amp, t] if amp.is_punct('&') => t,
+            [amp, m, t] if amp.is_punct('&') && m.is_ident("mut") => t,
+            _ => return false,
+        };
+        ident.as_ident() == Some(self.comm.as_str())
     }
 
     /// At `trees[i]` = comm ident followed by `.`. Parses
@@ -1202,6 +1219,38 @@ fn f(comm: &mut Comm) -> Result<()> {
         );
         assert!(matches!(body[2], Node::Loop { .. }));
         assert!(matches!(&body[3], Node::Op(op) if op.method == "wait_all_sends"));
+    }
+
+    #[test]
+    fn step_bodies_lower_like_blocking_ones() {
+        let src = r#"
+pub async fn ring_step(mut sc: StepComm<'_, '_>, n: usize) -> Result<u64> {
+    let right = (sc.rank() + 1) % sc.size();
+    sc.send(&[0u64], right, 3).await?;
+    let (v, _) = sc.recv::<u64, _, _>(right, 3).await?;
+    merge(&mut sc, n).await?;
+    Ok(v[0])
+}
+async fn merge(sc: &mut StepComm<'_, '_>, n: usize) -> Result<()> {
+    sc.barrier().await
+}
+"#;
+        let f = parse_file("x.rs", src);
+        assert_eq!(f.fns.len(), 2, "both step fns take a rank handle");
+        let fd = &f.fns[0];
+        assert_eq!(fd.comm_param, "sc");
+        assert!(matches!(&fd.body[1], Node::Op(op) if op.method == "send"));
+        let Node::Let { inner, .. } = &fd.body[2] else {
+            panic!("expected let, got {:?}", fd.body[2]);
+        };
+        assert!(matches!(&inner[..], [Node::Op(op)] if op.method == "recv"));
+        let Node::ExprStmt { inner, .. } = &fd.body[3] else {
+            panic!("expected a call statement, got {:?}", fd.body[3]);
+        };
+        assert!(
+            matches!(&inner[..], [Node::HelperCall { callee, .. }] if callee == "merge"),
+            "a borrowed handle passes the comm along: {inner:?}"
+        );
     }
 
     #[test]

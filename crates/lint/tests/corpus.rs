@@ -1,4 +1,5 @@
 //! Corpus tests: the five seeded defect classes must each be detected
+//! (one of them also in a resumable step body)
 //! with line-anchored spans (pinned by golden reports), and every real
 //! rank program in the workspace must lint clean.
 //!
@@ -64,6 +65,22 @@ fn detects_misaligned_bcast_root() {
         f.sites
     );
     check_golden("misaligned_bcast", &r);
+}
+
+/// The same defect in a resumable step body: `sc.op(..).await` lowers
+/// like `comm.op(..)`, so the finding is the blocking twin's.
+#[test]
+fn detects_misaligned_bcast_root_in_a_step_body() {
+    let r = lint_corpus("misaligned_bcast_step");
+    let twin = lint_corpus("misaligned_bcast");
+    assert_eq!(kinds(&r), kinds(&twin), "{}", r.render());
+    let f = &r.report.violations[0];
+    assert!(
+        f.sites.iter().any(|s| s.ends_with(":9")) && f.sites.iter().any(|s| s.ends_with(":11")),
+        "sites: {:?}",
+        f.sites
+    );
+    check_golden("misaligned_bcast_step", &r);
 }
 
 /// The flip side of root matching: explicit algorithm hints
@@ -148,20 +165,36 @@ fn detects_type_confusion() {
 
 /// Every real rank program in the workspace — the eight module bodies
 /// plus their fault-tolerant variants and the profiler clinic — must
-/// produce zero findings.
+/// produce zero findings, and every resumable `*_step` body must be
+/// analyzed under its own name.
 #[test]
 fn seed_modules_lint_clean() {
     let root = manifest_dir().join("../..");
     let mut linter = Linter::new();
+    let mut step_fns = Vec::new();
     for dir in ["crates/core/src", "crates/prof/src", "crates/check/src"] {
         for entry in fs::read_dir(root.join(dir)).expect("source dir").flatten() {
             let p = entry.path();
             if p.extension().is_some_and(|e| e == "rs") {
                 linter.add_path(&p).expect("readable source");
+                let src = fs::read_to_string(&p).expect("readable source");
+                step_fns.extend(src.split("async fn ").skip(1).filter_map(|rest| {
+                    let name = rest
+                        .split(|c: char| !c.is_alphanumeric() && c != '_')
+                        .next()?;
+                    name.ends_with("_step").then(|| name.to_string())
+                }));
             }
         }
     }
     let reports = linter.analyze_all();
+    assert!(step_fns.len() >= 8, "module step bodies: {step_fns:?}");
+    for step in &step_fns {
+        assert!(
+            reports.iter().any(|r| &r.function == step),
+            "step body {step} was not analyzed"
+        );
+    }
     let rank_fns: Vec<_> = reports
         .iter()
         .filter(|r| r.function.ends_with("_rank"))

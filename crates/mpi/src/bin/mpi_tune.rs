@@ -7,8 +7,9 @@
 //! mpi_tune --render [PATH]     # pretty-print a table as a winners grid
 //! ```
 //!
-//! The measurement worlds are virtual-rank, seed 0, on the simulated
-//! clock, so the produced table is deterministic: `--check` re-runs the
+//! The measurements are on the simulated clock, which collectives
+//! advance identically under any thread interleaving, so the produced
+//! table is deterministic: `--check` re-runs the
 //! tuner and fails (exit 1) if any cell's winner differs from the file —
 //! the CI job that guards `TUNING_mpi.json` against drifting out of sync
 //! with the runtime. See `docs/collectives.md` for the selection rules

@@ -20,17 +20,15 @@
 //! A long backstop timeout ([`BACKSTOP`]) bounds the damage of any missed
 //! wakeup to tens of milliseconds; it is a safety net, never the wakeup
 //! path.
+//!
+//! Every operation acts on the channel at once, on every backend: a send
+//! pushes, a sender drop decrements, a receive pops. The event engine
+//! never blocks here — its ranks only `try_recv`/`take_all`, and the
+//! engine itself requeues a parked rank when its outbox is written to.
 
-use crate::sched::{self, SchedCtx, Scheduler, WaitKind};
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, Weak};
 use std::time::Duration;
-
-/// Process-wide channel id source. Ids name channels to the cooperative
-/// scheduler (a parked virtual rank waits on a channel *id*); uniqueness
-/// across worlds is all that matters.
-static NEXT_CHAN_ID: AtomicU64 = AtomicU64::new(1);
 
 /// Safety-net re-check period for blocked waits. Orders of magnitude
 /// longer than any expected wait; the condvar signal is the real wakeup.
@@ -59,18 +57,11 @@ struct State<T: Send + 'static> {
 struct Inner<T: Send + 'static> {
     state: Mutex<State<T>>,
     cv: Condvar,
-    /// Scheduler-facing identity of this channel.
-    id: u64,
-    /// The cooperative scheduler of the world this channel was created
-    /// in, when it was created on a virtual-rank thread. Drop hooks
-    /// notify it so a parked rank observes a disconnect; everything else
-    /// consults the *current* thread's context instead.
-    sched: Option<std::sync::Weak<Scheduler>>,
 }
 
 impl<T: Send + 'static> std::fmt::Debug for Inner<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Inner").field("id", &self.id).finish()
+        f.debug_struct("Inner").finish_non_exhaustive()
     }
 }
 
@@ -79,16 +70,6 @@ impl<T: Send + 'static> Inner<T> {
         // A rank can panic (contained by the world's catch_unwind) while
         // peers still use the channel; poisoned locks stay usable.
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Notify the channel's scheduler (if its world is virtual) that a
-    /// disconnect-relevant state change happened, so a rank parked on
-    /// this channel re-checks. Must be called with the state lock
-    /// *released*: the scheduler takes its own lock.
-    fn wake_sched(&self) {
-        if let Some(sched) = self.sched.as_ref().and_then(Weak::upgrade) {
-            sched.wake_chan(self.id);
-        }
     }
 }
 
@@ -137,71 +118,18 @@ impl<T: Send + 'static> Clone for Sender<T> {
 
 impl<T: Send + 'static> Drop for Sender<T> {
     fn drop(&mut self) {
-        // On a virtual-rank thread the decrement must be *buffered* like a
-        // send (frozen-channel invariant): `ack.send(t)` buffers the push,
-        // then drops the sender — a synchronous decrement here would let a
-        // rank parked on the ack observe `senders == 0` with an empty
-        // queue (Disconnected) before the barrier flushes the value. The
-        // buffered decrement flushes after the push, in program order.
-        if let Some(ctx) = sched::ctx() {
-            let inner = Arc::clone(&self.0);
-            ctx.sched.buffer_effect(
-                ctx.rank,
-                self.0.id,
-                Box::new(move || {
-                    let mut state = inner.lock();
-                    state.senders -= 1;
-                    if state.senders == 0 {
-                        // Turn abandoned waits into Disconnected.
-                        inner.cv.notify_all();
-                    }
-                }),
-            );
-            return;
-        }
-        let disconnected = {
-            let mut state = self.0.lock();
-            state.senders -= 1;
-            if state.senders == 0 {
-                // Turn abandoned waits into Disconnected.
-                self.0.cv.notify_all();
-            }
-            state.senders == 0
-        };
-        if disconnected {
-            self.0.wake_sched();
+        let mut state = self.0.lock();
+        state.senders -= 1;
+        if state.senders == 0 {
+            // Turn abandoned waits into Disconnected.
+            self.0.cv.notify_all();
         }
     }
 }
 
 impl<T: Send + 'static> Sender<T> {
     /// Enqueue a message and wake the receiver.
-    ///
-    /// On a virtual-rank thread the push is *buffered* with the
-    /// scheduler instead (frozen-channel invariant: running ranks never
-    /// mutate channels; the barrier flushes buffered sends in
-    /// deterministic order). A buffered send always reports `Ok` — if
-    /// the receiver is gone by flush time the message is dropped
-    /// silently, matching the crashed-peer semantics of the thread
-    /// backend.
     pub fn send(&self, value: T) -> Result<(), SendError<T>> {
-        if let Some(ctx) = sched::ctx() {
-            let inner = Arc::clone(&self.0);
-            ctx.sched.buffer_effect(
-                ctx.rank,
-                self.0.id,
-                Box::new(move || {
-                    let mut state = inner.lock();
-                    if state.receiver_alive {
-                        state.queue.push_back(value);
-                        if state.parked > 0 {
-                            inner.cv.notify_one();
-                        }
-                    }
-                }),
-            );
-            return Ok(());
-        }
         let mut state = self.0.lock();
         if !state.receiver_alive {
             return Err(SendError(value));
@@ -256,9 +184,6 @@ impl<T: Send + 'static> Receiver<T> {
     /// whoever flips the stop condition and then wakes this channel is
     /// guaranteed to be observed.
     pub fn recv_or_stop(&self, stop: impl Fn() -> bool) -> Result<T, RecvError> {
-        if let Some(ctx) = sched::ctx() {
-            return self.recv_cooperative(&ctx, stop);
-        }
         // Yield-spin briefly before parking: in a tight message exchange
         // the peer usually produces the reply within one scheduler
         // quantum, and a sched_yield round is cheaper than a futex sleep
@@ -304,31 +229,6 @@ impl<T: Send + 'static> Receiver<T> {
         }
     }
 
-    /// Virtual-rank wait: park with the cooperative scheduler instead of
-    /// the condvar. The wait condition is level-triggered (queued
-    /// message, stop flag, sender count — all re-checked per wake), and
-    /// the wake-generation capture *before* the checks closes the one
-    /// edge-triggered window: a stop/disconnect flipped between the
-    /// check and the park skips the park entirely.
-    fn recv_cooperative(&self, ctx: &SchedCtx, stop: impl Fn() -> bool) -> Result<T, RecvError> {
-        loop {
-            let seen = ctx.sched.wake_generation();
-            {
-                let mut state = self.0.lock();
-                if let Some(v) = state.queue.pop_front() {
-                    return Ok(v);
-                }
-                if stop() {
-                    return Err(RecvError::Stopped);
-                }
-                if state.senders == 0 {
-                    return Err(RecvError::Disconnected);
-                }
-            }
-            ctx.sched.park(ctx.rank, WaitKind::Chan(self.0.id), seen);
-        }
-    }
-
     /// A weak wake handle for [`crate::mailbox::Progress`]'s poison
     /// broadcast. Weak, so finished channels don't accumulate.
     pub fn waker(&self) -> Weak<dyn Wake>
@@ -340,9 +240,7 @@ impl<T: Send + 'static> Receiver<T> {
     }
 }
 
-/// Create an unbounded event-driven channel. A channel created on a
-/// virtual-rank thread remembers its world's scheduler so disconnects
-/// wake parked ranks.
+/// Create an unbounded event-driven channel.
 pub fn channel<T: Send + 'static>() -> (Sender<T>, Receiver<T>) {
     let inner = Arc::new(Inner {
         state: Mutex::new(State {
@@ -352,8 +250,6 @@ pub fn channel<T: Send + 'static>() -> (Sender<T>, Receiver<T>) {
             parked: 0,
         }),
         cv: Condvar::new(),
-        id: NEXT_CHAN_ID.fetch_add(1, Ordering::Relaxed),
-        sched: sched::ctx().map(|ctx| Arc::downgrade(&ctx.sched)),
     });
     (Sender(Arc::clone(&inner)), Receiver(inner))
 }

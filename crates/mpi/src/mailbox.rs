@@ -20,7 +20,6 @@ use crate::chan::{Receiver, RecvError, Wake};
 use crate::check::{BlockedOp, DeadlockInfo};
 use crate::envelope::{Envelope, MatchSpec, MsgClass, SourceSel, Status, TagSel};
 use crate::error::{Error, Result};
-use crate::sched::{self, WaitKind};
 use std::collections::{BTreeMap, BTreeSet, HashSet, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, PoisonError, Weak};
@@ -248,10 +247,6 @@ impl Progress {
             }
         }
         self.notify_agree();
-        // A crash can flip any parked virtual rank's stop condition.
-        if let Some(ctx) = sched::ctx() {
-            ctx.sched.wake_all_blocked();
-        }
         // Mirror to peer processes last, with no progress locks held (the
         // notifier frames onto sockets and must never nest under them).
         if let Some(n) = self.notifier() {
@@ -377,9 +372,6 @@ impl Progress {
     /// failed set and the failure epoch it covers. Every participant of a
     /// generation returns the *same* snapshot.
     pub fn agree(&self, rank: usize) -> Result<(Vec<(usize, f64)>, u64)> {
-        if let Some(ctx) = sched::ctx() {
-            return self.agree_cooperative(rank, &ctx);
-        }
         let my_gen = self.agree_enter(rank);
         let mut st = self.agree.lock().unwrap_or_else(PoisonError::into_inner);
         loop {
@@ -400,8 +392,8 @@ impl Progress {
 
     /// Entry half of [`Progress::agree`]: register this rank in the current
     /// agreement generation and return its number. The caller then waits
-    /// however suits its execution model (condvar, cooperative park, or the
-    /// event engine's resume queue) and checks [`Progress::agree_poll`].
+    /// however suits its execution model (condvar or the event engine's
+    /// resume queue) and checks [`Progress::agree_poll`].
     pub fn agree_enter(&self, rank: usize) -> u64 {
         let my_gen = {
             let mut st = self.agree.lock().unwrap_or_else(PoisonError::into_inner);
@@ -429,27 +421,6 @@ impl Progress {
             }
         }
         None
-    }
-
-    /// [`Progress::agree`] on a virtual-rank thread: park with the
-    /// cooperative scheduler instead of the condvar. Resolution,
-    /// `mark_done`, `mark_failed`, and poison all wake event waiters.
-    fn agree_cooperative(
-        &self,
-        rank: usize,
-        ctx: &sched::SchedCtx,
-    ) -> Result<(Vec<(usize, f64)>, u64)> {
-        let my_gen = self.agree_enter(rank);
-        loop {
-            let seen = ctx.sched.wake_generation();
-            if let Some(out) = self.agree_poll(my_gen) {
-                return Ok(out);
-            }
-            if self.is_poisoned() {
-                return Err(self.deadlock_error());
-            }
-            ctx.sched.park(rank, WaitKind::Event, seen);
-        }
     }
 
     /// Re-check the agreement condition (a rank failed or finished) and
@@ -498,12 +469,6 @@ impl Progress {
             }
             st.future.retain(|&g, _| g > st.generation);
             self.agree_cv.notify_all();
-            // Parked virtual ranks don't hear the condvar; wake them
-            // through the scheduler (the resolving rank is Running, so
-            // its context names the right scheduler).
-            if let Some(ctx) = sched::ctx() {
-                ctx.sched.wake_events();
-            }
         }
     }
 
@@ -518,10 +483,6 @@ impl Progress {
         self.done.fetch_add(1, Ordering::SeqCst);
         self.notify_agree();
         self.notify_done();
-        // Wake virtual ranks parked in `wait_all_done`/`agree`.
-        if let Some(ctx) = sched::ctx() {
-            ctx.sched.wake_events();
-        }
         // Mirror to peer processes last, with no progress locks held.
         if let Some(n) = self.notifier() {
             n.on_done(rank);
@@ -546,17 +507,6 @@ impl Progress {
     /// (Blocked ranks are released by the watchdog's poison, so this
     /// terminates even on deadlocked runs.)
     pub fn wait_all_done(&self) {
-        if let Some(ctx) = sched::ctx() {
-            // Virtual rank: park with the scheduler; every `mark_done`
-            // wakes event waiters, so this loop observes the last one.
-            loop {
-                let seen = ctx.sched.wake_generation();
-                if self.all_done() {
-                    return;
-                }
-                ctx.sched.park(ctx.rank, WaitKind::Event, seen);
-            }
-        }
         let mut guard = self
             .done_sync
             .lock()
@@ -622,8 +572,8 @@ impl Progress {
     }
 
     /// Snapshot of every registered blocked operation (what each stuck
-    /// rank is waiting for). The watchdog and the virtual-rank
-    /// scheduler's exact deadlock detection both build their
+    /// rank is waiting for). The watchdog and the event engine's exact
+    /// deadlock detection both build their
     /// [`DeadlockInfo`] from this.
     pub fn blocked_snapshot(&self) -> Vec<BlockedOp> {
         self.blocked_ops
@@ -1054,8 +1004,8 @@ impl Mailbox {
     /// for master/worker patterns instead of letting wall-clock thread
     /// interleaving ratchet the receiver's clock forward. Equal send
     /// times are broken by `(src, seq)` — a pure function of the program
-    /// rather than of arrival order, so every backend (thread, virtual,
-    /// event) resolves the tie identically.
+    /// rather than of arrival order, so every backend (thread, event,
+    /// proc) resolves the tie identically.
     pub fn try_match(&mut self, spec: &MatchSpec, progress: &Progress) -> Option<Envelope> {
         self.drain_channel();
         let pos = if is_wildcard(spec) {

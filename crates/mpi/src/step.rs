@@ -13,16 +13,18 @@
 //! `coll.rs`), and waits only in the wait core (`wait.rs`). That one
 //! implementation serves every backend:
 //!
-//! * **Thread / virtual / proc backends** wait by blocking the rank's
-//!   thread, so every future completes on its first poll. The blocking
+//! * **Thread / proc backends** wait by blocking the rank's thread, so
+//!   every future completes on its first poll. The blocking
 //!   [`Comm`] methods are one-poll wrappers over these futures, and
 //!   [`drive`] runs a whole step program the same way.
 //! * **The event backend** ([`World::run_event`](crate::World::run_event))
 //!   builds one state machine per rank whose waits park on a wait cell;
 //!   a binary-heap discrete-event engine resumes them (see
 //!   `docs/scheduler.md`). Per-rank cost is the state machine plus a
-//!   mailbox — bytes, not a 512 KiB stack — which is what lets
-//!   `mpi_scale` sweep 10^5–10^6 virtual ranks in one process.
+//!   mailbox — about a kilobyte, not a thread stack — which is what lets
+//!   `mpi_scale` sweep 10^5–10^6 virtual ranks in one process. It is the
+//!   seeded backend: every deterministic, replayable run of a module is a
+//!   step program on this engine.
 //!
 //! Because the algorithms are shared, the event backend runs the tuned
 //! (hierarchical and chunked) collectives a tuning table selects exactly
@@ -38,6 +40,7 @@ use crate::envelope::{Envelope, MatchSpec, MsgClass, SourceSel, Status, TagSel};
 use crate::error::{Error, Result};
 use crate::reduce::{Op, Reducible};
 use crate::stats::{CommStats, Primitive};
+use crate::topology::CartTopology;
 use crate::wait::{EventCtx, Waiter};
 use pdc_cluster::CostModel;
 use std::future::Future;
@@ -104,7 +107,7 @@ pub(crate) fn block_on<F: Future>(fut: F) -> F::Output {
 }
 
 /// Run a step program to completion in blocking mode on `comm` — the
-/// shim that lets the thread, virtual, and proc backends execute a
+/// shim that lets the thread and proc backends execute a
 /// resumable rank body unchanged. The single poll never suspends: every
 /// blocking-mode wait completes synchronously on the rank's thread.
 ///
@@ -207,6 +210,12 @@ impl<'c, 'w: 'c> StepComm<'c, 'w> {
         self.comm.phase_end();
     }
 
+    /// `MPI_Cart_create` over the whole world. See [`Comm::cart`].
+    #[must_use = "the topology can be invalid; check the Result"]
+    pub fn cart(&self, dims: &[usize], periodic: &[bool]) -> Result<CartTopology> {
+        self.comm.cart(dims, periodic)
+    }
+
     /// Locally known failed ranks. See [`Comm::failed_ranks`].
     pub fn failed_ranks(&self) -> Vec<(usize, f64)> {
         self.comm.failed_ranks()
@@ -294,6 +303,20 @@ impl<'c, 'w: 'c> StepComm<'c, 'w> {
         self.recv_into_at(buf, src.into(), tag.into(), CallSite::here())
     }
 
+    /// `MPI_Sendrecv`. See [`Comm::sendrecv`].
+    #[track_caller]
+    pub fn sendrecv<'a, T: Datatype, U: Datatype, S: Into<SourceSel>, G: Into<TagSel>>(
+        &'a mut self,
+        senddata: &'a [T],
+        dest: usize,
+        sendtag: u32,
+        src: S,
+        recvtag: G,
+    ) -> impl Future<Output = Result<(Vec<U>, Status)>> + use<'a, 'c, 'w, T, U, S, G> {
+        let recv = MatchSpec::User(src.into(), recvtag.into());
+        self.sendrecv_at(senddata, dest, sendtag, recv, CallSite::here())
+    }
+
     /// `MPI_Wait` on a send request. See [`Comm::wait_send`].
     #[track_caller]
     pub fn wait_send<'a>(
@@ -363,6 +386,43 @@ impl<'c, 'w: 'c> StepComm<'c, 'w> {
         coll::scatter(self, Scope::world("scatter"), data, None, root, false, site)
     }
 
+    /// `MPI_Scatterv`. See [`Comm::scatterv`].
+    #[track_caller]
+    pub fn scatterv<'a, T: Datatype>(
+        &'a mut self,
+        data: Option<&'a [T]>,
+        counts: Option<&'a [usize]>,
+        root: usize,
+    ) -> impl Future<Output = Result<Vec<T>>> + use<'a, 'c, 'w, T> {
+        let site = CallSite::here();
+        coll::scatter(
+            self,
+            Scope::world("scatterv"),
+            data,
+            counts,
+            root,
+            true,
+            site,
+        )
+    }
+
+    /// `MPI_Gather`. See [`Comm::gather`].
+    #[track_caller]
+    pub fn gather<'a, T: Datatype>(
+        &'a mut self,
+        data: &'a [T],
+        root: usize,
+    ) -> impl Future<Output = Result<Option<Vec<T>>>> + use<'a, 'c, 'w, T> {
+        coll::gather(
+            self,
+            Scope::world("gather"),
+            data,
+            root,
+            None,
+            CallSite::here(),
+        )
+    }
+
     /// `MPI_Gatherv`. See [`Comm::gatherv`].
     #[track_caller]
     pub fn gatherv<'a, T: Datatype>(
@@ -386,6 +446,24 @@ impl<'c, 'w: 'c> StepComm<'c, 'w> {
             None,
             CallSite::here(),
         )
+    }
+
+    /// `MPI_Alltoall`. See [`Comm::alltoall`].
+    #[track_caller]
+    pub fn alltoall<'a, T: Datatype>(
+        &'a mut self,
+        data: &'a [T],
+    ) -> impl Future<Output = Result<Vec<T>>> + use<'a, 'c, 'w, T> {
+        coll::alltoall(self, Scope::world("alltoall"), data, None, CallSite::here())
+    }
+
+    /// `MPI_Alltoallv`. See [`Comm::alltoallv`].
+    #[track_caller]
+    pub fn alltoallv<'a, T: Datatype>(
+        &'a mut self,
+        data: Vec<Vec<T>>,
+    ) -> impl Future<Output = Result<Vec<Vec<T>>>> + use<'a, 'c, 'w, T> {
+        coll::alltoallv(self, Scope::world("alltoallv"), data, CallSite::here())
     }
 
     /// `MPI_Reduce` with a built-in operator. See [`Comm::reduce`].

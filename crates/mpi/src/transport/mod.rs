@@ -6,20 +6,15 @@
 //! surfacing. This module extracts that contract behind two traits so the
 //! same `Comm` primitives — and therefore the eight module rank bodies,
 //! pdc-check event logging, pdc-prof counters, and the fault layer — run
-//! unchanged over three backends:
+//! unchanged over every backend:
 //!
 //! * [`ThreadTransport`] — the default engine: every rank is an OS thread
 //!   in one process, outboxes are condvar-channel senders. Zero behaviour
 //!   change relative to the pre-trait runtime.
-//! * [`VirtualTransport`] — the deterministic-scheduler engine used by
-//!   [`WorldConfig::virtual_ranks`](crate::WorldConfig::virtual_ranks).
-//!   The wiring is identical to [`ThreadTransport`]; what differs is that
-//!   sends executed on a virtual-rank thread are *effect-buffered* with
-//!   the scheduler (the frozen-channel invariant: running ranks never
-//!   mutate channels directly; the scheduler flushes buffered sends in
-//!   deterministic order at the next barrier). That dispatch lives inside
-//!   the channel [`Sender`](crate::chan::Sender) so one code path serves
-//!   both in-process backends.
+//! * The event engine ([`World::run_event`](crate::World::run_event))
+//!   builds the same channel mesh, with an outbox that also records the
+//!   destination so the engine can requeue a parked receiver. It is the
+//!   seeded, deterministic backend.
 //! * [`proc::ProcTransport`] (via [`World::run_proc`](crate::World::run_proc))
 //!   — real multi-OS-process ranks over Unix-domain sockets with
 //!   length-prefixed frames (see [`wire`]), a dedicated send thread per
@@ -112,22 +107,6 @@ pub trait Transport {
     }
 }
 
-/// Builds one condvar channel per rank and registers every inbox for the
-/// poison broadcast — the wiring both in-process backends share.
-fn open_channel_mesh(size: usize, progress: &Arc<Progress>) -> WorldWiring {
-    let mut outboxes: Outboxes = Vec::with_capacity(size);
-    let mut inboxes = Vec::with_capacity(size);
-    for rank in 0..size {
-        let (tx, rx) = channel();
-        // Register every inbox before any rank starts: the watchdog can
-        // then wake all blocked receivers the instant it detects deadlock.
-        progress.register_waker(rx.waker());
-        outboxes.push(Box::new(tx) as Box<dyn Outbox>);
-        inboxes.push((rank, rx));
-    }
-    WorldWiring { outboxes, inboxes }
-}
-
 /// The default engine: one OS thread per rank, condvar-channel outboxes,
 /// kernel scheduling. Semantically identical to the pre-trait runtime.
 #[derive(Debug, Default, Clone, Copy)]
@@ -138,27 +117,21 @@ impl Transport for ThreadTransport {
         "thread"
     }
 
+    /// Builds one condvar channel per rank and registers every inbox for
+    /// the poison broadcast.
     fn open(&self, size: usize, progress: &Arc<Progress>) -> WorldWiring {
-        open_channel_mesh(size, progress)
-    }
-}
-
-/// The deterministic-scheduler engine: same channel mesh as
-/// [`ThreadTransport`], but ranks run as virtual threads whose sends are
-/// effect-buffered with the scheduler and flushed in deterministic order
-/// (see [`crate::sched`]). The dispatch is inside
-/// [`Sender::send`](crate::chan::Sender::send), keyed off the calling
-/// thread's scheduler context, so the wiring itself is shared.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct VirtualTransport;
-
-impl Transport for VirtualTransport {
-    fn name(&self) -> &'static str {
-        "virtual"
-    }
-
-    fn open(&self, size: usize, progress: &Arc<Progress>) -> WorldWiring {
-        open_channel_mesh(size, progress)
+        let mut outboxes: Outboxes = Vec::with_capacity(size);
+        let mut inboxes = Vec::with_capacity(size);
+        for rank in 0..size {
+            let (tx, rx) = channel();
+            // Register every inbox before any rank starts: the watchdog
+            // can then wake all blocked receivers the instant it detects
+            // deadlock.
+            progress.register_waker(rx.waker());
+            outboxes.push(Box::new(tx) as Box<dyn Outbox>);
+            inboxes.push((rank, rx));
+        }
+        WorldWiring { outboxes, inboxes }
     }
 }
 
@@ -196,6 +169,5 @@ mod tests {
     #[test]
     fn backends_report_their_names() {
         assert_eq!(ThreadTransport.name(), "thread");
-        assert_eq!(VirtualTransport.name(), "virtual");
     }
 }

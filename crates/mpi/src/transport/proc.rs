@@ -36,14 +36,11 @@ use crate::check::CheckEvent;
 use crate::comm::{Comm, RankReport};
 use crate::envelope::{AckHandle, Envelope};
 use crate::error::{Error, Result};
-use crate::fault::ActiveFaults;
-use crate::mailbox::{Mailbox, Progress, ProgressNotifier};
+use crate::mailbox::{Progress, ProgressNotifier};
 use crate::stats::CommStats;
 use crate::transport::wire::{read_frame, write_frame, Frame, RankResult, RankValue};
 use crate::transport::{Outbox, Outboxes, SendFailed, Transport, WorldWiring};
-use crate::tune::WorldTuning;
-use crate::world::{RunOutput, WorldConfig};
-use pdc_cluster::{CostModel, Placement};
+use crate::world::{fold_outcomes, RunOutput, WorldConfig, WorldSetup};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap};
 use std::io::{self, BufReader, BufWriter, Read, Write as _};
@@ -431,7 +428,7 @@ impl ProcTransport {
                 Instant::now() < deadline,
                 "rank {}: peer results missing after {:?} (got {:?} of {}); \
                  the proc backend has no deadlock detection — check the \
-                 program with the thread or virtual backend",
+                 program with the thread backend",
                 self.rank,
                 RESULT_DEADLINE,
                 results.keys().collect::<Vec<_>>(),
@@ -682,29 +679,17 @@ where
     T: Serialize + Deserialize + Send,
     F: Fn(&mut Comm) -> Result<T> + Send + Sync,
 {
-    assert!(cfg.size > 0, "a world needs at least one rank");
-    assert!(
-        cfg.sched.is_none(),
-        "virtual ranks are an in-process backend; run_proc hosts one OS process per rank"
-    );
+    let mut cfg = cfg;
+    // Cancellation is not supported across processes (a process kill
+    // plays that role); see `CancelToken`.
+    cfg.cancel = None;
+    let setup = WorldSetup::new(&cfg);
+    let progress = &setup.progress;
     let (rank, dir) = proc_identity(cfg.size);
     let world = WORLD_COUNTER.fetch_add(1, Ordering::SeqCst);
     let transport = ProcTransport::new(rank, cfg.size, world, dir);
 
-    let placement = Placement::new(
-        cfg.size,
-        cfg.nodes_used,
-        cfg.machine.cores_per_node,
-        cfg.placement_policy,
-    );
-    let cost = Arc::new(CostModel::new(cfg.machine.clone(), placement));
-    let progress = Arc::new(Progress::new(cfg.size));
-    let faults = cfg.faults.as_ref().map(|plan| ActiveFaults {
-        plan: Arc::new(plan.clone()),
-        crash_at: Arc::new(plan.resolve_crashes(cfg.size, |r| cost.placement().node_of(r))),
-    });
-
-    let wiring = transport.open(cfg.size, &progress);
+    let wiring = transport.open(cfg.size, progress);
     let (_, inbox_rx) = wiring
         .inboxes
         .into_iter()
@@ -716,19 +701,7 @@ where
     // *other* processes are making progress, so deadlock detection is
     // deliberately absent (see docs/backends.md). `await_results` bounds
     // the damage with a hard deadline.
-    let tuning = WorldTuning::bind(cfg.tuning.as_ref(), cost.placement());
-    let mut comm = Comm::new(
-        rank,
-        &wiring.outboxes,
-        &progress,
-        Mailbox::new(inbox_rx),
-        cost,
-        cfg.eager_threshold,
-        cfg.tracing,
-        cfg.check,
-        faults,
-        tuning,
-    );
+    let mut comm = setup.comm(rank, &wiring.outboxes, inbox_rx);
     let value = match catch_unwind(AssertUnwindSafe(|| f(&mut comm))) {
         Ok(result) => result,
         Err(_) => Err(Error::RankPanicked(rank)),
@@ -752,17 +725,13 @@ where
         clock: report.clock,
         check_log: report.check_log,
     });
-    transport.await_results(&progress);
-    transport.finalize(&progress);
+    transport.await_results(progress);
+    transport.finalize(progress);
 
+    // Traces, phases, and collective spans do not cross the wire: every
+    // rank's come back empty.
     let mut results = transport.take_results();
-    let mut values = Vec::with_capacity(cfg.size);
-    let mut stats = Vec::with_capacity(cfg.size);
-    let mut events = Vec::with_capacity(cfg.size);
-    let mut sim_time = 0.0f64;
-    let mut first_error: Option<Error> = None;
-    let mut deadlock = None;
-    for r in 0..cfg.size {
+    let outcomes = (0..cfg.size).map(|r| {
         let res = results.remove(&r).unwrap_or_else(|| RankResult {
             rank: r,
             // The rank's process died before reporting: synthesize the
@@ -775,44 +744,23 @@ where
             clock: 0.0,
             check_log: Vec::new(),
         });
-        sim_time = sim_time.max(res.clock);
-        stats.push(res.stats);
-        events.push(res.check_log);
-        match res.value {
+        let value = match res.value {
             RankValue::Ok(v) => {
-                values.push(T::from_value(&v).expect("run_proc result deserializes on every rank"))
+                Ok(T::from_value(&v).expect("run_proc result deserializes on every rank"))
             }
-            RankValue::Err(Error::Deadlock(info)) => {
-                if deadlock.is_none() {
-                    deadlock = Some(info);
-                }
-            }
-            RankValue::Err(e) => {
-                if first_error.is_none() {
-                    first_error = Some(e);
-                }
-            }
-        }
-    }
-    if let Some(e) = first_error {
-        return (Err(e), events);
-    }
-    if let Some(info) = deadlock {
-        return (Err(Error::Deadlock(info)), events);
-    }
-    (
-        Ok(RunOutput {
-            values,
-            stats,
-            sim_time,
-            wall_time: started.elapsed(),
-            traces: Vec::new(),
+            RankValue::Err(e) => Err(e),
+        };
+        let report = RankReport {
+            stats: res.stats,
+            clock: res.clock,
+            trace: Vec::new(),
+            check_log: res.check_log,
             phases: Vec::new(),
             colls: Vec::new(),
-            sched_trace: Vec::new(),
-        }),
-        events,
-    )
+        };
+        (value, report)
+    });
+    fold_outcomes(outcomes, started, Vec::new())
 }
 
 #[cfg(test)]

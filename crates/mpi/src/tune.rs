@@ -18,8 +18,8 @@
 //! call site passes an explicit `*_algo` hint.
 //!
 //! The [`autotune`] entry point measures algorithm × size-class ×
-//! (ranks, nodes) cells on the simulated clock (virtual-rank worlds,
-//! seed 0 — deterministic, host-independent) and produces a
+//! (ranks, nodes) cells on the simulated clock (deterministic and
+//! host-independent: collectives match exact sources only) and produces a
 //! [`TuningTable`] that `mpi_tune` persists as JSON (`TUNING_mpi.json`
 //! at the repo root is the checked-in table for the CI machine class).
 //! `docs/collectives.md` walks through the format and the selection
@@ -46,9 +46,6 @@ pub const BCAST_CHUNK_BYTES: usize = 16 * 1024;
 /// the per-collective tag stride, and gigantic payloads gain nothing from
 /// more in-flight chunks than this.
 pub const MAX_CHUNKS: usize = 64;
-
-/// Workers used by autotune's virtual-rank worlds (matches `mpi_micro`).
-pub const TUNE_WORKERS: usize = 4;
 
 /// Machine class the checked-in table was tuned for: the
 /// `MachineModel::cluster` postal model (0.5 µs / 20 GB/s intra-node,
@@ -529,8 +526,8 @@ pub const TUNE_SIZES: [usize; 3] = [1024, 64 * 1024, 1024 * 1024];
 pub const TUNE_ITERS: usize = 3;
 
 /// Measure one (kind, bytes, topology, layout, algorithm) point:
-/// simulated microseconds per operation, on a seed-0 virtual-rank world
-/// placed under the layout's policy.
+/// simulated microseconds per operation, on a world placed under the
+/// layout's policy.
 ///
 /// # Errors
 /// Propagates any runtime error from the measurement world.
@@ -544,9 +541,7 @@ pub fn measure(
 ) -> Result<f64> {
     let cfg = WorldConfig::new(ranks)
         .on_nodes(nodes)
-        .with_policy(layout.policy())
-        .with_virtual(TUNE_WORKERS)
-        .with_sched_seed(0);
+        .with_policy(layout.policy());
     let elems = (bytes / 8).max(1);
     let out = World::run(cfg, move |comm| {
         for _ in 0..TUNE_ITERS {
@@ -630,7 +625,8 @@ pub fn tune_layouts(nodes: usize) -> &'static [PlacementLayout] {
 
 /// Benchmark every (kind × size class × topology × layout × applicable
 /// algorithm) cell on the simulated clock and return the winning table.
-/// Deterministic: the measurement worlds are virtual-rank, seed 0, so
+/// Deterministic: the simulated clock of a collective does not depend
+/// on thread interleaving (every receive names its source), so
 /// re-running on any host reproduces the same table bit-for-bit
 /// (`mpi_tune --check` relies on this).
 ///

@@ -12,7 +12,7 @@
 //! | [`Waiter::probe`] | a matching user message is in the mailbox (kept) |
 //! | [`Waiter::agree`] | every rank entered the agreement, failed, or finished |
 //!
-//! A [`Waiter::Blocking`] rank (thread, virtual, and proc backends) waits
+//! A [`Waiter::Blocking`] rank (thread and proc backends) waits
 //! by blocking its thread inside the mailbox, ack channel, or agreement
 //! condvar, so its futures complete on their first poll. A
 //! [`Waiter::Event`] rank (the event backend) parks its state machine on

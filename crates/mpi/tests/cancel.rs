@@ -3,7 +3,7 @@
 //! blocked primitives return a typed [`Error::Cancelled`] — never a hang,
 //! and never a misreported deadlock.
 
-use pdc_mpi::{CancelToken, Error, Result, WorldConfig};
+use pdc_mpi::{CancelToken, Error, Op, Result, StepComm, StepFuture, StepProgram, WorldConfig};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
@@ -36,29 +36,42 @@ fn cancel_unblocks_a_thread_world() {
     assert!(token.is_cancelled());
 }
 
+/// A ring that passes tokens around forever: it never deadlocks and
+/// never finishes, so only a cancel can stop it.
+struct EndlessRing;
+
+impl StepProgram<u64> for EndlessRing {
+    fn build<'c, 'w: 'c>(&'c self, mut sc: StepComm<'c, 'w>) -> StepFuture<'c, Result<u64>> {
+        Box::pin(async move {
+            let right = (sc.rank() + 1) % sc.size();
+            let left = (sc.rank() + sc.size() - 1) % sc.size();
+            loop {
+                sc.send(&[sc.rank() as u64], right, 0).await?;
+                sc.recv::<u64, _, _>(left, 0).await?;
+            }
+        })
+    }
+}
+
 #[test]
-fn cancel_unblocks_a_virtual_world() {
+fn cancel_stops_a_running_event_world() {
     let token = CancelToken::new();
     let t2 = token.clone();
     let canceller = std::thread::spawn(move || {
         std::thread::sleep(Duration::from_millis(50));
         t2.cancel("preempted by a higher-priority job");
     });
-    // 8 virtual ranks, all parked on receives: the cooperative scheduler
-    // would normally declare exact deadlock, but the ranks park one by
-    // one and the canceller races the batch barrier — either way the
-    // run must return promptly with a typed error, not hang.
+    // 8 ranks on the event engine, busy in an endless exchange: the
+    // engine must observe the cancel from another thread and return a
+    // typed error promptly.
     let cfg = WorldConfig::virtual_ranks(8, 2).with_cancel(token);
-    let out = pdc_mpi::World::run(cfg, block_forever);
+    let out = pdc_mpi::World::run_event(cfg, &EndlessRing);
     canceller.join().expect("canceller thread");
     match out {
         Err(Error::Cancelled(reason)) => {
             assert!(reason.contains("preempted"), "{reason}")
         }
-        // The scheduler's exact deadlock detection can legitimately win
-        // the race when every rank parks before the cancel fires.
-        Err(Error::Deadlock(_)) => {}
-        other => panic!("expected Cancelled or Deadlock, got {other:?}"),
+        other => panic!("expected Cancelled, got {other:?}"),
     }
 }
 
@@ -88,24 +101,38 @@ fn completed_worlds_ignore_a_late_cancel() {
     assert!(token.is_cancelled());
 }
 
+/// Every rank contributes `rank + 1` to one allreduce, counting builds.
+struct CountedSum;
+
+static BUILDS: AtomicUsize = AtomicUsize::new(0);
+
+impl StepProgram<u64> for CountedSum {
+    fn build<'c, 'w: 'c>(&'c self, mut sc: StepComm<'c, 'w>) -> StepFuture<'c, Result<u64>> {
+        BUILDS.fetch_add(1, Ordering::Relaxed);
+        Box::pin(async move {
+            let mine = [sc.rank() as u64 + 1];
+            Ok(sc.allreduce(&mine, Op::Sum).await?[0])
+        })
+    }
+}
+
 #[test]
 fn one_token_cancels_and_restart_succeeds() {
-    // Preemption contract: a cancelled virtual-rank job restarted from
-    // scratch (fresh token) produces the full deterministic result.
-    static RUNS: AtomicUsize = AtomicUsize::new(0);
-    let body = |comm: &mut pdc_mpi::Comm| -> Result<u64> {
-        RUNS.fetch_add(1, Ordering::Relaxed);
-        let mine = [comm.rank() as u64 + 1];
-        Ok(comm.allreduce(&mine, pdc_mpi::Op::Sum)?[0])
-    };
+    // Preemption contract: a cancelled seeded job restarted from scratch
+    // (fresh token) produces the full deterministic result.
     let token = CancelToken::new();
     token.cancel("preempted before start");
-    let cancelled = pdc_mpi::World::run(WorldConfig::virtual_ranks(4, 2).with_cancel(token), body);
+    let cfg = WorldConfig::virtual_ranks(4, 2).with_cancel(token);
+    let cancelled = pdc_mpi::World::run_event(cfg, &CountedSum);
     assert!(
         matches!(cancelled, Err(Error::Cancelled(_))),
         "{cancelled:?}"
     );
-    let retried = pdc_mpi::World::run(WorldConfig::virtual_ranks(4, 2), body)
+    let retried = pdc_mpi::World::run_event(WorldConfig::virtual_ranks(4, 2), &CountedSum)
         .expect("restart from scratch succeeds");
     assert_eq!(retried.values, vec![10, 10, 10, 10]);
+    assert!(
+        BUILDS.load(Ordering::Relaxed) >= 8,
+        "both launches built every rank"
+    );
 }

@@ -1,9 +1,9 @@
 //! Backend equivalence: the stackless event engine must be observationally
-//! identical to the thread and virtual (parked-thread) backends.
+//! identical to the thread backend.
 //!
-//! Every scenario runs one [`StepProgram`] three ways — threads, virtual
-//! ranks, and the discrete-event engine — through the *same* resumable
-//! body (the blocking backends drive it via [`drive`]), then asserts that
+//! Every scenario runs one [`StepProgram`] two ways — threads and the
+//! discrete-event engine — through the *same* resumable body (the thread
+//! backend drives it via [`drive`]), then asserts that
 //! results, the simulated clock (bit-for-bit), per-rank [`CommStats`], and
 //! the checker event logs are byte-identical. Modules 2, 3, and 6 are the
 //! real course programs; the fault and cancellation scenarios cover the
@@ -65,7 +65,7 @@ fn observe<T: std::fmt::Debug>(
     }
 }
 
-/// Run `program` on all three backends and assert byte-identical
+/// Run `program` on both backends and assert byte-identical
 /// observables.
 fn conform<T, P>(name: &str, ranks: usize, cfg: impl Fn() -> WorldConfig, program: &P)
 where
@@ -74,32 +74,19 @@ where
 {
     let body = |comm: &mut Comm| drive(comm, |sc| program.build(sc));
     let (thread_res, thread_ev) = World::run_with_check(cfg().with_check(CheckMode::Record), body);
-    let (virt_res, virt_ev) = World::run_with_check(
-        cfg()
-            .with_virtual(2)
-            .with_sched_seed(0)
-            .with_check(CheckMode::Record),
-        body,
-    );
     let (event_res, event_ev) = World::run_event_with_check(
-        cfg()
-            .with_virtual(2)
-            .with_sched_seed(0)
-            .with_check(CheckMode::Record),
+        cfg().with_sched_seed(0).with_check(CheckMode::Record),
         program,
     );
 
     let thread = observe(thread_res, &thread_ev);
-    let virt = observe(virt_res, &virt_ev);
     let event = observe(event_res, &event_ev);
 
-    for (backend, other) in [("virtual", &virt), ("event", &event)] {
-        let ctx = format!("{name} p={ranks}: thread vs {backend}");
-        assert_eq!(thread.values, other.values, "{ctx}: results");
-        assert_eq!(thread.sim_bits, other.sim_bits, "{ctx}: sim clock");
-        assert_eq!(thread.stats, other.stats, "{ctx}: CommStats");
-        assert_eq!(thread.log, other.log, "{ctx}: checker event log");
-    }
+    let ctx = format!("{name} p={ranks}: thread vs event");
+    assert_eq!(thread.values, event.values, "{ctx}: results");
+    assert_eq!(thread.sim_bits, event.sim_bits, "{ctx}: sim clock");
+    assert_eq!(thread.stats, event.stats, "{ctx}: CommStats");
+    assert_eq!(thread.log, event.log, "{ctx}: checker event log");
 }
 
 #[test]

@@ -3,10 +3,10 @@
 //!
 //! Where `event_conformance` proves the engine matches the blocking
 //! backends observationally, these tests pin the engine's *scheduling*
-//! contract: selection is a pure function of `(program, size, workers,
-//! seed)`, equal-time wakes pop in a deterministic order, no rank
-//! starves, and an empty heap with unfinished ranks reproduces the
-//! parked-thread backend's deadlock report.
+//! contract: selection is a pure function of `(program, size, seed)`,
+//! equal-time wakes pop in a deterministic order, no rank starves, and an
+//! empty heap with unfinished ranks reproduces the thread backend's
+//! watchdog deadlock report.
 
 use pdc_modules::module3::{BucketStrategy, DistributionSortProgram, InputDist};
 use pdc_modules::module6::{HaloVariant, StencilProgram};
@@ -22,12 +22,10 @@ fn sort_program() -> DistributionSortProgram {
 }
 
 fn event_cfg(ranks: usize, seed: u64) -> WorldConfig {
-    WorldConfig::new(ranks)
-        .with_virtual(2)
-        .with_sched_seed(seed)
+    WorldConfig::new(ranks).with_sched_seed(seed)
 }
 
-/// Same `(program, size, workers, seed)` ⇒ bit-identical resume trace,
+/// Same `(program, size, seed)` ⇒ bit-identical resume trace,
 /// results, and simulated clock. The engine has no hidden state: replay
 /// is exact.
 #[test]
@@ -94,7 +92,7 @@ fn no_rank_starves_across_sixteen_seeds() {
 
 /// Every rank receives from its successor; nobody sends. The heap drains
 /// with unfinished ranks, and the engine must produce *exactly* the
-/// parked-thread scheduler's deadlock analysis: same blocked-operation
+/// thread backend watchdog's deadlock analysis: same blocked-operation
 /// table, same wait-for cycle, same call sites.
 struct CrossRecv;
 
@@ -109,20 +107,21 @@ impl StepProgram<u64> for CrossRecv {
 }
 
 #[test]
-fn empty_heap_reports_the_exact_parked_thread_deadlock_analysis() {
+fn empty_heap_reports_the_exact_watchdog_deadlock_analysis() {
     let event_err =
         World::run_event(event_cfg(3, 0), &CrossRecv).expect_err("a receive cycle must deadlock");
-    let virt_err = World::run(event_cfg(3, 0), |comm| {
+    let thread_err = World::run(event_cfg(3, 0), |comm| {
         drive(comm, |sc| CrossRecv.build(sc))
     })
     .expect_err("a receive cycle must deadlock");
-    let (Error::Deadlock(event_info), Error::Deadlock(virt_info)) = (&event_err, &virt_err) else {
-        panic!("expected Deadlock on both backends, got {event_err:?} / {virt_err:?}");
+    let (Error::Deadlock(event_info), Error::Deadlock(thread_info)) = (&event_err, &thread_err)
+    else {
+        panic!("expected Deadlock on both backends, got {event_err:?} / {thread_err:?}");
     };
     assert_eq!(
         format!("{event_info:?}"),
-        format!("{virt_info:?}"),
-        "event-engine deadlock analysis diverged from the parked-thread one"
+        format!("{thread_info:?}"),
+        "event-engine deadlock analysis diverged from the watchdog's"
     );
     assert!(!event_info.cycle.is_empty(), "cycle must be identified");
 }

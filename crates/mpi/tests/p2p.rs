@@ -1,7 +1,9 @@
 //! Point-to-point semantics of the runtime: matching, wildcards, ordering,
 //! protocols, deadlock detection, and error reporting.
 
-use pdc_mpi::{Error, SourceSel, World, WorldConfig, ANY_SOURCE, ANY_TAG};
+use pdc_mpi::{
+    Error, SourceSel, StepComm, StepFuture, StepProgram, World, WorldConfig, ANY_SOURCE, ANY_TAG,
+};
 use std::time::Duration;
 
 #[test]
@@ -184,24 +186,35 @@ fn sendrecv_ring_shift_never_deadlocks() {
     }
 }
 
+/// Everyone sends right, then receives from the left.
+struct BlockingRing;
+
+impl StepProgram<u64> for BlockingRing {
+    fn build<'c, 'w: 'c>(
+        &'c self,
+        mut sc: StepComm<'c, 'w>,
+    ) -> StepFuture<'c, pdc_mpi::Result<u64>> {
+        Box::pin(async move {
+            let right = (sc.rank() + 1) % sc.size();
+            let left = (sc.rank() + sc.size() - 1) % sc.size();
+            sc.send(&[sc.rank() as u64], right, 0).await?;
+            let (v, _) = sc.recv::<u64, _, _>(left, 0).await?;
+            Ok(v[0])
+        })
+    }
+}
+
 #[test]
 fn blocking_ring_with_rendezvous_deadlocks_and_is_detected() {
     // Module 1's classic lesson: everyone sends right, then receives — with
-    // synchronous sends this cycle can never complete. Run it under the
-    // deterministic scheduler: deadlock is declared the moment the run
-    // queue empties, not after a wall-clock sampling interval — no
-    // dependence on how fast the host happens to be.
+    // synchronous sends this cycle can never complete. Run it on the
+    // seeded event engine: deadlock is declared the moment its heap
+    // empties, not after a wall-clock sampling interval — no dependence
+    // on how fast the host happens to be.
     let cfg = WorldConfig::virtual_ranks(4, 2)
         .with_sched_seed(0)
         .with_eager_threshold(0);
-    let err = World::run(cfg, |comm| {
-        let right = (comm.rank() + 1) % comm.size();
-        let left = (comm.rank() + comm.size() - 1) % comm.size();
-        comm.send(&[comm.rank() as u64], right, 0)?;
-        let (v, _) = comm.recv::<u64>(left, 0)?;
-        Ok(v[0])
-    })
-    .expect_err("rendezvous ring must deadlock");
+    let err = World::run_event(cfg, &BlockingRing).expect_err("rendezvous ring must deadlock");
     let Error::Deadlock(info) = err else {
         panic!("expected a deadlock, got {err}");
     };
@@ -252,21 +265,27 @@ fn ssend_synchronizes_with_the_receive() {
     assert!(out.values[0] >= 1.0, "sender clock {} < 1s", out.values[0]);
 }
 
+/// Each rank waits for a message its peer never sends.
+struct MutualRecv;
+
+impl StepProgram<i32> for MutualRecv {
+    fn build<'c, 'w: 'c>(
+        &'c self,
+        mut sc: StepComm<'c, 'w>,
+    ) -> StepFuture<'c, pdc_mpi::Result<i32>> {
+        Box::pin(async move {
+            let peer = 1 - sc.rank();
+            let (v, _) = sc.recv::<i32, _, _>(peer, 0).await?;
+            Ok(v[0])
+        })
+    }
+}
+
 #[test]
 fn missing_receive_is_reported_as_deadlock() {
-    // Deterministic scheduler: exact detection, no timing sensitivity.
+    // Seeded event engine: exact detection, no timing sensitivity.
     let cfg = WorldConfig::virtual_ranks(2, 2).with_sched_seed(0);
-    let err = World::run(cfg, |comm| {
-        if comm.rank() == 0 {
-            // Waits for a message nobody sends.
-            let (v, _) = comm.recv::<i32>(1, 0)?;
-            Ok(v[0])
-        } else {
-            let (v, _) = comm.recv::<i32>(0, 0)?;
-            Ok(v[0])
-        }
-    })
-    .expect_err("mutual recv deadlocks");
+    let err = World::run_event(cfg, &MutualRecv).expect_err("mutual recv deadlocks");
     let Error::Deadlock(info) = err else {
         panic!("expected a deadlock, got {err}");
     };

@@ -1,8 +1,8 @@
 //! Cross-backend transport conformance suite.
 //!
-//! The same rank programs run on all three [`Transport`] backends —
-//! thread (default), virtual (pdc-sched), and proc (real OS processes
-//! over Unix-domain sockets) — and every observable output must agree:
+//! The same rank programs run on both [`Transport`] backends — thread
+//! (default) and proc (real OS processes over Unix-domain sockets) — and
+//! every observable output must agree:
 //! returned values are byte-identical, per-rank checker logs are equal
 //! event-for-event, and the ULFM fault path (`agree`/`shrink`) recovers
 //! identically.
@@ -21,7 +21,7 @@
 
 use pdc_mpi::{is_proc_child, CheckMode, Comm, Error, FaultPlan, Op, Result, World, WorldConfig};
 
-/// Every world in this binary — thread, virtual, and proc alike — uses
+/// Every world in this binary — thread and proc alike — uses
 /// this size: `run_proc` asserts a uniform size across the binary.
 const SIZE: usize = 4;
 
@@ -29,7 +29,7 @@ fn base_cfg() -> WorldConfig {
     WorldConfig::new(SIZE)
 }
 
-/// Run `f` on all three backends and assert the per-rank values agree
+/// Run `f` on both backends and assert the per-rank values agree
 /// exactly. Returns the (shared) values for scenario-specific checks.
 fn assert_backends_agree<T, F>(label: &str, cfg: impl Fn() -> WorldConfig, f: F) -> Vec<T>
 where
@@ -39,13 +39,9 @@ where
     let thread = World::run(cfg(), &f)
         .unwrap_or_else(|e| panic!("{label}: thread backend failed: {e}"))
         .values;
-    let virt = World::run(cfg().with_virtual(2), &f)
-        .unwrap_or_else(|e| panic!("{label}: virtual backend failed: {e}"))
-        .values;
     let proc = World::run_proc(cfg(), &f)
         .unwrap_or_else(|e| panic!("{label}: proc backend failed: {e}"))
         .values;
-    assert_eq!(thread, virt, "{label}: thread vs virtual values diverge");
     assert_eq!(thread, proc, "{label}: thread vs proc values diverge");
     status(&format!("{label}: ok"));
     thread
@@ -129,20 +125,14 @@ fn checker_scenario() {
     };
     let cfg = || base_cfg().with_check(CheckMode::Record);
     let (thread_res, thread_logs) = World::run_with_check(cfg(), f);
-    let (virt_res, virt_logs) = World::run_with_check(cfg().with_virtual(2), f);
     let (proc_res, proc_logs) = World::run_proc_with_check(cfg(), f);
     let expect: Vec<u64> = vec![6; SIZE];
     assert_eq!(thread_res.expect("checker: thread").values, expect);
-    assert_eq!(virt_res.expect("checker: virtual").values, expect);
     assert_eq!(proc_res.expect("checker: proc").values, expect);
     for rank in 0..SIZE {
         assert!(
             !thread_logs[rank].is_empty(),
             "checker: rank {rank} recorded no events on thread backend"
-        );
-        assert_eq!(
-            thread_logs[rank], virt_logs[rank],
-            "checker: rank {rank} logs diverge between thread and virtual"
         );
         assert_eq!(
             thread_logs[rank], proc_logs[rank],
@@ -208,6 +198,6 @@ fn main() {
     checker_scenario();
     fault_scenario();
     if !is_proc_child() {
-        println!("transport conformance: thread, virtual, and proc backends agree");
+        println!("transport conformance: thread and proc backends agree");
     }
 }

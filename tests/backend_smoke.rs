@@ -12,14 +12,19 @@
 //! under a tuning table that forces the chunked and hierarchical
 //! algorithms, which both backends run from the same implementation.
 //!
+//! Module 7 runs the way an external harness replays a lab job: a
+//! blocking closure under a seeded `virtual_ranks` config (which runs
+//! thread-per-rank) against the same step body on the event engine.
+//!
 //! The crate-level `event_conformance` suite covers more sizes and
 //! programs.
 
 use pdc_modules::module3::{BucketStrategy, DistributionSortProgram, InputDist};
+use pdc_modules::module7::{top_k_rank, top_k_step, TopKStrategy};
 use pdc_mpi::tune::TuneCell;
 use pdc_mpi::{
-    drive, CollAlgo, CollKind, Op, PlacementLayout, Result, SizeClass, StepComm, StepFuture,
-    StepProgram, TuningTable, World, WorldConfig,
+    drive, CheckEvent, CheckMode, CollAlgo, CollKind, Op, PlacementLayout, Result, SizeClass,
+    StepComm, StepFuture, StepProgram, TuningTable, World, WorldConfig,
 };
 
 #[test]
@@ -35,11 +40,8 @@ fn module3_deep_mailboxes_are_thread_event_identical() {
         drive(comm, |sc| program.build(sc))
     })
     .expect("thread backend runs");
-    let event = World::run_event(
-        WorldConfig::new(RANKS).with_virtual(2).with_sched_seed(0),
-        &program,
-    )
-    .expect("event backend runs");
+    let event = World::run_event(WorldConfig::new(RANKS).with_sched_seed(0), &program)
+        .expect("event backend runs");
 
     assert!(thread.values.iter().all(|&(_, ordered)| ordered));
     let kept: usize = thread.values.iter().map(|&(n, _)| n).sum();
@@ -139,7 +141,7 @@ fn tuned_collectives_are_thread_event_identical() {
     };
     let thread = World::run(cfg(), |comm| drive(comm, |sc| CollectiveTour.build(sc)))
         .expect("thread backend runs");
-    let event = World::run_event(cfg().with_virtual(2).with_sched_seed(0), &CollectiveTour)
+    let event = World::run_event(cfg().with_sched_seed(0), &CollectiveTour)
         .expect("event backend runs the tuned collectives");
 
     assert_eq!(thread.values, event.values);
@@ -150,4 +152,56 @@ fn tuned_collectives_are_thread_event_identical() {
     let ranks = RANKS as u64;
     assert_eq!(total.algo_volume(CollAlgo::Chunked).calls, 2 * ranks);
     assert_eq!(total.algo_volume(CollAlgo::Hierarchical).calls, 3 * ranks);
+}
+
+/// Module 7's tree-merge top-k as a step program.
+struct TopK;
+
+const TOPK: (usize, usize, u64) = (300, 12, 5);
+
+impl StepProgram<Vec<f64>> for TopK {
+    fn build<'c, 'w: 'c>(&'c self, sc: StepComm<'c, 'w>) -> StepFuture<'c, Result<Vec<f64>>> {
+        let (n_per_rank, k, seed) = TOPK;
+        Box::pin(top_k_step(sc, n_per_rank, k, TopKStrategy::TreeMerge, seed))
+    }
+}
+
+fn render_logs(logs: &[Vec<CheckEvent>]) -> String {
+    logs.iter().map(|log| format!("{log:?}\n")).collect()
+}
+
+#[test]
+fn module7_blocking_replay_matches_the_event_engine() {
+    const RANKS: usize = 12;
+    let seeded = |seed| {
+        WorldConfig::virtual_ranks(RANKS, 4)
+            .with_sched_seed(seed)
+            .with_check(CheckMode::Record)
+    };
+    let (n_per_rank, k, seed) = TOPK;
+    let (thread, thread_logs) = World::run_with_check(seeded(3), |comm| {
+        top_k_rank(comm, n_per_rank, k, TopKStrategy::TreeMerge, seed)
+    });
+    let thread = thread.expect("blocking closure runs thread-per-rank");
+    let (event, event_logs) = World::run_event_with_check(seeded(3), &TopK);
+    let event = event.expect("event engine runs the same body");
+
+    assert!(
+        thread.sched_trace.is_empty(),
+        "threads keep no resume trace"
+    );
+    assert_eq!(thread.values, event.values);
+    assert_eq!(thread.sim_time.to_bits(), event.sim_time.to_bits());
+    assert_eq!(format!("{:?}", thread.stats), format!("{:?}", event.stats));
+    assert_eq!(render_logs(&thread_logs), render_logs(&event_logs));
+
+    let again = World::run_event(seeded(3), &TopK).expect("replay");
+    assert_eq!(
+        again.sched_trace, event.sched_trace,
+        "same seed, same trace"
+    );
+    for other in [0, 7, 2026] {
+        let out = World::run_event(seeded(other), &TopK).expect("other seed");
+        assert_eq!(out.values, event.values, "seed {other} changed the answer");
+    }
 }

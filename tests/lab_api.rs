@@ -5,6 +5,7 @@
 
 use pdc_lab::api::{JobInfo, RunRequest, ServerStats};
 use pdc_lab::http;
+use pdc_lab::runner::RunResult;
 use pdc_lab::server::{self, LabConfig, LabHandle};
 use std::net::SocketAddr;
 use std::time::{Duration, Instant};
@@ -217,6 +218,31 @@ fn bad_requests_get_typed_errors_not_hangs() {
     // Unknown route.
     let resp = http::request(addr, "GET", "/nope", "", CLIENT_TIMEOUT).expect("request");
     assert_eq!(resp.status, 404);
+}
+
+#[test]
+fn sort_on_more_ranks_than_histogram_bins_completes() {
+    // The lab sorts with 16 histogram bins; worlds wider than that take
+    // one bin per rank instead of failing a rank.
+    let lab = spawn_lab(1);
+    let addr = lab.addr();
+    for ranks in [32u64, 64] {
+        let req = RunRequest::new("sort", 4096, ranks);
+        let resp = post(
+            addr,
+            "/run",
+            &serde_json::to_string(&req).expect("serialize"),
+        );
+        assert_eq!(resp.status, 200, "{ranks} ranks: {}", resp.body);
+        let result: RunResult = serde_json::from_str(&resp.body).expect("result body");
+        assert_eq!(result.status, "done", "{ranks} ranks: {:?}", result.error);
+        assert_eq!(result.values.len() as u64, ranks);
+        // Each rank reports how many keys it kept, or -1 when its bucket
+        // came out unordered; the kept counts conserve the input.
+        assert!(result.values.iter().all(|&kept| kept >= 0.0), "ordered");
+        let kept: f64 = result.values.iter().sum();
+        assert_eq!(kept, 4096.0, "{ranks} ranks keep every key");
+    }
 }
 
 #[test]
