@@ -360,10 +360,7 @@ async fn exchange_sort_verify_step(
     // min (empty buckets pass trivially).
     let maxes = sc.allgather(&[my_max]).await?;
     let mins = sc.allgather(&[my_min]).await?;
-    let globally_ordered = (0..sc.size() - 1).all(|r| {
-        let later_min = mins[r + 1..].iter().cloned().fold(f64::INFINITY, f64::min);
-        maxes[r] <= later_min
-    });
+    let globally_ordered = buckets_ordered(&maxes, &mins);
     // Element-count conservation via MPI_Reduce (the module's required
     // collective): the root checks nothing was lost in the exchange.
     let total = sc.reduce(&[bucket.len() as u64], Op::Sum, 0).await?;
@@ -372,6 +369,18 @@ async fn exchange_sort_verify_step(
     }
     sc.phase_end();
     Ok((bucket.len(), locally_sorted && globally_ordered))
+}
+
+/// Are the buckets in rank order? Every rank's max must not exceed the
+/// min of every later rank's bucket (an empty bucket has min `+∞` and
+/// max `-∞`, so it passes trivially). One backward pass keeps the suffix
+/// minimum, so the check is O(p) rather than O(p²).
+fn buckets_ordered(maxes: &[f64], mins: &[f64]) -> bool {
+    let mut later_min = f64::INFINITY;
+    (0..maxes.len().saturating_sub(1)).rev().all(|r| {
+        later_min = later_min.min(mins[r + 1]);
+        maxes[r] <= later_min
+    })
 }
 
 /// One rank's share of the fault-tolerant distribution sort.
@@ -514,6 +523,53 @@ pub fn sequential_sort_time(n_total: usize, dist: InputDist, seed: u64) -> Resul
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::{Rng, SeedableRng};
+
+    /// The ordering check as first written: fold `mins[r+1..]` for every
+    /// `r`, O(p²).
+    fn buckets_ordered_quadratic(maxes: &[f64], mins: &[f64]) -> bool {
+        (0..maxes.len().saturating_sub(1)).all(|r| {
+            let later_min = mins[r + 1..].iter().cloned().fold(f64::INFINITY, f64::min);
+            maxes[r] <= later_min
+        })
+    }
+
+    #[test]
+    fn suffix_min_ordering_check_matches_the_quadratic_definition() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(5);
+        for case in 0..2000 {
+            let p = case % 9;
+            // Buckets over a few distinct values so ties and inversions
+            // are common; some buckets are empty (min +inf, max -inf).
+            let (mut maxes, mut mins) = (Vec::new(), Vec::new());
+            for _ in 0..p {
+                if rng.gen_range(0..4) == 0 {
+                    mins.push(f64::INFINITY);
+                    maxes.push(f64::NEG_INFINITY);
+                } else {
+                    let a = f64::from(rng.gen_range(0..6u32));
+                    let b = f64::from(rng.gen_range(0..6u32));
+                    mins.push(a.min(b));
+                    maxes.push(a.max(b));
+                }
+            }
+            assert_eq!(
+                buckets_ordered(&maxes, &mins),
+                buckets_ordered_quadratic(&maxes, &mins),
+                "maxes {maxes:?} mins {mins:?}"
+            );
+        }
+        // Hand-picked: an empty bucket between overlapping neighbours
+        // still fails, and all-empty passes.
+        let inf = f64::INFINITY;
+        assert!(!buckets_ordered(&[2.0, -inf, 3.0], &[0.0, inf, 1.0]));
+        assert!(buckets_ordered(&[-inf, -inf], &[inf, inf]));
+        assert!(buckets_ordered(&[], &[]));
+        // A NaN max compares false, exactly as in the quadratic fold.
+        let (maxes, mins) = ([f64::NAN, 1.0], [0.0, 2.0]);
+        assert!(!buckets_ordered_quadratic(&maxes, &mins));
+        assert!(!buckets_ordered(&maxes, &mins));
+    }
 
     #[test]
     fn uniform_equal_width_is_balanced_and_sorted() {

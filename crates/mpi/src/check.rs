@@ -13,13 +13,15 @@
 //!   message still sitting in the mailbox at finalize time;
 //! * [`BlockedOp`] and [`DeadlockInfo`] describe *why* a world
 //!   deadlocked: every blocked primitive registers what it is waiting
-//!   for, and the watchdog assembles those registrations into a wait-for
-//!   graph with cycle detection before poisoning the world.
+//!   for (as plain data, rendered to text only when a deadlock is being
+//!   explained), and the watchdog assembles those registrations into a
+//!   wait-for graph with cycle detection before poisoning the world.
 //!
 //! The analyses themselves (collective matching, race and leak
 //! detection) live in the `pdc-check` crate, which consumes the logs via
 //! [`World::run_with_check`](crate::World::run_with_check).
 
+use crate::envelope::{MatchSpec, SourceSel, TagSel};
 use crate::reduce::Op;
 use std::fmt;
 
@@ -254,6 +256,89 @@ impl fmt::Display for BlockedOp {
     }
 }
 
+/// What a blocked primitive is waiting for, kept as plain data: a wait
+/// registers one of these with the shared progress state at no
+/// allocation, and [`PendingOp::render`] builds the [`BlockedOp`] text
+/// only when a deadlock is being explained.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct PendingOp {
+    /// The blocked rank.
+    pub rank: usize,
+    /// Primitive name, as reported in [`BlockedOp::op`].
+    pub op: &'static str,
+    /// Where the rank blocked.
+    pub site: CallSite,
+    /// The message, acknowledgement, or agreement the rank needs.
+    pub on: PendingOn,
+}
+
+/// The operand of a [`PendingOp`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum PendingOn {
+    /// A receive or probe of a message matching this spec.
+    Recv(MatchSpec),
+    /// A rendezvous send to `dest` with `tag`, waiting for its ack.
+    Send { dest: usize, tag: u32 },
+    /// A failure agreement.
+    Agree,
+}
+
+impl PendingOp {
+    /// A blocked receive or probe. `coll_site` is the user collective
+    /// the rank is inside (internal receives are attributed to it), and
+    /// `user` names the primitive and call site of a user-level receive.
+    pub(crate) fn recv(
+        rank: usize,
+        spec: MatchSpec,
+        user: Option<(&'static str, CallSite)>,
+        coll_site: Option<(&'static str, CallSite)>,
+    ) -> Self {
+        let (op, site) = match spec {
+            // Internal receives belong to a collective: name the user's
+            // collective call instead of the runtime's internals.
+            MatchSpec::Internal(..) => coll_site.unwrap_or(("collective", CallSite::here())),
+            MatchSpec::User(..) => user.unwrap_or(("recv", CallSite::here())),
+        };
+        PendingOp {
+            rank,
+            op,
+            site,
+            on: PendingOn::Recv(spec),
+        }
+    }
+
+    /// The description a deadlock report shows for this wait.
+    pub(crate) fn render(&self) -> BlockedOp {
+        let (waiting_on, detail) = match self.on {
+            PendingOn::Recv(MatchSpec::User(src, tag)) => {
+                let (waiting_on, src_s) = match src {
+                    SourceSel::Rank(r) => (WaitTarget::Rank(r), format!("src={r}")),
+                    SourceSel::Any => (WaitTarget::AnyRank, "src=ANY".to_string()),
+                };
+                let tag_s = match tag {
+                    TagSel::Tag(t) => format!("tag={t}"),
+                    TagSel::Any => "tag=ANY".to_string(),
+                };
+                (waiting_on, format!("{src_s}, {tag_s}"))
+            }
+            PendingOn::Recv(MatchSpec::Internal(src, _)) => {
+                (WaitTarget::Rank(src), format!("from rank {src}"))
+            }
+            PendingOn::Send { dest, tag } => {
+                (WaitTarget::Rank(dest), format!("to rank {dest}, tag {tag}"))
+            }
+            PendingOn::Agree => (WaitTarget::AnyRank, "failure agreement".to_string()),
+        };
+        BlockedOp {
+            rank: self.rank,
+            op: self.op,
+            waiting_on,
+            detail,
+            site: self.site,
+        }
+    }
+}
+
 /// The watchdog's explanation of a deadlock: which ranks were blocked in
 /// which calls, and the wait-for cycle if one exists.
 #[derive(Debug, Clone, PartialEq, Eq, Default, serde::Serialize, serde::Deserialize)]
@@ -442,6 +527,154 @@ mod tests {
         let info = DeadlockInfo::default();
         assert!(info.is_empty());
         assert!(info.render().is_empty());
+    }
+
+    /// The eager description a blocked receive or probe registered
+    /// before descriptions were deferred, kept as the reference the
+    /// deferred rendering must reproduce.
+    fn eager_blocked_recv(
+        rank: usize,
+        coll_site: Option<(&'static str, CallSite)>,
+        spec: &MatchSpec,
+        user: Option<(&'static str, CallSite)>,
+        fallback: CallSite,
+    ) -> BlockedOp {
+        let (op, site) = match spec {
+            MatchSpec::Internal(..) => coll_site.unwrap_or(("collective", fallback)),
+            MatchSpec::User(..) => user.unwrap_or(("recv", fallback)),
+        };
+        let (waiting_on, detail) = match spec {
+            MatchSpec::User(src, tag) => {
+                let waiting_on = match src {
+                    SourceSel::Rank(r) => WaitTarget::Rank(*r),
+                    SourceSel::Any => WaitTarget::AnyRank,
+                };
+                let src_s = match src {
+                    SourceSel::Rank(r) => format!("src={r}"),
+                    SourceSel::Any => "src=ANY".to_string(),
+                };
+                let tag_s = match tag {
+                    TagSel::Tag(t) => format!("tag={t}"),
+                    TagSel::Any => "tag=ANY".to_string(),
+                };
+                (waiting_on, format!("{src_s}, {tag_s}"))
+            }
+            MatchSpec::Internal(src, _) => (WaitTarget::Rank(*src), format!("from rank {src}")),
+        };
+        BlockedOp {
+            rank,
+            op,
+            waiting_on,
+            detail,
+            site,
+        }
+    }
+
+    /// The eager description of a blocked rendezvous send.
+    fn eager_blocked_send(
+        rank: usize,
+        op: &'static str,
+        dest: usize,
+        tag: u32,
+        site: CallSite,
+    ) -> BlockedOp {
+        BlockedOp {
+            rank,
+            op,
+            waiting_on: WaitTarget::Rank(dest),
+            detail: format!("to rank {dest}, tag {tag}"),
+            site,
+        }
+    }
+
+    fn site(line: u32) -> CallSite {
+        CallSite {
+            file: "user.rs",
+            line,
+        }
+    }
+
+    #[test]
+    fn deferred_descriptions_render_like_the_eager_ones() {
+        let coll = Some(("allreduce", site(40)));
+        let recvs = [
+            (
+                "exact recv",
+                MatchSpec::User(SourceSel::Rank(3), TagSel::Tag(7)),
+                Some(("recv", site(10))),
+            ),
+            (
+                "ANY_SOURCE recv",
+                MatchSpec::User(SourceSel::Any, TagSel::Tag(0)),
+                Some(("recv", site(11))),
+            ),
+            (
+                "ANY_TAG recv",
+                MatchSpec::User(SourceSel::Rank(0), TagSel::Any),
+                Some(("wait_recv", site(12))),
+            ),
+            (
+                "wildcard probe",
+                MatchSpec::User(SourceSel::Any, TagSel::Any),
+                Some(("probe", site(13))),
+            ),
+            (
+                "exact probe",
+                MatchSpec::User(SourceSel::Rank(9), TagSel::Tag(u32::MAX)),
+                Some(("probe", site(14))),
+            ),
+            (
+                "internal recv in a collective",
+                MatchSpec::Internal(5, 1 << 40),
+                None,
+            ),
+            ("internal recv of rank 0", MatchSpec::Internal(0, 0), None),
+        ];
+        for (what, spec, user) in recvs {
+            let deferred = PendingOp::recv(2, spec, user, coll).render();
+            let eager = eager_blocked_recv(2, coll, &spec, user, site(0));
+            assert_eq!(deferred, eager, "{what}");
+            assert_eq!(deferred.to_string(), eager.to_string(), "{what}");
+        }
+        // Without a collective or user attribution both fall back to a
+        // runtime-internal site; everything else still agrees.
+        for spec in [
+            MatchSpec::Internal(1, 3),
+            MatchSpec::User(SourceSel::Any, TagSel::Tag(2)),
+        ] {
+            let deferred = PendingOp::recv(4, spec, None, None).render();
+            let eager = eager_blocked_recv(4, None, &spec, None, deferred.site);
+            assert_eq!(deferred, eager, "{spec:?}");
+        }
+        for (op, dest, tag) in [("send(rendezvous)", 1, 0), ("ssend", 0, u32::MAX)] {
+            let deferred = PendingOp {
+                rank: 6,
+                op,
+                site: site(20),
+                on: PendingOn::Send { dest, tag },
+            }
+            .render();
+            let eager = eager_blocked_send(6, op, dest, tag, site(20));
+            assert_eq!(deferred, eager, "{op}");
+            assert_eq!(deferred.to_string(), eager.to_string(), "{op}");
+        }
+        let agree = PendingOp {
+            rank: 1,
+            op: "agree",
+            site: site(30),
+            on: PendingOn::Agree,
+        }
+        .render();
+        assert_eq!(
+            agree,
+            BlockedOp {
+                rank: 1,
+                op: "agree",
+                waiting_on: WaitTarget::AnyRank,
+                detail: "failure agreement".into(),
+                site: site(30),
+            }
+        );
     }
 
     #[test]

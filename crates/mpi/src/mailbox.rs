@@ -17,7 +17,7 @@
 //! at the next poll tick.
 
 use crate::chan::{Receiver, RecvError, Wake};
-use crate::check::{BlockedOp, DeadlockInfo};
+use crate::check::{BlockedOp, DeadlockInfo, PendingOp};
 use crate::envelope::{Envelope, MatchSpec, MsgClass, SourceSel, Status, TagSel};
 use crate::error::{Error, Result};
 use std::collections::{BTreeMap, BTreeSet, HashSet, VecDeque};
@@ -40,10 +40,11 @@ pub struct Progress {
     pub poisoned: AtomicBool,
     /// World size.
     pub size: usize,
-    /// What each blocked rank is waiting for, indexed by rank. Registered
-    /// by [`Progress::enter_blocked_as`]; the watchdog snapshots it to
+    /// What each blocked rank is waiting for, indexed by rank, as plain
+    /// data. Registered by [`Progress::enter_blocked_as`]; the watchdog
+    /// and the event engine render it ([`Progress::blocked_snapshot`]) to
     /// explain a deadlock instead of merely timing it out.
-    blocked_ops: Mutex<Vec<Option<BlockedOp>>>,
+    pending: Mutex<Vec<Option<PendingOp>>>,
     /// The watchdog's explanation, written immediately before poisoning.
     deadlock: Mutex<Option<DeadlockInfo>>,
     /// External-cancellation reason ([`Progress::cancel`]). When set, a
@@ -57,8 +58,10 @@ pub struct Progress {
     wakers: Mutex<Vec<Weak<dyn Wake>>>,
     /// Completion signal: notified by [`Progress::mark_done`] and by
     /// [`Progress::poison`], waited on by the watchdog (to exit promptly)
-    /// and by the finalize-time leak check.
-    done_sync: Mutex<()>,
+    /// and by the finalize-time leak check. The mutex counts the threads
+    /// parked on the condvar, so a completion with nobody waiting (every
+    /// rank of an event-engine world) makes no futex call.
+    done_sync: Mutex<usize>,
     done_cv: Condvar,
     /// Crashed ranks → simulated failure time. Written by
     /// [`Progress::mark_failed`] when an injected crash fires.
@@ -69,9 +72,10 @@ pub struct Progress {
     /// aborts the wait with a typed `RankFailed` error (ULFM semantics)
     /// instead of leaving the rank to hang until the watchdog fires.
     epoch: AtomicU64,
-    /// Which ranks have finished their closure. The agreement protocol
-    /// counts a finished rank as implicitly participating, so survivors'
-    /// [`Progress::agree`] cannot hang on a rank that already exited.
+    /// Which ranks have finished their closure, indexed by rank. The
+    /// agreement protocol counts a finished rank as implicitly
+    /// participating, so survivors' [`Progress::agree`] cannot hang on a
+    /// rank that already exited.
     done_ranks: Mutex<BTreeSet<usize>>,
     /// Agreement-cell state for [`Progress::agree`].
     agree: Mutex<AgreeState>,
@@ -113,6 +117,10 @@ struct AgreeState {
     /// it out; it cannot be overwritten before they do, because the next
     /// generation needs every live rank — including them — to re-enter.
     resolved: Option<AgreeOutcome>,
+    /// Threads parked on `agree_cv`; the agreement cell notifies only
+    /// when this is nonzero (it is counted under the same lock, so no
+    /// wakeup is lost).
+    waiters: usize,
     /// Remote entries for generations this process has not reached yet.
     /// On a multi-process transport each process resolves generations
     /// locally from mirrored entries; a peer that races ahead can
@@ -130,11 +138,11 @@ impl Progress {
             done: AtomicUsize::new(0),
             poisoned: AtomicBool::new(false),
             size,
-            blocked_ops: Mutex::new((0..size).map(|_| None).collect()),
+            pending: Mutex::new(vec![None; size]),
             deadlock: Mutex::new(None),
             cancelled: Mutex::new(None),
             wakers: Mutex::new(Vec::new()),
-            done_sync: Mutex::new(()),
+            done_sync: Mutex::new(0),
             done_cv: Condvar::new(),
             failed: Mutex::new(BTreeMap::new()),
             epoch: AtomicU64::new(0),
@@ -281,7 +289,7 @@ impl Progress {
             }
         }
         self.try_resolve_agree(&mut st);
-        self.agree_cv.notify_all();
+        self.notify_agree_waiters(&st);
     }
 
     /// Count of failures observed so far. A blocked primitive whose rank
@@ -383,10 +391,12 @@ impl Progress {
             if self.is_poisoned() {
                 return Err(self.deadlock_error());
             }
+            st.waiters += 1;
             (st, _) = self
                 .agree_cv
                 .wait_timeout(st, Duration::from_millis(50))
                 .unwrap_or_else(PoisonError::into_inner);
+            st.waiters -= 1;
         }
     }
 
@@ -428,7 +438,15 @@ impl Progress {
     fn notify_agree(&self) {
         let mut st = self.agree.lock().unwrap_or_else(PoisonError::into_inner);
         self.try_resolve_agree(&mut st);
-        self.agree_cv.notify_all();
+        self.notify_agree_waiters(&st);
+    }
+
+    /// With the agreement lock held: wake the threads parked in
+    /// [`Progress::agree`], if there are any.
+    fn notify_agree_waiters(&self, st: &AgreeState) {
+        if st.waiters > 0 {
+            self.agree_cv.notify_all();
+        }
     }
 
     /// With the agreement lock held: resolve the current generation if
@@ -468,7 +486,7 @@ impl Progress {
                 st.entered.extend(stash);
             }
             st.future.retain(|&g, _| g > st.generation);
-            self.agree_cv.notify_all();
+            self.notify_agree_waiters(st);
         }
     }
 
@@ -489,12 +507,17 @@ impl Progress {
         }
     }
 
+    /// Wake the threads parked on the completion condvar, if there are
+    /// any. Waiters check their condition and count themselves under
+    /// `done_sync`, so a notify skipped here is never one they needed.
     fn notify_done(&self) {
-        let _guard = self
+        let waiters = self
             .done_sync
             .lock()
             .unwrap_or_else(PoisonError::into_inner);
-        self.done_cv.notify_all();
+        if *waiters > 0 {
+            self.done_cv.notify_all();
+        }
     }
 
     /// Have all ranks finished (or has the world been poisoned)?
@@ -512,10 +535,12 @@ impl Progress {
             .lock()
             .unwrap_or_else(PoisonError::into_inner);
         while !self.all_done() {
+            *guard += 1;
             (guard, _) = self
                 .done_cv
                 .wait_timeout(guard, Duration::from_millis(50))
                 .unwrap_or_else(PoisonError::into_inner);
+            *guard -= 1;
         }
     }
 
@@ -536,10 +561,12 @@ impl Progress {
                 return false;
             };
             let remaining = remaining.max(Duration::from_micros(1));
+            *guard += 1;
             (guard, _) = self
                 .done_cv
                 .wait_timeout(guard, remaining)
                 .unwrap_or_else(PoisonError::into_inner);
+            *guard -= 1;
         }
     }
 
@@ -554,10 +581,12 @@ impl Progress {
     }
 
     /// RAII guard marking the current rank as blocked *in* `op`, so the
-    /// watchdog can report the call and build the wait-for graph.
-    pub fn enter_blocked_as(&self, op: BlockedOp) -> BlockedGuard<'_> {
+    /// watchdog can report the call and build the wait-for graph. `op`
+    /// is plain data; nothing is formatted unless a deadlock is
+    /// explained.
+    pub(crate) fn enter_blocked_as(&self, op: PendingOp) -> BlockedGuard<'_> {
         let rank = op.rank;
-        if let Ok(mut ops) = self.blocked_ops.lock() {
+        if let Ok(mut ops) = self.pending.lock() {
             if let Some(slot) = ops.get_mut(rank) {
                 *slot = Some(op);
             }
@@ -572,13 +601,13 @@ impl Progress {
     }
 
     /// Snapshot of every registered blocked operation (what each stuck
-    /// rank is waiting for). The watchdog and the event engine's exact
-    /// deadlock detection both build their
-    /// [`DeadlockInfo`] from this.
+    /// rank is waiting for), rendered to text here and only here. The
+    /// watchdog and the event engine's exact deadlock detection both
+    /// build their [`DeadlockInfo`] from this.
     pub fn blocked_snapshot(&self) -> Vec<BlockedOp> {
-        self.blocked_ops
+        self.pending
             .lock()
-            .map(|ops| ops.iter().flatten().cloned().collect())
+            .map(|ops| ops.iter().flatten().map(PendingOp::render).collect())
             .unwrap_or_default()
     }
 
@@ -616,7 +645,7 @@ impl Drop for BlockedGuard<'_> {
     fn drop(&mut self) {
         self.progress.blocked.fetch_sub(1, Ordering::SeqCst);
         if let Some(rank) = self.rank {
-            if let Ok(mut ops) = self.progress.blocked_ops.lock() {
+            if let Ok(mut ops) = self.progress.pending.lock() {
                 if let Some(slot) = ops.get_mut(rank) {
                     *slot = None;
                 }
@@ -1049,11 +1078,11 @@ impl Mailbox {
     /// so the watchdog can explain rather than just detect a deadlock.
     /// The wait is event-driven: delivery, poison, and failure all wake
     /// it immediately.
-    pub fn recv_matching(
+    pub(crate) fn recv_matching(
         &mut self,
         spec: &MatchSpec,
         progress: &Progress,
-        op: Option<BlockedOp>,
+        op: Option<PendingOp>,
         acked: u64,
     ) -> Result<Envelope> {
         if let Some(env) = self.try_match(spec, progress) {
@@ -1100,11 +1129,11 @@ impl Mailbox {
     /// Blocking peek: waits until a satisfying user envelope exists and
     /// returns its [`Status`] without consuming it (the analogue of
     /// `MPI_Probe`).
-    pub fn probe_matching(
+    pub(crate) fn probe_matching(
         &mut self,
         spec: &MatchSpec,
         progress: &Progress,
-        op: Option<BlockedOp>,
+        op: Option<PendingOp>,
         acked: u64,
     ) -> Result<Status> {
         if let Some(status) = self.peek_matching(spec) {
@@ -1315,20 +1344,22 @@ mod tests {
 
     #[test]
     fn watchdog_explains_registered_blocked_ops() {
-        use crate::check::{CallSite, WaitTarget};
+        use crate::check::{CallSite, PendingOn};
         let progress = Progress::new(2);
         // Two ranks blocked on each other: a 2-cycle the watchdog should
         // name in its explanation.
         let guards: Vec<_> = (0..2)
             .map(|rank| {
-                progress.enter_blocked_as(BlockedOp {
+                progress.enter_blocked_as(PendingOp {
                     rank,
                     op: "ssend",
-                    waiting_on: WaitTarget::Rank(1 - rank),
-                    detail: format!("tag {rank}"),
                     site: CallSite {
                         file: "pair.rs",
                         line: 10 + rank as u32,
+                    },
+                    on: PendingOn::Send {
+                        dest: 1 - rank,
+                        tag: rank as u32,
                     },
                 })
             })
@@ -1518,6 +1549,75 @@ mod tests {
             Error::Deadlock(_)
         ));
         poisoner.join().expect("poisoner thread");
+    }
+
+    /// Trials per wake-latency test.
+    const WAKE_REPS: usize = 15;
+
+    /// Median time from the trigger to the parked waiter's return, over
+    /// [`WAKE_REPS`] trials. `trial` returns `(triggered, woke)`.
+    fn median_wake(trial: impl Fn() -> (Instant, Instant)) -> Duration {
+        let mut wakes: Vec<Duration> = (0..WAKE_REPS)
+            .map(|_| {
+                let (triggered, woke) = trial();
+                woke.saturating_duration_since(triggered)
+            })
+            .collect();
+        wakes.sort();
+        wakes[WAKE_REPS / 2]
+    }
+
+    /// A wake that needs the 50 ms backstop tick fails this bound.
+    const PROMPT: Duration = Duration::from_millis(10);
+
+    #[test]
+    fn last_mark_done_wakes_a_parked_wait_all_done() {
+        use std::sync::Arc;
+        let wake = median_wake(|| {
+            let progress = Arc::new(Progress::new(2));
+            progress.mark_done(0);
+            let p = Arc::clone(&progress);
+            let finisher = std::thread::spawn(move || {
+                // Trigger only once the waiter is parked on the condvar.
+                while *p.done_sync.lock().unwrap_or_else(PoisonError::into_inner) == 0 {
+                    std::thread::yield_now();
+                }
+                let triggered = Instant::now();
+                p.mark_done(1);
+                triggered
+            });
+            progress.wait_all_done();
+            let woke = Instant::now();
+            (finisher.join().expect("finisher thread"), woke)
+        });
+        assert!(wake < PROMPT, "median wake {wake:?}");
+    }
+
+    #[test]
+    fn last_agree_entry_wakes_a_parked_agree() {
+        use std::sync::Arc;
+        let wake = median_wake(|| {
+            let progress = Arc::new(Progress::new(2));
+            let p = Arc::clone(&progress);
+            let last = std::thread::spawn(move || {
+                while p
+                    .agree
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .waiters
+                    == 0
+                {
+                    std::thread::yield_now();
+                }
+                let triggered = Instant::now();
+                p.agree(1).expect("the last entry resolves the agreement");
+                triggered
+            });
+            progress.agree(0).expect("agreement resolves");
+            let woke = Instant::now();
+            (last.join().expect("last entrant thread"), woke)
+        });
+        assert!(wake < PROMPT, "median wake {wake:?}");
     }
 
     #[test]

@@ -32,7 +32,7 @@
 //! (`tests/event_conformance.rs`) pins results, sim clocks, `CommStats`,
 //! and checker logs byte-identical across backends.
 
-use crate::check::{BlockedOp, CallSite, CheckEvent, WaitTarget};
+use crate::check::{CallSite, CheckEvent, PendingOn, PendingOp};
 use crate::coll::{self, Scope};
 use crate::comm::{Comm, RecvRequest, SendRequest};
 use crate::datatype::{decode_into, Datatype};
@@ -680,12 +680,11 @@ impl<'c, 'w: 'c> StepComm<'c, 'w> {
 
     pub(crate) async fn agree_at(&mut self, site: CallSite) -> Result<Vec<(usize, f64)>> {
         self.comm.enact_crash()?;
-        let op = BlockedOp {
+        let op = PendingOp {
             rank: self.comm.rank(),
             op: "agree",
-            waiting_on: WaitTarget::AnyRank,
-            detail: "failure agreement".into(),
             site,
+            on: PendingOn::Agree,
         };
         let (failed, epoch) = self.wait.agree(self.comm, op).await?;
         self.comm.ack_failures(epoch);

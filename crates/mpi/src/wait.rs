@@ -19,9 +19,15 @@
 //! its [`WaitCell`] and leaves the wake to the discrete-event engine.
 //! Either way the same completion code runs (`finish_recv`/`finish_ack`),
 //! so the observable effects are identical.
+//!
+//! A wait that cannot complete at once registers what it needs with the
+//! shared progress state as a plain-data [`PendingOp`] (rank, primitive,
+//! call site, and the match spec or destination and tag). Nothing is
+//! formatted and nothing is allocated: the deadlock explanation's text is
+//! rendered from these records only when a deadlock is reported.
 
 use crate::chan::{Receiver, TryRecvError};
-use crate::check::{BlockedOp, CallSite};
+use crate::check::{CallSite, PendingOn, PendingOp};
 use crate::comm::Comm;
 use crate::envelope::{Envelope, MatchSpec, Status};
 use crate::error::{Error, Result};
@@ -140,7 +146,7 @@ impl Waiter {
         };
         let target = spec.source_rank();
         let acked = comm.acked_failures();
-        let op = comm.blocked_recv(spec, user);
+        let op = comm.pending_recv(spec, user);
         let progress = comm.progress();
         let _guard = progress.enter_blocked_as(op);
         loop {
@@ -168,7 +174,12 @@ impl Waiter {
         what: &'static str,
         site: &CallSite,
     ) -> Result<()> {
-        let op = comm.blocked_send(what, dst, tag, *site);
+        let op = PendingOp {
+            rank: comm.rank(),
+            op: what,
+            site: *site,
+            on: PendingOn::Send { dest: dst, tag },
+        };
         let ctx = match self {
             Waiter::Blocking => return comm.await_ack(ack, dst, op),
             Waiter::Event(ctx) => ctx,
@@ -211,9 +222,9 @@ impl Waiter {
         let target = spec.source_rank();
         let acked = comm.acked_failures();
         let progress = comm.progress();
+        let op = comm.pending_recv(spec, Some(("probe", *site)));
         let ctx = match self {
             Waiter::Blocking => {
-                let op = comm.blocked_recv(spec, Some(("probe", *site)));
                 return comm
                     .mailbox_mut()
                     .probe_matching(spec, progress, Some(op), acked);
@@ -223,7 +234,6 @@ impl Waiter {
         if let Some(st) = comm.mailbox_mut().peek_matching(spec) {
             return Ok(st);
         }
-        let op = comm.blocked_recv(spec, Some(("probe", *site)));
         let _guard = progress.enter_blocked_as(op);
         loop {
             if progress.should_stop(target, acked) {
@@ -242,7 +252,7 @@ impl Waiter {
     pub(crate) async fn agree(
         &self,
         comm: &mut Comm<'_>,
-        op: BlockedOp,
+        op: PendingOp,
     ) -> Result<(Vec<(usize, f64)>, u64)> {
         let rank = comm.rank();
         let progress = comm.progress();

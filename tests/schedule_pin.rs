@@ -1,0 +1,127 @@
+//! Schedule pin: the event engine's exact behaviour on the library's own
+//! step programs, reduced to one hash per run.
+//!
+//! Each case runs a shipped program type (Module 2's
+//! `DistanceMatrixProgram`, Module 6's `StencilProgram`, Module 3's
+//! `DistributionSortProgram`) on the event engine at seeds 0 and 7, and
+//! hashes everything a change to the engine's wait or wake machinery could
+//! move: the resume order (`sched_trace`), the bits of the simulated
+//! makespan, the per-rank values, the number of resumes
+//! (`EventMemStats.events`), and the world's message and byte counts.
+//! Changes that only make waiting cheaper must leave every hash alone.
+//!
+//! The hashes were recorded before the wait state became plain data.
+//! After an intentional change to the schedule, rerun with
+//! `cargo test --test schedule_pin -- --nocapture` and copy the printed
+//! hashes here.
+
+use pdc_datagen::uniform_points;
+use pdc_modules::module2::{Access, DistanceMatrixProgram};
+use pdc_modules::module3::{BucketStrategy, DistributionSortProgram, InputDist};
+use pdc_modules::module6::{HaloVariant, StencilProgram};
+use pdc_mpi::{StepProgram, World, WorldConfig};
+
+/// 64-bit FNV-1a: stable across Rust releases, unlike `DefaultHasher`.
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Self {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn bytes(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    fn u64(&mut self, v: u64) {
+        self.bytes(&v.to_le_bytes());
+    }
+}
+
+/// Run `program` on `ranks` ranks over two nodes at `seed` and hash the
+/// run's schedule, clock, values, resume count and traffic.
+fn pin<T, P>(program: &P, ranks: usize, seed: u64) -> u64
+where
+    T: std::fmt::Debug,
+    P: StepProgram<T>,
+{
+    let cfg = WorldConfig::new(ranks).on_nodes(2).with_sched_seed(seed);
+    let (result, mem) = World::run_event_with_mem(cfg, program);
+    let out = result.expect("pinned program runs");
+    let stats = out.total_stats();
+    let mut h = Fnv::new();
+    h.u64(out.sched_trace.len() as u64);
+    for &rank in &out.sched_trace {
+        h.bytes(&rank.to_le_bytes());
+    }
+    h.u64(out.sim_time.to_bits());
+    h.bytes(format!("{:?}", out.values).as_bytes());
+    h.u64(mem.events);
+    h.u64(stats.msgs_sent);
+    h.u64(stats.bytes_sent);
+    h.u64(stats.msgs_received);
+    h.u64(stats.bytes_received);
+    h.0
+}
+
+/// Check the hashes of `program` at seeds 0 and 7 against `expected`.
+fn check<T, P>(name: &str, program: &P, ranks: usize, expected: [u64; 2])
+where
+    T: std::fmt::Debug,
+    P: StepProgram<T>,
+{
+    let got = [pin(program, ranks, 0), pin(program, ranks, 7)];
+    println!("{name}: [{:#018x}, {:#018x}]", got[0], got[1]);
+    assert_eq!(
+        got, expected,
+        "{name}: the event engine's schedule, clock, values or traffic moved"
+    );
+}
+
+#[test]
+fn distance_matrix_schedule_is_pinned() {
+    let program = DistanceMatrixProgram {
+        points: uniform_points(96, 2, 0.0, 100.0, 3),
+        access: Access::RowWise,
+    };
+    check(
+        "module2",
+        &program,
+        24,
+        [0xbd2961b084e8b4c9, 0xfd9a7df51e986282],
+    );
+}
+
+#[test]
+fn stencil_schedule_is_pinned() {
+    let program = StencilProgram {
+        n_per_rank: 16,
+        iters: 8,
+        variant: HaloVariant::BlockingFirst,
+    };
+    check(
+        "module6",
+        &program,
+        24,
+        [0x91893598cf0011a1, 0x89143b110918f9a8],
+    );
+}
+
+#[test]
+fn distribution_sort_schedule_is_pinned() {
+    let program = DistributionSortProgram {
+        n_per_rank: 64,
+        dist: InputDist::Exponential,
+        strategy: BucketStrategy::Histogram { bins: 16 },
+        seed: 11,
+    };
+    check(
+        "module3",
+        &program,
+        24,
+        [0xc2fbdf464310634b, 0x88a04d85225348e5],
+    );
+}
