@@ -32,26 +32,19 @@ pub struct Request {
 /// protocol-level problems; the caller answers 400 and closes.
 pub fn read_request(stream: &mut TcpStream) -> Result<Request, String> {
     let mut reader = BufReader::new(stream);
-    let mut line = String::new();
-    reader
-        .read_line(&mut line)
-        .map_err(|e| format!("read request line: {e}"))?;
+    // Every line, the request line included, draws on one header budget,
+    // and no read may run past what is left of it: a client that never
+    // sends a newline costs at most `MAX_HEADER_BYTES`.
+    let mut budget = MAX_HEADER_BYTES;
+    let line = read_line(&mut reader, &mut budget, "request line")?;
     let mut parts = line.split_whitespace();
     let method = parts.next().ok_or("empty request line")?.to_string();
     let target = parts.next().ok_or("request line lacks a target")?;
     let path = target.split('?').next().unwrap_or(target).to_string();
 
     let mut content_length = 0usize;
-    let mut header_bytes = line.len();
     loop {
-        let mut header = String::new();
-        reader
-            .read_line(&mut header)
-            .map_err(|e| format!("read header: {e}"))?;
-        header_bytes += header.len();
-        if header_bytes > MAX_HEADER_BYTES {
-            return Err("headers too large".into());
-        }
+        let header = read_line(&mut reader, &mut budget, "header")?;
         let trimmed = header.trim_end();
         if trimmed.is_empty() {
             break;
@@ -73,6 +66,22 @@ pub fn read_request(stream: &mut TcpStream) -> Result<Request, String> {
         .read_exact(&mut body)
         .map_err(|e| format!("read body: {e}"))?;
     Ok(Request { method, path, body })
+}
+
+/// Read one line of at most `budget` bytes and take its length from the
+/// budget. A line that does not fit is an error once `budget + 1` bytes
+/// have arrived, without waiting for its end.
+fn read_line(reader: &mut impl BufRead, budget: &mut usize, what: &str) -> Result<String, String> {
+    let mut line = String::new();
+    let n = reader
+        .take(*budget as u64 + 1)
+        .read_line(&mut line)
+        .map_err(|e| format!("read {what}: {e}"))?;
+    if n > *budget {
+        return Err("headers too large".into());
+    }
+    *budget -= n;
+    Ok(line)
 }
 
 /// Write a response and flush. Extra headers are `(name, value)` pairs
@@ -244,4 +253,38 @@ pub fn error_with(
         extra_headers,
         &format!("{{\"error\":\"{escaped}\"}}"),
     );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::net::{Shutdown, TcpListener};
+
+    #[test]
+    fn a_line_without_a_newline_is_cut_off_at_the_header_limit() {
+        const SENT: usize = 4 * MAX_HEADER_BYTES;
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+        let addr = listener.local_addr().expect("local addr");
+        let client = std::thread::spawn(move || {
+            let mut conn = TcpStream::connect(addr).expect("connect");
+            // The server stops reading and closes early; later writes may fail.
+            let _ = conn.write_all(&[b'a'; SENT]);
+            let _ = conn.shutdown(Shutdown::Write);
+        });
+        let (mut conn, _) = listener.accept().expect("accept");
+        conn.set_read_timeout(Some(Duration::from_secs(10)))
+            .expect("read timeout");
+        let err = read_request(&mut conn).expect_err("an endless request line is refused");
+        assert_eq!(err, "headers too large");
+        // The reader stopped at the limit (plus at most one buffer fill)
+        // instead of buffering the whole line.
+        let mut rest = Vec::new();
+        let _ = conn.read_to_end(&mut rest);
+        assert!(
+            rest.len() >= SENT - 2 * MAX_HEADER_BYTES,
+            "the server consumed {} of {SENT} bytes",
+            SENT - rest.len()
+        );
+        client.join().expect("client thread");
+    }
 }

@@ -277,15 +277,9 @@ pub const SPECS: &[OpSpec] = &[
     spec("shrink", OpClass::Collective, None, None, None, None, None),
 ];
 
-/// Resolve a tracked method. The `_algo` collective variants
-/// (`bcast_algo`, `allreduce_algo`, …) take an explicit `CollAlgo` hint
-/// as a trailing argument but are the same collective in every way the
-/// analyzer models — identical role positions, identical matching — so
-/// they resolve to their stem's spec: algorithm choice is invisible to
-/// collective alignment.
+/// Resolve a tracked method.
 pub fn lookup(name: &str) -> Option<&'static OpSpec> {
-    let canon = name.strip_suffix("_algo").unwrap_or(name);
-    SPECS.iter().find(|s| s.name == canon)
+    SPECS.iter().find(|s| s.name == name)
 }
 
 pub fn is_tracked(name: &str) -> bool {

@@ -929,9 +929,6 @@ impl<'a> Walker<'a> {
                 };
                 let cop = spec.op.map(|i| render(arg(Some(i))));
                 let ty = spec.data.and_then(|i| self.infer_elem(arg(Some(i))));
-                // Record the spec's canonical name, not the spelled
-                // method: `bcast_algo(.., CollAlgo::Chunked)` on one rank
-                // aligns with a plain `bcast` on another.
                 self.coll_push(CollNode::Coll {
                     name: spec.name.to_string(),
                     root,

@@ -83,21 +83,6 @@ fn detects_misaligned_bcast_root_in_a_step_body() {
     check_golden("misaligned_bcast_step", &r);
 }
 
-/// The flip side of root matching: explicit algorithm hints
-/// (`bcast_algo`, `allreduce_algo`, `barrier_algo`) are the same
-/// collective as their plain spellings and must not create false
-/// positives when only some ranks pass a hint.
-#[test]
-fn algo_hints_are_invisible_to_alignment() {
-    let r = lint_corpus("algo_hint_aligned");
-    assert!(
-        r.report.violations.is_empty() && r.report.warnings.is_empty(),
-        "algorithm hints must not break collective matching:\n{}",
-        r.render()
-    );
-    check_golden("algo_hint_aligned", &r);
-}
-
 #[test]
 fn detects_tag_mismatch() {
     let r = lint_corpus("tag_mismatch");

@@ -7,15 +7,15 @@
 //! mpi_tune --render [PATH]     # pretty-print a table as a winners grid
 //! ```
 //!
-//! The measurements are on the simulated clock, which collectives
-//! advance identically under any thread interleaving, so the produced
-//! table is deterministic: `--check` re-runs the
-//! tuner and fails (exit 1) if any cell's winner differs from the file —
-//! the CI job that guards `TUNING_mpi.json` against drifting out of sync
-//! with the runtime. See `docs/collectives.md` for the selection rules
-//! the table feeds.
+//! Each candidate runs as a step program on the event engine under a
+//! table that forces it, and is timed on the simulated clock, so the
+//! produced table is deterministic: `--check` re-runs the tuner and
+//! fails (exit 1) if any cell differs from the file, in its winner or in
+//! any algorithm's recorded time — the CI job that guards
+//! `TUNING_mpi.json` against drifting out of sync with the runtime. See
+//! `docs/collectives.md` for the selection rules the table feeds.
 
-use pdc_mpi::tune::{autotune, tune_layouts, TUNE_TOPOS};
+use pdc_mpi::tune::{autotune, tune_layouts, TuneCell, TUNE_TOPOS};
 use pdc_mpi::TuningTable;
 use std::io::Write;
 use std::path::Path;
@@ -74,27 +74,14 @@ fn main() {
                 match found {
                     None => {
                         println!(
-                            "MISSING  {:<10} {:<5} {:>3}r/{:<2}n {:<9}  (fresh winner: {})",
-                            cell.kind.name(),
-                            cell.size_class.name(),
-                            cell.ranks,
-                            cell.nodes,
-                            cell.layout.name(),
+                            "MISSING  {}  (fresh winner: {})",
+                            label(cell),
                             cell.best.name()
                         );
                         drift += 1;
                     }
-                    Some(c) if c.best != cell.best => {
-                        println!(
-                            "DRIFT    {:<10} {:<5} {:>3}r/{:<2}n {:<9}  table says {}, tuner says {}",
-                            cell.kind.name(),
-                            cell.size_class.name(),
-                            cell.ranks,
-                            cell.nodes,
-                            cell.layout.name(),
-                            c.best.name(),
-                            cell.best.name()
-                        );
+                    Some(c) if c != cell => {
+                        println!("DRIFT    {}  {}", label(cell), difference(c, cell));
                         drift += 1;
                     }
                     Some(_) => {}
@@ -128,6 +115,41 @@ enum Mode {
     Write,
     Check,
     Render,
+}
+
+/// A cell's key, as a fixed-width row label.
+fn label(cell: &TuneCell) -> String {
+    format!(
+        "{:<10} {:<5} {:>3}r/{:<2}n {:<9}",
+        cell.kind.name(),
+        cell.size_class.name(),
+        cell.ranks,
+        cell.nodes,
+        cell.layout.name()
+    )
+}
+
+/// How two cells of the same key differ: the winner, else the first
+/// algorithm time that differs, else both cells in full.
+fn difference(table: &TuneCell, tuner: &TuneCell) -> String {
+    if table.best != tuner.best {
+        return format!(
+            "table says {}, tuner says {}",
+            table.best.name(),
+            tuner.best.name()
+        );
+    }
+    let mut times = table.measured.iter().zip(&tuner.measured);
+    if let Some((t, f)) = times.find(|(t, f)| t != f) {
+        return format!(
+            "table has {} {} us, tuner measured {} {} us",
+            t.algo.name(),
+            t.sim_us,
+            f.algo.name(),
+            f.sim_us
+        );
+    }
+    format!("table has {table:?}, tuner has {tuner:?}")
 }
 
 fn load(path: &Path) -> TuningTable {

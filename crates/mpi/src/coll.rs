@@ -33,9 +33,9 @@
 //!   members.
 //!
 //! Dispatch ([`Scope`], `select`) logs the call, allocates its tag base,
-//! and picks the algorithm. With no tuning table and no hint it runs the
-//! flat shape with no selection bookkeeping at all, so untuned traces,
-//! stats and check logs stay bit-identical to the seed runtime. The tuned
+//! and picks the algorithm. With no tuning table it runs the flat shape
+//! with no selection bookkeeping at all, so untuned traces, stats and
+//! check logs stay bit-identical to the seed runtime. The tuned
 //! variants' futures are boxed where they are selected, so they do not
 //! grow the state machine of a rank that never runs them.
 //!
@@ -70,7 +70,8 @@ use crate::stats::Primitive;
 use crate::step::StepComm;
 use crate::subcomm::SubComm;
 use crate::tune::{
-    self, CollAlgo, CollKind, PlacementLayout, BCAST_CHUNK_BYTES, CHUNK_BYTES, MAX_CHUNKS,
+    self, CollAlgo, CollKind, PlacementLayout, WorldTuning, BCAST_CHUNK_BYTES, CHUNK_BYTES,
+    MAX_CHUNKS,
 };
 use bytes::Bytes;
 use pdc_cluster::Placement;
@@ -245,46 +246,43 @@ impl<'s> Scope<'s> {
     }
 }
 
-/// Select the algorithm for one collective over `g`. `None` on the
-/// untuned, unhinted fast path: the caller then runs the flat shape with
-/// no selection bookkeeping. Otherwise the choice is the pure function
-/// [`tune::resolve`] of the table, the hint, and the group's own size and
-/// node spread, identical on every participant. A fold that does not
-/// re-associate exactly (`exact = false`) never runs `Hierarchical`; it
-/// downgrades along `Chunked → Flat`, both of which keep the flat fold
-/// order.
-fn select(
+/// Select the algorithm for one collective over `g`. `None` on an
+/// untuned world: the caller then runs the flat shape with no selection
+/// bookkeeping.
+fn select(comm: &Comm, g: &Group, kind: CollKind, bytes: usize, exact: bool) -> Option<CollAlgo> {
+    let tuning = comm.tuning()?;
+    Some(select_tuned(comm, tuning, g, kind, bytes, exact))
+}
+
+/// The algorithm for one collective over `g` of a world tuned by
+/// `tuning`: the pure function [`tune::resolve`] of the table and the
+/// group's own size, node spread and layout, identical on every
+/// participant. A fold that does not re-associate exactly
+/// (`exact = false`) never runs `Hierarchical`; it downgrades along
+/// `Chunked → Flat`, both of which keep the flat fold order.
+fn select_tuned(
     comm: &Comm,
+    tuning: &WorldTuning,
     g: &Group,
     kind: CollKind,
     bytes: usize,
-    hint: Option<CollAlgo>,
     exact: bool,
-) -> Option<CollAlgo> {
-    let tuning = comm.tuning();
-    if hint.is_none() && tuning.is_none() {
-        return None;
-    }
+) -> CollAlgo {
     let placement = comm.cost_model().placement();
     let (nodes, layout) = match g.members {
-        // The world's layout is classified once per world. Without a
-        // table only the hint decides, and a hint ignores the layout.
-        Members::World(_) => (
-            placement.nodes_used(),
-            tuning.map_or(PlacementLayout::Blocked, |t| t.world_layout),
-        ),
+        // The world's layout is classified once per world.
+        Members::World(_) => (placement.nodes_used(), tuning.world_layout),
         Members::List(m) => (
             HierTopo::n_nodes(placement, m),
             PlacementLayout::of_members(placement, m),
         ),
     };
-    let table = tuning.map(|t| &*t.table);
-    let algo = tune::resolve(table, hint, kind, bytes, g.len(), nodes, layout);
-    Some(if algo == CollAlgo::Hierarchical && !exact {
+    let algo = tune::resolve(Some(&tuning.table), kind, bytes, g.len(), nodes, layout);
+    if algo == CollAlgo::Hierarchical && !exact {
         tune::constrain(CollAlgo::Chunked, kind, bytes, g.len(), nodes)
     } else {
         algo
-    })
+    }
 }
 
 /// A reduction operator: a built-in [`Op`] (logged, checked against the
@@ -1218,14 +1216,13 @@ async fn hier_alltoall<T: Datatype>(
 pub(crate) async fn barrier(
     sc: &mut StepComm<'_, '_>,
     mut scope: Scope<'_>,
-    hint: Option<CollAlgo>,
     site: CallSite,
 ) -> Result<()> {
     scope.enter(sc.comm, None, None, None, "-", site);
     sc.comm.record(Primitive::Barrier);
     let base = scope.next_base(sc.comm);
     let g = scope.group(sc.comm);
-    let algo = select(sc.comm, &g, CollKind::Barrier, 0, hint, true);
+    let algo = select(sc.comm, &g, CollKind::Barrier, 0, true);
     scope.begin(sc.comm, algo);
     let r = match algo {
         Some(CollAlgo::Hierarchical) => Box::pin(hier_barrier(sc, &g, base)).await,
@@ -1235,16 +1232,15 @@ pub(crate) async fn barrier(
     r
 }
 
-/// `MPI_Bcast`. With a tuning table installed (or a hint) only the root
-/// knows the payload size, so it makes the selection and announces the
-/// algorithm and the element count in a header broadcast over the flat
-/// tree before the payload moves.
+/// `MPI_Bcast`. With a tuning table installed only the root knows the
+/// payload size, so it makes the selection and announces the algorithm
+/// and the element count in a header broadcast over the flat tree before
+/// the payload moves.
 pub(crate) async fn bcast<T: Datatype>(
     sc: &mut StepComm<'_, '_>,
     mut scope: Scope<'_>,
     data: Option<&[T]>,
     root: usize,
-    hint: Option<CollAlgo>,
     site: CallSite,
 ) -> Result<Vec<T>> {
     let at_root = scope.me(sc.comm) == root;
@@ -1264,24 +1260,25 @@ pub(crate) async fn bcast<T: Datatype>(
         (false, _) => None,
     };
     let g = scope.group(sc.comm);
-    let (algo, count) = if hint.is_none() && sc.comm.tuning().is_none() {
-        (None, 0)
-    } else {
-        let header = match root_data {
-            Some(d) => {
-                let algo = select(sc.comm, &g, CollKind::Bcast, d.len() * T::SIZE, hint, true)
-                    .expect("tuned path has a table or hint");
-                encode_slice(&[algo.wire_id(), d.len() as u64])
-            }
-            None => Bytes::new(),
-        };
-        let header = tree_bcast::<u64>(sc, &g, root, base + T_HEADER, header).await?;
-        let corrupt = || Error::InvalidArgument("corrupt bcast algorithm header".into());
-        let [id, count] = decode_vec::<u64>(&header)[..] else {
-            return Err(corrupt());
-        };
-        let algo = CollAlgo::from_wire_id(id).ok_or_else(corrupt)?;
-        (Some(algo), count as usize)
+    let (algo, count) = match sc.comm.tuning() {
+        None => (None, 0),
+        Some(tuning) => {
+            let header = match root_data {
+                Some(d) => {
+                    let bytes = d.len() * T::SIZE;
+                    let algo = select_tuned(sc.comm, tuning, &g, CollKind::Bcast, bytes, true);
+                    encode_slice(&[algo.wire_id(), d.len() as u64])
+                }
+                None => Bytes::new(),
+            };
+            let header = tree_bcast::<u64>(sc, &g, root, base + T_HEADER, header).await?;
+            let corrupt = || Error::InvalidArgument("corrupt bcast algorithm header".into());
+            let [id, count] = decode_vec::<u64>(&header)[..] else {
+                return Err(corrupt());
+            };
+            let algo = CollAlgo::from_wire_id(id).ok_or_else(corrupt)?;
+            (Some(algo), count as usize)
+        }
     };
     scope.begin(sc.comm, algo);
     let r = match algo {
@@ -1307,7 +1304,6 @@ pub(crate) async fn reduce<T: Datatype, F: Fn(&T, &T) -> T>(
     mut scope: Scope<'_>,
     data: &[T],
     root: usize,
-    hint: Option<CollAlgo>,
     fold: Fold<F>,
     site: CallSite,
 ) -> Result<Option<Vec<T>>> {
@@ -1325,7 +1321,7 @@ pub(crate) async fn reduce<T: Datatype, F: Fn(&T, &T) -> T>(
     let base = scope.next_base(sc.comm);
     let g = scope.group(sc.comm);
     let bytes = data.len() * T::SIZE;
-    let algo = select(sc.comm, &g, CollKind::Reduce, bytes, hint, fold.exact);
+    let algo = select(sc.comm, &g, CollKind::Reduce, bytes, fold.exact);
     scope.begin(sc.comm, algo);
     let combine = &fold.combine;
     let r = match algo {
@@ -1348,7 +1344,6 @@ pub(crate) async fn allreduce<T: Datatype, F: Fn(&T, &T) -> T>(
     sc: &mut StepComm<'_, '_>,
     mut scope: Scope<'_>,
     data: &[T],
-    hint: Option<CollAlgo>,
     fold: Fold<F>,
     site: CallSite,
 ) -> Result<Vec<T>> {
@@ -1356,14 +1351,7 @@ pub(crate) async fn allreduce<T: Datatype, F: Fn(&T, &T) -> T>(
     fold.check::<T>()?;
     sc.comm.record(Primitive::Allreduce);
     let (kind, bytes) = (CollKind::Allreduce, data.len() * T::SIZE);
-    let algo = select(
-        sc.comm,
-        &scope.group(sc.comm),
-        kind,
-        bytes,
-        hint,
-        fold.exact,
-    );
+    let algo = select(sc.comm, &scope.group(sc.comm), kind, bytes, fold.exact);
     let base = scope.next_base(sc.comm);
     let bcast_base = match algo {
         Some(CollAlgo::Chunked | CollAlgo::Hierarchical) => scope.next_base(sc.comm),
@@ -1408,7 +1396,6 @@ pub(crate) async fn gather<T: Datatype>(
     mut scope: Scope<'_>,
     data: &[T],
     root: usize,
-    hint: Option<CollAlgo>,
     site: CallSite,
 ) -> Result<Option<Vec<T>>> {
     scope.enter(sc.comm, Some(root), None, Some(data.len()), T::NAME, site);
@@ -1418,7 +1405,7 @@ pub(crate) async fn gather<T: Datatype>(
     let g = scope.group(sc.comm);
     let bytes = data.len() * T::SIZE;
     let algo = match scope.sub {
-        None => select(sc.comm, &g, CollKind::Gather, bytes, hint, true),
+        None => select(sc.comm, &g, CollKind::Gather, bytes, true),
         Some(_) => None,
     };
     scope.begin(sc.comm, algo);
@@ -1505,7 +1492,6 @@ pub(crate) async fn allgather<T: Datatype>(
     sc: &mut StepComm<'_, '_>,
     mut scope: Scope<'_>,
     data: &[T],
-    hint: Option<CollAlgo>,
     site: CallSite,
 ) -> Result<Vec<T>> {
     scope.enter(sc.comm, None, None, Some(data.len()), T::NAME, site);
@@ -1513,7 +1499,7 @@ pub(crate) async fn allgather<T: Datatype>(
     let base = scope.next_base(sc.comm);
     let g = scope.group(sc.comm);
     let blk = data.len() * T::SIZE;
-    let algo = select(sc.comm, &g, CollKind::Allgather, blk, hint, true);
+    let algo = select(sc.comm, &g, CollKind::Allgather, blk, true);
     scope.begin(sc.comm, algo);
     let r = match algo {
         Some(CollAlgo::Hierarchical) => Box::pin(hier_allgather(sc, &g, data, base)).await,
@@ -1540,14 +1526,13 @@ pub(crate) async fn allgatherv<T: Datatype>(
     sc: &mut StepComm<'_, '_>,
     mut scope: Scope<'_>,
     data: &[T],
-    hint: Option<CollAlgo>,
     site: CallSite,
 ) -> Result<Vec<Vec<T>>> {
     scope.enter(sc.comm, None, None, None, T::NAME, site);
     sc.comm.record(Primitive::Allgatherv);
     let base = scope.next_base(sc.comm);
     let g = scope.group(sc.comm);
-    let algo = select(sc.comm, &g, CollKind::Allgatherv, 0, hint, true);
+    let algo = select(sc.comm, &g, CollKind::Allgatherv, 0, true);
     scope.begin(sc.comm, algo);
     let r = match algo {
         Some(CollAlgo::Hierarchical) => Box::pin(hier_allgatherv(sc, &g, data, base)).await,
@@ -1568,7 +1553,6 @@ pub(crate) async fn alltoall<T: Datatype>(
     sc: &mut StepComm<'_, '_>,
     mut scope: Scope<'_>,
     data: &[T],
-    hint: Option<CollAlgo>,
     site: CallSite,
 ) -> Result<Vec<T>> {
     scope.enter(sc.comm, None, None, Some(data.len()), T::NAME, site);
@@ -1583,7 +1567,7 @@ pub(crate) async fn alltoall<T: Datatype>(
     let base = scope.next_base(sc.comm);
     let g = scope.group(sc.comm);
     let chunk = data.len() / p;
-    let algo = select(sc.comm, &g, CollKind::Alltoall, chunk * T::SIZE, hint, true);
+    let algo = select(sc.comm, &g, CollKind::Alltoall, chunk * T::SIZE, true);
     scope.begin(sc.comm, algo);
     let r = match algo {
         Some(CollAlgo::Hierarchical) => Box::pin(hier_alltoall(sc, &g, data, base)).await,

@@ -142,9 +142,9 @@ impl ProtocolVolume {
 }
 
 /// Collective traffic attributed to one [`CollAlgo`]. Counted only while
-/// algorithm selection is active (a tuning table installed or an explicit
-/// `*_algo` hint) — untuned runs route everything through the seed flat
-/// algorithm without labelling, exactly as before. pdc-prof uses this to
+/// algorithm selection is active (a tuning table installed) — untuned
+/// runs route everything through the seed flat algorithm without
+/// labelling, exactly as before. pdc-prof uses this to
 /// attribute protocol volume to the algorithm that generated it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct AlgoVolume {

@@ -361,7 +361,7 @@ impl<'c, 'w: 'c> StepComm<'c, 'w> {
     /// `MPI_Barrier`. See [`Comm::barrier`].
     #[track_caller]
     pub fn barrier<'a>(&'a mut self) -> impl Future<Output = Result<()>> + use<'a, 'c, 'w> {
-        coll::barrier(self, Scope::world("barrier"), None, CallSite::here())
+        coll::barrier(self, Scope::world("barrier"), CallSite::here())
     }
 
     /// `MPI_Bcast`. See [`Comm::bcast`].
@@ -372,7 +372,7 @@ impl<'c, 'w: 'c> StepComm<'c, 'w> {
         root: usize,
     ) -> impl Future<Output = Result<Vec<T>>> + use<'a, 'c, 'w, T> {
         let site = CallSite::here();
-        coll::bcast(self, Scope::world("bcast"), data, root, None, site)
+        coll::bcast(self, Scope::world("bcast"), data, root, site)
     }
 
     /// `MPI_Scatter`. See [`Comm::scatter`].
@@ -413,14 +413,7 @@ impl<'c, 'w: 'c> StepComm<'c, 'w> {
         data: &'a [T],
         root: usize,
     ) -> impl Future<Output = Result<Option<Vec<T>>>> + use<'a, 'c, 'w, T> {
-        coll::gather(
-            self,
-            Scope::world("gather"),
-            data,
-            root,
-            None,
-            CallSite::here(),
-        )
+        coll::gather(self, Scope::world("gather"), data, root, CallSite::here())
     }
 
     /// `MPI_Gatherv`. See [`Comm::gatherv`].
@@ -439,13 +432,16 @@ impl<'c, 'w: 'c> StepComm<'c, 'w> {
         &'a mut self,
         data: &'a [T],
     ) -> impl Future<Output = Result<Vec<T>>> + use<'a, 'c, 'w, T> {
-        coll::allgather(
-            self,
-            Scope::world("allgather"),
-            data,
-            None,
-            CallSite::here(),
-        )
+        coll::allgather(self, Scope::world("allgather"), data, CallSite::here())
+    }
+
+    /// `MPI_Allgatherv`. See [`Comm::allgatherv`].
+    #[track_caller]
+    pub fn allgatherv<'a, T: Datatype>(
+        &'a mut self,
+        data: &'a [T],
+    ) -> impl Future<Output = Result<Vec<Vec<T>>>> + use<'a, 'c, 'w, T> {
+        coll::allgatherv(self, Scope::world("allgatherv"), data, CallSite::here())
     }
 
     /// `MPI_Alltoall`. See [`Comm::alltoall`].
@@ -454,7 +450,7 @@ impl<'c, 'w: 'c> StepComm<'c, 'w> {
         &'a mut self,
         data: &'a [T],
     ) -> impl Future<Output = Result<Vec<T>>> + use<'a, 'c, 'w, T> {
-        coll::alltoall(self, Scope::world("alltoall"), data, None, CallSite::here())
+        coll::alltoall(self, Scope::world("alltoall"), data, CallSite::here())
     }
 
     /// `MPI_Alltoallv`. See [`Comm::alltoallv`].
@@ -475,7 +471,7 @@ impl<'c, 'w: 'c> StepComm<'c, 'w> {
         root: usize,
     ) -> impl Future<Output = Result<Option<Vec<T>>>> + use<'a, 'c, 'w, T> {
         let (scope, fold, site) = (Scope::world("reduce"), coll::builtin(op), CallSite::here());
-        coll::reduce(self, scope, data, root, None, fold, site)
+        coll::reduce(self, scope, data, root, fold, site)
     }
 
     /// `MPI_Allreduce` with a built-in operator. See [`Comm::allreduce`].
@@ -490,7 +486,7 @@ impl<'c, 'w: 'c> StepComm<'c, 'w> {
             coll::builtin(op),
             CallSite::here(),
         );
-        coll::allreduce(self, scope, data, None, fold, site)
+        coll::allreduce(self, scope, data, fold, site)
     }
 
     /// `MPIX_Comm_agree` analogue. See [`Comm::agree`].

@@ -147,7 +147,7 @@ impl Comm<'_> {
     pub fn sub_barrier(&mut self, sc: &mut SubComm) -> Result<()> {
         let (step, site) = (&mut StepComm::blocking(self), CallSite::here());
         let scope = Scope::sub(sc, "sub_barrier");
-        block_on(coll::barrier(step, scope, None, site))
+        block_on(coll::barrier(step, scope, site))
     }
 
     /// Broadcast over a sub-communicator. `root` is a *sub-rank*.
@@ -160,7 +160,7 @@ impl Comm<'_> {
     ) -> Result<Vec<T>> {
         let (step, site) = (&mut StepComm::blocking(self), CallSite::here());
         let scope = Scope::sub(sc, "sub_bcast");
-        block_on(coll::bcast(step, scope, data, root, None, site))
+        block_on(coll::bcast(step, scope, data, root, site))
     }
 
     /// Reduction over a sub-communicator with a custom combiner; the
@@ -178,7 +178,7 @@ impl Comm<'_> {
         let (step, site) = (&mut StepComm::blocking(self), CallSite::here());
         let scope = Scope::sub(sc, "sub_reduce");
         let fold = Fold::custom(combine);
-        block_on(coll::reduce(step, scope, data, root, None, fold, site))
+        block_on(coll::reduce(step, scope, data, root, fold, site))
     }
 
     /// Reduction over a sub-communicator with a built-in operator.
@@ -193,7 +193,7 @@ impl Comm<'_> {
         let (step, site) = (&mut StepComm::blocking(self), CallSite::here());
         let scope = Scope::sub(sc, "sub_reduce");
         let fold = coll::builtin(op);
-        block_on(coll::reduce(step, scope, data, root, None, fold, site))
+        block_on(coll::reduce(step, scope, data, root, fold, site))
     }
 
     /// Allreduce over a sub-communicator.
@@ -207,7 +207,7 @@ impl Comm<'_> {
         let (step, site) = (&mut StepComm::blocking(self), CallSite::here());
         let scope = Scope::sub(sc, "sub_allreduce");
         let fold = coll::builtin(op);
-        block_on(coll::allreduce(step, scope, data, None, fold, site))
+        block_on(coll::allreduce(step, scope, data, fold, site))
     }
 
     /// Gather equal-length contributions to sub-rank `root`.
@@ -220,6 +220,6 @@ impl Comm<'_> {
     ) -> Result<Option<Vec<T>>> {
         let (step, site) = (&mut StepComm::blocking(self), CallSite::here());
         let scope = Scope::sub(sc, "sub_gather");
-        block_on(coll::gather(step, scope, data, root, None, site))
+        block_on(coll::gather(step, scope, data, root, site))
     }
 }

@@ -121,8 +121,7 @@ pub struct CollSpan {
     /// Simulated time this rank entered the collective.
     pub enter: f64,
     /// The algorithm this collective resolved to, when selection was
-    /// active (a tuning table or an explicit hint); `None` on untuned
-    /// runs. Old serialized spans without the field read back as `None`.
+    /// active (a tuning table installed); `None` on untuned runs. Old serialized spans without the field read back as `None`.
     pub algo: Option<CollAlgo>,
 }
 

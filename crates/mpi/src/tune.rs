@@ -14,20 +14,22 @@
 //! pdc-sched: no wall-clock feedback, no per-call state. By default no
 //! table is loaded and every collective keeps the seed flat algorithm;
 //! selection activates only when a table is installed
-//! ([`crate::WorldConfig::with_tuning`] or `PDC_MPI_TUNE_FILE`) or a
-//! call site passes an explicit `*_algo` hint.
+//! ([`crate::WorldConfig::with_tuning`] or `PDC_MPI_TUNE_FILE`). The
+//! table is the only way to choose an algorithm: to force one, install
+//! [`TuningTable::forcing`].
 //!
 //! The [`autotune`] entry point measures algorithm × size-class ×
-//! (ranks, nodes) cells on the simulated clock (deterministic and
-//! host-independent: collectives match exact sources only) and produces a
+//! (ranks, nodes) cells on the simulated clock, each candidate a step
+//! program on the event engine under a forcing table (deterministic and
+//! host-independent: collectives match exact sources only), and produces a
 //! [`TuningTable`] that `mpi_tune` persists as JSON (`TUNING_mpi.json`
 //! at the repo root is the checked-in table for the CI machine class).
 //! `docs/collectives.md` walks through the format and the selection
 //! rules.
 
-use crate::comm::Comm;
 use crate::error::Result;
 use crate::reduce::Op;
+use crate::step::{StepComm, StepFuture, StepProgram};
 use crate::world::{World, WorldConfig};
 use pdc_cluster::{Placement, PlacementPolicy};
 use serde::{Deserialize, Serialize};
@@ -46,6 +48,9 @@ pub const BCAST_CHUNK_BYTES: usize = 16 * 1024;
 /// the per-collective tag stride, and gigantic payloads gain nothing from
 /// more in-flight chunks than this.
 pub const MAX_CHUNKS: usize = 64;
+
+/// Format version of the tables [`autotune`] writes.
+const TABLE_VERSION: u32 = 2;
 
 /// Machine class the checked-in table was tuned for: the
 /// `MachineModel::cluster` postal model (0.5 µs / 20 GB/s intra-node,
@@ -164,6 +169,14 @@ pub enum SizeClass {
 }
 
 impl SizeClass {
+    /// All classes, smallest first.
+    pub const ALL: [SizeClass; 4] = [
+        SizeClass::Tiny,
+        SizeClass::Small,
+        SizeClass::Large,
+        SizeClass::Huge,
+    ];
+
     /// Bucket a payload size.
     pub fn of(bytes: usize) -> SizeClass {
         if bytes <= 4 * 1024 {
@@ -393,6 +406,35 @@ impl TuningTable {
         best.map(|(_, _, _, _, algo)| algo)
     }
 
+    /// A table that selects `algo` for `kind` at every size class, for
+    /// each `(kind, algo)` of `picks`: one cell per pick and class. It
+    /// holds no topology, because [`TuningTable::lookup`] falls back to
+    /// the nearest cell of the same kind and class, and there is exactly
+    /// one. Kinds without a pick resolve through [`fallback_algo`], and
+    /// selection still clamps every pick to what applies ([`constrain`]).
+    pub fn forcing(picks: &[(CollKind, CollAlgo)]) -> TuningTable {
+        let cells = picks
+            .iter()
+            .flat_map(|&(kind, best)| {
+                SizeClass::ALL.map(|size_class| TuneCell {
+                    kind,
+                    size_class,
+                    ranks: 0,
+                    nodes: 0,
+                    layout: PlacementLayout::Blocked,
+                    probe_bytes: 0,
+                    best,
+                    measured: Vec::new(),
+                })
+            })
+            .collect();
+        TuningTable {
+            machine_class: "forced".into(),
+            version: TABLE_VERSION,
+            cells,
+        }
+    }
+
     /// Serialize to pretty JSON (the on-disk format).
     pub fn to_json(&self) -> String {
         serde_json::to_string_pretty(self).expect("tuning table serializes")
@@ -484,32 +526,26 @@ pub fn fallback_algo(kind: CollKind, bytes: usize, ranks: usize, nodes: usize) -
 }
 
 /// Resolve the algorithm for one collective call. Pure function of
-/// `(table, hint, kind, bytes, ranks, nodes, layout)`:
+/// `(table, kind, bytes, ranks, nodes, layout)`: the tuning table's
+/// choice ([`TuningTable::lookup`]), else [`fallback_algo`]'s, clamped to
+/// applicability ([`constrain`]).
 ///
-/// 1. an explicit call-site hint wins (clamped to applicability);
-/// 2. else the tuning table is consulted ([`TuningTable::lookup`]);
-/// 3. else [`fallback_algo`] decides.
-///
-/// With `table = None` and no hint this *always* returns
-/// [`CollAlgo::Flat`] — untuned runs keep the seed behaviour exactly.
+/// With `table = None` this *always* returns [`CollAlgo::Flat`] —
+/// untuned runs keep the seed behaviour exactly.
 pub fn resolve(
     table: Option<&TuningTable>,
-    hint: Option<CollAlgo>,
     kind: CollKind,
     bytes: usize,
     ranks: usize,
     nodes: usize,
     layout: PlacementLayout,
 ) -> CollAlgo {
-    let want = match hint {
-        Some(algo) => algo,
-        None => match table {
-            None => return CollAlgo::Flat,
-            Some(t) => t
-                .lookup(kind, SizeClass::of(bytes), ranks, nodes, layout)
-                .unwrap_or_else(|| fallback_algo(kind, bytes, ranks, nodes)),
-        },
+    let Some(table) = table else {
+        return CollAlgo::Flat;
     };
+    let want = table
+        .lookup(kind, SizeClass::of(bytes), ranks, nodes, layout)
+        .unwrap_or_else(|| fallback_algo(kind, bytes, ranks, nodes));
     constrain(want, kind, bytes, ranks, nodes)
 }
 
@@ -526,8 +562,9 @@ pub const TUNE_SIZES: [usize; 3] = [1024, 64 * 1024, 1024 * 1024];
 pub const TUNE_ITERS: usize = 3;
 
 /// Measure one (kind, bytes, topology, layout, algorithm) point:
-/// simulated microseconds per operation, on a world placed under the
-/// layout's policy.
+/// simulated microseconds per operation, on an event-engine world placed
+/// under the layout's policy and forced to `algo` by
+/// [`TuningTable::forcing`].
 ///
 /// # Errors
 /// Propagates any runtime error from the measurement world.
@@ -541,63 +578,71 @@ pub fn measure(
 ) -> Result<f64> {
     let cfg = WorldConfig::new(ranks)
         .on_nodes(nodes)
-        .with_policy(layout.policy());
-    let elems = (bytes / 8).max(1);
-    let out = World::run(cfg, move |comm| {
-        for _ in 0..TUNE_ITERS {
-            run_one(comm, kind, elems, algo)?;
-        }
-        Ok(())
-    })?;
+        .with_policy(layout.policy())
+        .with_tuning(TuningTable::forcing(&[(kind, algo)]));
+    let probe = Probe {
+        kind,
+        elems: (bytes / 8).max(1),
+    };
+    let out = World::run_event(cfg, &probe)?;
     Ok(out.sim_time * 1e6 / TUNE_ITERS as f64)
 }
 
-/// One operation of `kind` under `algo`, with `elems` u64 elements of
-/// per-rank payload. Shared by [`measure`] and `mpi_tune`.
-fn run_one(comm: &mut Comm, kind: CollKind, elems: usize, algo: CollAlgo) -> Result<()> {
-    let rank = comm.rank();
-    let p = comm.size();
-    match kind {
-        CollKind::Barrier => comm.barrier_algo(algo)?,
-        CollKind::Bcast => {
-            let root_data: Vec<u64>;
-            let data = if rank == 0 {
-                root_data = vec![7u64; elems];
-                Some(&root_data[..])
-            } else {
-                None
-            };
-            comm.bcast_algo(data, 0, algo)?;
-        }
-        CollKind::Reduce => {
-            let data = vec![rank as u64 + 1; elems];
-            comm.reduce_algo(&data, Op::Sum, 0, algo)?;
-        }
-        CollKind::Allreduce => {
-            let data = vec![rank as u64 + 1; elems];
-            comm.allreduce_algo(&data, Op::Sum, algo)?;
-        }
-        CollKind::Gather => {
-            let data = vec![rank as u64; elems];
-            comm.gather_algo(&data, 0, algo)?;
-        }
-        CollKind::Allgather => {
-            let data = vec![rank as u64; elems];
-            comm.allgather_algo(&data, algo)?;
-        }
-        CollKind::Allgatherv => {
-            // Variable-length blocks: selection for allgatherv is
-            // topology-only (bytes = 0), so probe with small ragged
-            // blocks regardless of the cell's nominal size.
-            let data = vec![rank as u64; 24 + (rank % 3) * 8];
-            comm.allgatherv_algo(&data, algo)?;
-        }
-        CollKind::Alltoall => {
-            let data: Vec<u64> = (0..elems * p).map(|i| i as u64).collect();
-            comm.alltoall_algo(&data, algo)?;
-        }
+/// The step program [`measure`] times: [`TUNE_ITERS`] operations of
+/// `kind`, with `elems` u64 elements of per-rank payload.
+struct Probe {
+    kind: CollKind,
+    elems: usize,
+}
+
+impl StepProgram<()> for Probe {
+    fn build<'c, 'w: 'c>(&'c self, mut sc: StepComm<'c, 'w>) -> StepFuture<'c, Result<()>> {
+        let (kind, elems) = (self.kind, self.elems);
+        Box::pin(async move {
+            let (rank, p) = (sc.rank(), sc.size());
+            for _ in 0..TUNE_ITERS {
+                match kind {
+                    CollKind::Barrier => sc.barrier().await?,
+                    CollKind::Bcast => {
+                        let root_data = if rank == 0 {
+                            vec![7u64; elems]
+                        } else {
+                            Vec::new()
+                        };
+                        sc.bcast((rank == 0).then_some(&root_data[..]), 0).await?;
+                    }
+                    CollKind::Reduce => {
+                        let data = vec![rank as u64 + 1; elems];
+                        sc.reduce(&data, Op::Sum, 0).await?;
+                    }
+                    CollKind::Allreduce => {
+                        let data = vec![rank as u64 + 1; elems];
+                        sc.allreduce(&data, Op::Sum).await?;
+                    }
+                    CollKind::Gather => {
+                        let data = vec![rank as u64; elems];
+                        sc.gather(&data, 0).await?;
+                    }
+                    CollKind::Allgather => {
+                        let data = vec![rank as u64; elems];
+                        sc.allgather(&data).await?;
+                    }
+                    CollKind::Allgatherv => {
+                        // Variable-length blocks: selection for allgatherv is
+                        // topology-only (bytes = 0), so probe with small ragged
+                        // blocks regardless of the cell's nominal size.
+                        let data = vec![rank as u64; 24 + (rank % 3) * 8];
+                        sc.allgatherv(&data).await?;
+                    }
+                    CollKind::Alltoall => {
+                        let data: Vec<u64> = (0..elems * p).map(|i| i as u64).collect();
+                        sc.alltoall(&data).await?;
+                    }
+                }
+            }
+            Ok(())
+        })
     }
-    Ok(())
 }
 
 /// Payload sizes probed for one kind. Barrier and allgatherv are
@@ -681,7 +726,7 @@ pub fn autotune(mut progress: impl FnMut(usize, usize)) -> Result<TuningTable> {
     }
     Ok(TuningTable {
         machine_class: CI_MACHINE_CLASS.to_string(),
-        version: 2,
+        version: TABLE_VERSION,
         cells,
     })
 }
@@ -711,85 +756,52 @@ mod tests {
     }
 
     #[test]
-    fn untuned_unhinted_is_always_flat() {
+    fn untuned_is_always_flat() {
         for kind in CollKind::ALL {
             for bytes in [0, 1024, 1 << 20, 1 << 24] {
                 for layout in PlacementLayout::ALL {
-                    assert_eq!(
-                        resolve(None, None, kind, bytes, 64, 8, layout),
-                        CollAlgo::Flat
-                    );
+                    assert_eq!(resolve(None, kind, bytes, 64, 8, layout), CollAlgo::Flat);
                 }
             }
         }
     }
 
     #[test]
-    fn hints_are_clamped_to_applicability() {
-        let blocked = PlacementLayout::Blocked;
+    fn forced_picks_are_clamped_to_applicability() {
+        let forced = |kind, algo, bytes, ranks, nodes| {
+            let t = TuningTable::forcing(&[(kind, algo)]);
+            resolve(
+                Some(&t),
+                kind,
+                bytes,
+                ranks,
+                nodes,
+                PlacementLayout::Blocked,
+            )
+        };
         // Hierarchical on a single node downgrades (to Chunked for a
         // large bcast, to Flat for a barrier).
         assert_eq!(
-            resolve(
-                None,
-                Some(CollAlgo::Hierarchical),
-                CollKind::Bcast,
-                1 << 20,
-                8,
-                1,
-                blocked
-            ),
+            forced(CollKind::Bcast, CollAlgo::Hierarchical, 1 << 20, 8, 1),
             CollAlgo::Chunked
         );
         assert_eq!(
-            resolve(
-                None,
-                Some(CollAlgo::Hierarchical),
-                CollKind::Barrier,
-                0,
-                8,
-                1,
-                blocked
-            ),
+            forced(CollKind::Barrier, CollAlgo::Hierarchical, 0, 8, 1),
             CollAlgo::Flat
         );
         // Chunked below two chunks of payload downgrades to Flat.
         assert_eq!(
-            resolve(
-                None,
-                Some(CollAlgo::Chunked),
-                CollKind::Bcast,
-                1024,
-                8,
-                1,
-                blocked
-            ),
+            forced(CollKind::Bcast, CollAlgo::Chunked, 1024, 8, 1),
             CollAlgo::Flat
         );
         // Chunked never applies to the non-rooted collectives.
         assert_eq!(
-            resolve(
-                None,
-                Some(CollAlgo::Chunked),
-                CollKind::Allgather,
-                1 << 20,
-                8,
-                1,
-                blocked
-            ),
+            forced(CollKind::Allgather, CollAlgo::Chunked, 1 << 20, 8, 1),
             CollAlgo::Flat
         );
-        // Applicable hints stick.
+        // Applicable picks stick.
         assert_eq!(
-            resolve(
-                None,
-                Some(CollAlgo::Chunked),
-                CollKind::Allreduce,
-                1 << 20,
-                32,
-                4,
-                blocked
-            ),
+            forced(CollKind::Allreduce, CollAlgo::Chunked, 1 << 20, 32, 4),
             CollAlgo::Chunked
         );
     }
@@ -923,7 +935,7 @@ mod tests {
         let pick = |policy| {
             let p = Placement::new(32, 4, 8, policy);
             let layout = PlacementLayout::of_placement(&p);
-            resolve(Some(&t), None, CollKind::Allreduce, 1 << 20, 32, 4, layout)
+            resolve(Some(&t), CollKind::Allreduce, 1 << 20, 32, 4, layout)
         };
         assert_eq!(pick(PlacementPolicy::Block), CollAlgo::Hierarchical);
         assert_eq!(pick(PlacementPolicy::RoundRobin), CollAlgo::Chunked);

@@ -7,14 +7,14 @@
 //! and fold order; hierarchical reduces are gated on
 //! `Reducible::exact_reassoc`).
 //!
-//! Per-call algorithm hints (`allreduce_algo` and friends) exist only on
-//! the blocking [`pdc_mpi::Comm`], so the hint tests run thread-per-rank
-//! at the default seed. The seed sweeps select the algorithms through a
-//! tuning table instead and run as step programs on the seeded event
-//! engine, where each seed permutes the resume order.
+//! Every test chooses an algorithm the one way the runtime offers: a
+//! tuning table, here one from [`TuningTable::forcing`]. The equivalence
+//! tests run thread-per-rank at the default seed. The seed sweeps run as
+//! step programs on the seeded event engine, where each seed permutes the
+//! resume order.
 
 use pdc_cluster::{Placement, PlacementPolicy};
-use pdc_mpi::tune::{resolve, CollKind, PlacementLayout, SizeClass, TuneCell};
+use pdc_mpi::tune::{resolve, CollKind, PlacementLayout, SizeClass};
 use pdc_mpi::{
     CollAlgo, Op, Reducible, Result, RunOutput, StepComm, StepFuture, StepProgram, TuningTable,
     World, WorldConfig,
@@ -44,38 +44,6 @@ fn table() -> TuningTable {
     TuningTable::load(&path).expect("checked-in TUNING_mpi.json loads")
 }
 
-/// A table selecting `algo` for every collective kind at every size
-/// class of the blocked `ranks`/`nodes` layout; selection still clamps it
-/// to what is applicable (a float `Sum` never reduces hierarchically).
-fn forcing_table(ranks: usize, nodes: usize, algo: CollAlgo) -> TuningTable {
-    let classes = [
-        SizeClass::Tiny,
-        SizeClass::Small,
-        SizeClass::Large,
-        SizeClass::Huge,
-    ];
-    let cells = CollKind::ALL
-        .iter()
-        .flat_map(|&kind| {
-            classes.map(|size_class| TuneCell {
-                kind,
-                size_class,
-                ranks,
-                nodes,
-                layout: PlacementLayout::Blocked,
-                probe_bytes: 0,
-                best: algo,
-                measured: Vec::new(),
-            })
-        })
-        .collect();
-    TuningTable {
-        machine_class: "forced".into(),
-        version: 2,
-        cells,
-    }
-}
-
 /// Deterministic per-rank f64 payload with non-trivial mantissas, so any
 /// re-association of a Sum would actually flip low bits.
 fn f64_payload(rank: usize, len: usize) -> Vec<f64> {
@@ -100,30 +68,29 @@ fn i32_payload(rank: usize, len: usize) -> Vec<i32> {
 type AllreduceBits = (Vec<u64>, Vec<u64>, Vec<i32>);
 
 /// Run one thread world where every rank allreduces the three payload
-/// types under the hint `algo` (or the seed flat path when `None`),
-/// returning each rank's results as raw bits.
+/// types with `algo` forced (or the seed flat path when `None`),
+/// returning each rank's results as raw bits. Selection still clamps a
+/// forced algorithm to what applies: a float `Sum` never reduces
+/// hierarchically.
 fn allreduce_bits(
     ranks: usize,
     nodes: usize,
     op: Op,
     algo: Option<CollAlgo>,
 ) -> Vec<AllreduceBits> {
-    let out = World::run(world(ranks, nodes), move |comm| {
+    let cfg = match algo {
+        None => world(ranks, nodes),
+        Some(a) => {
+            world(ranks, nodes).with_tuning(TuningTable::forcing(&[(CollKind::Allreduce, a)]))
+        }
+    };
+    let out = World::run(cfg, move |comm| {
         let f = f64_payload(comm.rank(), BIG);
         let u = u64_payload(comm.rank(), BIG);
         let i = i32_payload(comm.rank(), 2 * BIG);
-        let (fr, ur, ir) = match algo {
-            None => (
-                comm.allreduce(&f, op)?,
-                comm.allreduce(&u, op)?,
-                comm.allreduce(&i, op)?,
-            ),
-            Some(a) => (
-                comm.allreduce_algo(&f, op, a)?,
-                comm.allreduce_algo(&u, op, a)?,
-                comm.allreduce_algo(&i, op, a)?,
-            ),
-        };
+        let fr = comm.allreduce(&f, op)?;
+        let ur = comm.allreduce(&u, op)?;
+        let ir = comm.allreduce(&i, op)?;
         Ok((fr.iter().map(|x| x.to_bits()).collect::<Vec<u64>>(), ur, ir))
     })
     .expect("world");
@@ -172,7 +139,7 @@ fn allreduce_algos_bitwise_stable_under_sched_seeds() {
     let (ranks, nodes) = (16, 4);
     let reference = allreduce_bits(ranks, nodes, Op::Sum, None);
     for algo in [CollAlgo::Flat, CollAlgo::Chunked, CollAlgo::Hierarchical] {
-        let table = forcing_table(ranks, nodes, algo);
+        let table = TuningTable::forcing(&CollKind::ALL.map(|kind| (kind, algo)));
         let mut schedules = BTreeSet::new();
         for seed in 0..16u64 {
             let cfg = world(ranks, nodes)
@@ -222,18 +189,19 @@ fn bcast_and_reduce_algos_bitwise_match_flat() {
             .expect("world")
             .values;
         for algo in [CollAlgo::Flat, CollAlgo::Chunked, CollAlgo::Hierarchical] {
-            let got = World::run(world(ranks, nodes), move |comm| {
+            let picks = [(CollKind::Bcast, algo), (CollKind::Reduce, algo)];
+            let cfg = world(ranks, nodes).with_tuning(TuningTable::forcing(&picks));
+            let got = World::run(cfg, move |comm| {
                 let f = f64_payload(comm.rank(), BIG);
-                let seen = comm.bcast_algo(
+                let seen = comm.bcast(
                     if comm.rank() == root {
                         Some(&f[..])
                     } else {
                         None
                     },
                     root,
-                    algo,
                 )?;
-                let red = comm.reduce_algo(&f, Op::Sum, root, algo)?;
+                let red = comm.reduce(&f, Op::Sum, root)?;
                 Ok((
                     seen.iter().map(|x| x.to_bits()).collect::<Vec<u64>>(),
                     red.map(|v| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>()),
@@ -251,7 +219,7 @@ fn bcast_and_reduce_algos_bitwise_match_flat() {
 
 #[test]
 fn float_sum_never_runs_hierarchical_reduce() {
-    // The re-association gate: an explicit Hierarchical hint on a
+    // The re-association gate: a forced Hierarchical pick on a
     // non-exact (f64, Sum) reduce must downgrade to an algorithm that
     // preserves the flat fold order — verified here by bit-equality even
     // though hierarchical folding would give different low bits.
@@ -409,7 +377,7 @@ fn checked_in_table_selects_by_placement_policy() {
     let pick = |policy| {
         let p = Placement::new(32, 4, 32, policy);
         let layout = PlacementLayout::of_placement(&p);
-        resolve(Some(&t), None, CollKind::Barrier, 0, 32, 4, layout)
+        resolve(Some(&t), CollKind::Barrier, 0, 32, 4, layout)
     };
     let blocked = pick(PlacementPolicy::Block);
     let scattered = pick(PlacementPolicy::RoundRobin);

@@ -15,11 +15,9 @@ use pdc_datagen::uniform_points;
 use pdc_modules::module2::{Access, DistanceMatrixProgram};
 use pdc_modules::module3::{BucketStrategy, DistributionSortProgram, InputDist};
 use pdc_modules::module6::{HaloVariant, StencilProgram};
-use pdc_mpi::tune::TuneCell;
 use pdc_mpi::{
     drive, CancelToken, CheckEvent, CheckMode, CollAlgo, CollKind, Comm, Error, FaultPlan, Op,
-    PlacementLayout, Result, SizeClass, StepComm, StepFuture, StepProgram, TuningTable, World,
-    WorldConfig,
+    Result, StepComm, StepFuture, StepProgram, TuningTable, World, WorldConfig,
 };
 
 /// Sizes every module scenario sweeps (the ISSUE's {2, 5, 32}).
@@ -241,37 +239,6 @@ fn checked_in_table() -> TuningTable {
     TuningTable::load(&path).expect("checked-in TUNING_mpi.json loads")
 }
 
-/// A table selecting `algo` for every collective kind at every size
-/// class; selection still clamps it to what is applicable.
-fn forcing_table(ranks: usize, nodes: usize, algo: CollAlgo) -> TuningTable {
-    let classes = [
-        SizeClass::Tiny,
-        SizeClass::Small,
-        SizeClass::Large,
-        SizeClass::Huge,
-    ];
-    let cells = CollKind::ALL
-        .iter()
-        .flat_map(|&kind| {
-            classes.map(|size_class| TuneCell {
-                kind,
-                size_class,
-                ranks,
-                nodes,
-                layout: PlacementLayout::Blocked,
-                probe_bytes: 0,
-                best: algo,
-                measured: Vec::new(),
-            })
-        })
-        .collect();
-    TuningTable {
-        machine_class: "forced".into(),
-        version: 2,
-        cells,
-    }
-}
-
 /// Every collective a step program can call, on payloads large enough to
 /// pipeline (256 KiB), folding everything received into a checksum.
 struct CollectiveTour;
@@ -311,7 +278,8 @@ impl StepProgram<u64> for CollectiveTour {
 fn collectives_under_forced_algorithms_are_backend_identical() {
     for (ranks, nodes) in TUNED_LAYOUTS {
         for algo in [CollAlgo::Chunked, CollAlgo::Hierarchical] {
-            let table = forcing_table(ranks, nodes, algo);
+            // Every kind forced; selection still clamps it to what applies.
+            let table = TuningTable::forcing(&CollKind::ALL.map(|kind| (kind, algo)));
             let cfg = || {
                 WorldConfig::new(ranks)
                     .on_nodes(nodes)

@@ -12,6 +12,9 @@
 //! under a tuning table that forces the chunked and hierarchical
 //! algorithms, which both backends run from the same implementation.
 //!
+//! The tuner's checked-in measurements replay bit for bit on the event
+//! engine, where `mpi_tune` now takes them.
+//!
 //! Module 7 runs the way an external harness replays a lab job: a
 //! blocking closure under a seeded `virtual_ranks` config (which runs
 //! thread-per-rank) against the same step body on the event engine.
@@ -21,11 +24,12 @@
 
 use pdc_modules::module3::{BucketStrategy, DistributionSortProgram, InputDist};
 use pdc_modules::module7::{top_k_rank, top_k_step, TopKStrategy};
-use pdc_mpi::tune::TuneCell;
+use pdc_mpi::tune::measure;
 use pdc_mpi::{
-    drive, CheckEvent, CheckMode, CollAlgo, CollKind, Op, PlacementLayout, Result, SizeClass,
-    StepComm, StepFuture, StepProgram, TuningTable, World, WorldConfig,
+    drive, CheckEvent, CheckMode, CollAlgo, CollKind, Op, Result, SizeClass, StepComm, StepFuture,
+    StepProgram, TuningTable, World, WorldConfig,
 };
+use std::path::Path;
 
 #[test]
 fn module3_deep_mailboxes_are_thread_event_identical() {
@@ -89,51 +93,16 @@ impl StepProgram<u64> for CollectiveTour {
     }
 }
 
-/// A table that selects `picks` at every size class for a block-placed
-/// world of `ranks` ranks on `nodes` nodes.
-fn forcing_table(ranks: usize, nodes: usize, picks: &[(CollKind, CollAlgo)]) -> TuningTable {
-    let classes = [
-        SizeClass::Tiny,
-        SizeClass::Small,
-        SizeClass::Large,
-        SizeClass::Huge,
-    ];
-    let cells = picks
-        .iter()
-        .flat_map(|&(kind, best)| {
-            classes.map(|size_class| TuneCell {
-                kind,
-                size_class,
-                ranks,
-                nodes,
-                layout: PlacementLayout::Blocked,
-                probe_bytes: 0,
-                best,
-                measured: Vec::new(),
-            })
-        })
-        .collect();
-    TuningTable {
-        machine_class: "forced".into(),
-        version: 2,
-        cells,
-    }
-}
-
 #[test]
 fn tuned_collectives_are_thread_event_identical() {
     const RANKS: usize = 8;
-    let table = forcing_table(
-        RANKS,
-        2,
-        &[
-            (CollKind::Barrier, CollAlgo::Hierarchical),
-            (CollKind::Bcast, CollAlgo::Chunked),
-            (CollKind::Allgather, CollAlgo::Hierarchical),
-            (CollKind::Reduce, CollAlgo::Chunked),
-            (CollKind::Allreduce, CollAlgo::Hierarchical),
-        ],
-    );
+    let table = TuningTable::forcing(&[
+        (CollKind::Barrier, CollAlgo::Hierarchical),
+        (CollKind::Bcast, CollAlgo::Chunked),
+        (CollKind::Allgather, CollAlgo::Hierarchical),
+        (CollKind::Reduce, CollAlgo::Chunked),
+        (CollKind::Allreduce, CollAlgo::Hierarchical),
+    ]);
     let cfg = || {
         WorldConfig::new(RANKS)
             .on_nodes(2)
@@ -152,6 +121,42 @@ fn tuned_collectives_are_thread_event_identical() {
     let ranks = RANKS as u64;
     assert_eq!(total.algo_volume(CollAlgo::Chunked).calls, 2 * ranks);
     assert_eq!(total.algo_volume(CollAlgo::Hierarchical).calls, 3 * ranks);
+}
+
+/// `TUNING_mpi.json` records every candidate's simulated time. Each one
+/// at 8 ranks, and at the tiny 32-rank/4-node cells of both placement
+/// layouts, re-measures bit for bit with `tune::measure`.
+#[test]
+fn checked_in_tuning_times_remeasure_bit_identically() {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("TUNING_mpi.json");
+    let table = TuningTable::load(&path).expect("checked-in TUNING_mpi.json loads");
+    let mut measured = 0;
+    for cell in &table.cells {
+        let tiny_multi_node =
+            cell.size_class == SizeClass::Tiny && (cell.ranks, cell.nodes) == (32, 4);
+        if cell.ranks != 8 && !tiny_multi_node {
+            continue;
+        }
+        for t in &cell.measured {
+            let (kind, bytes, layout) = (cell.kind, cell.probe_bytes, cell.layout);
+            let sim_us = measure(kind, bytes, cell.ranks, cell.nodes, layout, t.algo)
+                .expect("measurement world runs");
+            assert_eq!(
+                sim_us.to_bits(),
+                t.sim_us.to_bits(),
+                "{} {:?} {}r/{}n {} via {:?}: measured {sim_us} us, table has {} us",
+                kind.name(),
+                cell.size_class,
+                cell.ranks,
+                cell.nodes,
+                layout.name(),
+                t.algo,
+                t.sim_us
+            );
+            measured += 1;
+        }
+    }
+    assert_eq!(measured, 52, "the table has the cells this test covers");
 }
 
 /// Module 7's tree-merge top-k as a step program.
