@@ -15,6 +15,9 @@ use std::time::Duration;
 const MAX_HEADER_BYTES: usize = 16 * 1024;
 /// Max request body we accept.
 const MAX_BODY_BYTES: usize = 4 * 1024 * 1024;
+/// Max response body the client accepts: far above any artifact the lab
+/// serves, far below what a bad server could make the client allocate.
+const MAX_RESPONSE_BODY_BYTES: usize = 64 * 1024 * 1024;
 
 /// A parsed request.
 #[derive(Debug)]
@@ -155,6 +158,11 @@ impl Response {
 /// closed. Used by the load generator and the end-to-end tests; the
 /// server always answers with `Connection: close`, so reading to the
 /// advertised `Content-Length` (or EOF) is complete.
+///
+/// The response is read under the same limits the server applies to
+/// requests: the status line and headers share one `MAX_HEADER_BYTES`
+/// budget, and a body over `MAX_RESPONSE_BODY_BYTES` — advertised or
+/// streamed — is an error, not an allocation.
 pub fn request(
     addr: SocketAddr,
     method: &str,
@@ -177,10 +185,8 @@ pub fn request(
         .map_err(|e| format!("send: {e}"))?;
 
     let mut reader = BufReader::new(stream);
-    let mut status_line = String::new();
-    reader
-        .read_line(&mut status_line)
-        .map_err(|e| format!("read status: {e}"))?;
+    let mut budget = MAX_HEADER_BYTES;
+    let status_line = read_line(&mut reader, &mut budget, "status")?;
     let status = status_line
         .split_whitespace()
         .nth(1)
@@ -190,10 +196,7 @@ pub fn request(
     let mut headers = Vec::new();
     let mut content_length: Option<usize> = None;
     loop {
-        let mut line = String::new();
-        reader
-            .read_line(&mut line)
-            .map_err(|e| format!("read header: {e}"))?;
+        let line = read_line(&mut reader, &mut budget, "header")?;
         let trimmed = line.trim_end();
         if trimmed.is_empty() {
             break;
@@ -209,6 +212,7 @@ pub fn request(
     }
     let mut raw = Vec::new();
     match content_length {
+        Some(n) if n > MAX_RESPONSE_BODY_BYTES => return Err("response body too large".into()),
         Some(n) => {
             raw.resize(n, 0);
             reader
@@ -217,8 +221,12 @@ pub fn request(
         }
         None => {
             reader
+                .take(MAX_RESPONSE_BODY_BYTES as u64 + 1)
                 .read_to_end(&mut raw)
                 .map_err(|e| format!("read body: {e}"))?;
+            if raw.len() > MAX_RESPONSE_BODY_BYTES {
+                return Err("response body too large".into());
+            }
         }
     }
     let body = String::from_utf8(raw).map_err(|_| "body is not UTF-8".to_string())?;
@@ -286,5 +294,96 @@ mod tests {
             SENT - rest.len()
         );
         client.join().expect("client thread");
+    }
+
+    /// Serve one connection with `reply` (after reading the request
+    /// head), and report how many reply bytes the client accepted before
+    /// it hung up.
+    fn fake_server(
+        reply: impl FnOnce(&mut TcpStream) -> usize + Send + 'static,
+    ) -> (SocketAddr, std::thread::JoinHandle<usize>) {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+        let addr = listener.local_addr().expect("local addr");
+        let server = std::thread::spawn(move || {
+            let (mut conn, _) = listener.accept().expect("accept");
+            read_request(&mut conn).expect("client request");
+            conn.set_write_timeout(Some(Duration::from_secs(10)))
+                .expect("write timeout");
+            reply(&mut conn)
+        });
+        (addr, server)
+    }
+
+    /// Write `chunk` until the client stops reading or `limit` bytes are
+    /// out; returns the bytes written.
+    fn stream_until_refused(conn: &mut TcpStream, chunk: &[u8], limit: usize) -> usize {
+        let mut sent = 0;
+        while sent < limit && conn.write_all(chunk).is_ok() {
+            sent += chunk.len();
+        }
+        sent
+    }
+
+    #[test]
+    fn the_client_refuses_a_status_line_without_a_newline() {
+        // Far more than loopback socket buffers hold, so the server can
+        // only get it all out if the client keeps reading.
+        const LIMIT: usize = MAX_RESPONSE_BODY_BYTES;
+        let (addr, server) = fake_server(|conn| stream_until_refused(conn, &[b'H'; 4096], LIMIT));
+        let err = request(addr, "GET", "/healthz", "", Duration::from_secs(10))
+            .expect_err("an endless status line is refused");
+        assert_eq!(err, "headers too large");
+        let sent = server.join().expect("server thread");
+        assert!(sent < LIMIT, "the client kept reading all {sent} bytes");
+    }
+
+    #[test]
+    fn the_client_refuses_an_advertised_body_over_the_cap() {
+        let (addr, server) = fake_server(|conn| {
+            let head =
+                "HTTP/1.1 200 OK\r\nContent-Length: 1099511627776\r\nConnection: close\r\n\r\n";
+            conn.write_all(head.as_bytes()).expect("write head");
+            stream_until_refused(conn, &[b'x'; 4096], 4 * MAX_RESPONSE_BODY_BYTES)
+        });
+        let err = request(addr, "GET", "/healthz", "", Duration::from_secs(10))
+            .expect_err("a 1 TiB body is refused");
+        assert_eq!(err, "response body too large");
+        let sent = server.join().expect("server thread");
+        assert!(
+            sent < MAX_RESPONSE_BODY_BYTES,
+            "the client read {sent} body bytes before refusing"
+        );
+    }
+
+    #[test]
+    fn the_client_caps_a_body_without_a_length() {
+        let (addr, server) = fake_server(|conn| {
+            conn.write_all(b"HTTP/1.1 200 OK\r\nConnection: close\r\n\r\n")
+                .expect("write head");
+            stream_until_refused(conn, &[b'x'; 64 * 1024], 2 * MAX_RESPONSE_BODY_BYTES)
+        });
+        let err = request(addr, "GET", "/healthz", "", Duration::from_secs(10))
+            .expect_err("an endless body is refused");
+        assert_eq!(err, "response body too large");
+        let sent = server.join().expect("server thread");
+        assert!(
+            sent < 2 * MAX_RESPONSE_BODY_BYTES,
+            "the client read all {sent} bytes"
+        );
+    }
+
+    #[test]
+    fn the_client_reads_a_well_formed_response() {
+        let (addr, server) = fake_server(|conn| {
+            let reply =
+                b"HTTP/1.1 200 OK\r\nContent-Length: 11\r\nX-Pdc-Cache: hit\r\n\r\n{\"ok\":true}";
+            conn.write_all(reply).expect("write reply");
+            reply.len()
+        });
+        let resp = request(addr, "GET", "/healthz", "", Duration::from_secs(10)).expect("reply");
+        assert_eq!(resp.status, 200);
+        assert_eq!(resp.header("x-pdc-cache"), Some("hit"));
+        assert_eq!(resp.body, "{\"ok\":true}");
+        server.join().expect("server thread");
     }
 }

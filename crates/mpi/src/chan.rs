@@ -9,7 +9,7 @@
 //! * a send locks the queue, pushes, and notifies the receiver if it is
 //!   parked on the condvar — the receiver observes the message one wakeup
 //!   later, not one poll tick later, and a receiver that is not waiting
-//!   (the event engine never is) costs the sender no futex syscall;
+//!   costs the sender no futex syscall;
 //! * the watchdog, having poisoned the world, calls [`Wake::wake_all`] on
 //!   every registered channel so blocked primitives observe the poison
 //!   flag *immediately* (the flag itself is re-checked under the queue
@@ -23,10 +23,12 @@
 //! wakeup to tens of milliseconds; it is a safety net, never the wakeup
 //! path.
 //!
-//! Every operation acts on the channel at once, on every backend: a send
-//! pushes, a sender drop decrements, a receive pops. The event engine
-//! never blocks here — its ranks only `try_recv`/`take_all`, and the
-//! engine itself requeues a parked rank when its outbox is written to.
+//! Every operation acts on the channel at once: a send pushes, a sender
+//! drop decrements, a receive pops. Message delivery uses these channels
+//! on the thread and proc backends only; the event engine delivers
+//! through its own single-threaded queues (`event.rs`). It still uses a
+//! channel for each rendezvous ack, which its ranks only `try_recv`,
+//! never block on.
 
 use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, Weak};

@@ -20,19 +20,26 @@
 //! `PDC_MPI_SCHED_SEED` picks the seed of [`WorldConfig::virtual_ranks`]
 //! worlds.
 //!
+//! Delivery is single-threaded too. The engine owns one inbox queue per
+//! rank ([`EventMesh`]): a send pushes the envelope onto the
+//! destination's queue and records the destination on a plain dirty
+//! list, and the receiving rank's mailbox takes the queue whole the next
+//! time it matches. No channel, lock, or condvar sits on the path, and
+//! nothing per rank is registered with the shared progress state.
+//!
 //! Deadlock is detected exactly, with no wall-clock sampling: an empty
 //! heap with unfinished ranks means nobody can ever run again, so the
 //! engine snapshots the blocked-operation table, poisons the world with
 //! the same [`DeadlockInfo`] analysis the thread backend's watchdog
 //! builds, and wakes everyone to report it.
 
-use crate::chan::channel;
 use crate::check::{CheckEvent, DeadlockInfo};
 use crate::comm::Comm;
 use crate::envelope::Envelope;
 use crate::error::{Error, Result};
+use crate::mailbox::Mailbox;
 use crate::step::{RankStep, StepComm, StepFuture, StepProgram};
-use crate::transport::{Outbox, Outboxes, SendFailed};
+use crate::transport::Link;
 use crate::wait::{EventCtx, Hints, WaitCell};
 use crate::world::{fold_outcomes, RunOutput, World, WorldConfig, WorldSetup};
 use std::cell::RefCell;
@@ -40,7 +47,6 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::rc::Rc;
-use std::sync::{Arc, Mutex};
 use std::task::{Context, Poll, Waker};
 use std::time::Instant;
 
@@ -67,24 +73,47 @@ pub struct EventMemStats {
     pub events: u64,
 }
 
-/// Outbox wrapper for the event backend: delivers over the shared
-/// condvar channel exactly like the thread backend, and records the
-/// destination on the engine's dirty list so a parked receiver is
-/// requeued.
-struct EventOutbox {
-    inner: crate::chan::Sender<Envelope>,
-    dst: usize,
-    dirty: Arc<Mutex<Vec<usize>>>,
+/// The event engine's delivery path: one inbox queue per rank, and the
+/// destinations written to since the engine last looked, in send order.
+/// Plain cells, not locks: the engine and every rank it resumes share
+/// one thread, which is also why an event-rank [`Comm`] is not `Send`.
+pub(crate) struct EventMesh {
+    inboxes: Vec<RefCell<Vec<Envelope>>>,
+    dirty: RefCell<Vec<usize>>,
 }
 
-impl Outbox for EventOutbox {
-    fn send(&self, env: Envelope) -> std::result::Result<(), SendFailed> {
-        crate::chan::Sender::send(&self.inner, env).map_err(|_| SendFailed)?;
-        self.dirty
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .push(self.dst);
-        Ok(())
+impl EventMesh {
+    pub(crate) fn new(size: usize) -> Self {
+        EventMesh {
+            inboxes: (0..size).map(|_| RefCell::default()).collect(),
+            dirty: RefCell::default(),
+        }
+    }
+
+    /// Number of ranks.
+    pub(crate) fn size(&self) -> usize {
+        self.inboxes.len()
+    }
+
+    /// Queue `env` for rank `dst` and mark `dst` for a wake. Every send
+    /// is recorded, so the engine sees exactly the wakes the program's
+    /// sends imply.
+    pub(crate) fn push(&self, dst: usize, env: Envelope) {
+        self.inboxes[dst].borrow_mut().push(env);
+        self.dirty.borrow_mut().push(dst);
+    }
+
+    /// Admit rank `rank`'s queued envelopes into its mailbox. The queue's
+    /// buffer goes with them, so a burst is never held twice.
+    pub(crate) fn collect(&self, rank: usize, mailbox: &mut Mailbox) {
+        let batch = {
+            let mut inbox = self.inboxes[rank].borrow_mut();
+            if inbox.is_empty() {
+                return;
+            }
+            std::mem::take(&mut *inbox)
+        };
+        mailbox.admit(batch);
     }
 }
 
@@ -180,7 +209,7 @@ impl World {
     }
 }
 
-/// The engine proper. Single-threaded: builds the mesh and one state
+/// The engine proper. Single-threaded: builds the queues and one state
 /// machine per rank, then pops `(time, key, rank)` off the heap and polls
 /// until every rank completed.
 fn run_event_inner<T, P>(
@@ -195,27 +224,10 @@ where
     let progress = &setup.progress;
     let seed = cfg.sched_seed;
 
-    // Channel mesh, as the in-process transports build it, with the
-    // dirty-destination hook on every outbox.
-    let dirty: Arc<Mutex<Vec<usize>>> = Arc::new(Mutex::new(Vec::new()));
-    let mut outboxes: Outboxes = Vec::with_capacity(size);
-    let mut inboxes = Vec::with_capacity(size);
-    for rank in 0..size {
-        let (tx, rx) = channel();
-        progress.register_waker(rx.waker());
-        outboxes.push(Box::new(EventOutbox {
-            inner: tx,
-            dst: rank,
-            dirty: Arc::clone(&dirty),
-        }) as Box<dyn Outbox>);
-        inboxes.push(rx);
-    }
-
+    let mesh = EventMesh::new(size);
     let started = Instant::now();
-    let mut comms: Vec<Comm> = inboxes
-        .into_iter()
-        .enumerate()
-        .map(|(rank, rx)| setup.comm(rank, &outboxes, rx))
+    let mut comms: Vec<Comm> = (0..size)
+        .map(|rank| setup.comm(rank, Link::Event(&mesh)))
         .collect();
 
     let cells: Vec<Rc<RefCell<WaitCell>>> = (0..size).map(|_| WaitCell::new()).collect();
@@ -354,26 +366,19 @@ where
             agree_waiting.clear();
             agree_progress = false;
         }
-        {
-            let mut pending = dirty
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            for dst in pending.drain(..) {
-                wake_rank(&cells, &mut heap, &mut counter, seed, dst);
-            }
+        for dst in mesh.dirty.borrow_mut().drain(..) {
+            wake_rank(&cells, &mut heap, &mut counter, seed, dst);
         }
-        let (wakes, newly_agree_parked, entered) = {
+        // The hint lists are drained where they are, keeping their
+        // buffers for the next poll.
+        let entered = {
             let mut h = hints.borrow_mut();
-            (
-                std::mem::take(&mut h.wake),
-                std::mem::take(&mut h.agree_parked),
-                std::mem::replace(&mut h.agree_entered, false),
-            )
+            for src in h.wake.drain(..) {
+                wake_rank(&cells, &mut heap, &mut counter, seed, src);
+            }
+            agree_waiting.append(&mut h.agree_parked);
+            std::mem::replace(&mut h.agree_entered, false)
         };
-        for src in wakes {
-            wake_rank(&cells, &mut heap, &mut counter, seed, src);
-        }
-        agree_waiting.extend(newly_agree_parked);
         if (agree_progress || entered) && !agree_waiting.is_empty() {
             for r in agree_waiting.drain(..) {
                 wake_rank(&cells, &mut heap, &mut counter, seed, r);
@@ -389,4 +394,64 @@ where
     });
     let (result, check_logs) = fold_outcomes(outcomes, started, sched_trace);
     (result, check_logs, mem)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::envelope::{MatchSpec, MsgClass, SourceSel, TagSel};
+    use crate::mailbox::Progress;
+
+    fn env(src: usize, seq: u64) -> Envelope {
+        Envelope {
+            src,
+            class: MsgClass::User(0),
+            type_name: "u8",
+            type_size: 1,
+            payload: bytes::Bytes::copy_from_slice(&[seq as u8]),
+            send_time: 0.0,
+            seq,
+            ack: None,
+        }
+    }
+
+    #[test]
+    fn every_send_is_recorded_for_a_wake_in_send_order() {
+        let mesh = EventMesh::new(3);
+        mesh.push(2, env(0, 0));
+        mesh.push(1, env(0, 1));
+        mesh.push(2, env(1, 0));
+        let dirty: Vec<usize> = mesh.dirty.borrow_mut().drain(..).collect();
+        assert_eq!(dirty, vec![2, 1, 2], "one entry per send, duplicates kept");
+        assert!(mesh.dirty.borrow().is_empty());
+        assert_eq!(mesh.inboxes[2].borrow().len(), 2);
+    }
+
+    #[test]
+    fn collect_admits_the_queue_in_arrival_order_and_empties_it() {
+        let mesh = EventMesh::new(2);
+        let progress = Progress::new(2);
+        let mut mailbox = Mailbox::new();
+        mesh.collect(1, &mut mailbox);
+        assert!(
+            mailbox.drain_all().is_empty(),
+            "an empty queue admits nothing"
+        );
+        for seq in 0..40 {
+            mesh.push(1, env(0, seq));
+        }
+        mesh.collect(1, &mut mailbox);
+        assert!(mesh.inboxes[1].borrow().is_empty());
+        assert_eq!(
+            mesh.inboxes[1].borrow().capacity(),
+            0,
+            "the queue's buffer went to the mailbox"
+        );
+        let from0 = MatchSpec::User(SourceSel::Rank(0), TagSel::Any);
+        for seq in 0..40 {
+            let got = mailbox.try_match(&from0, &progress).expect("queued");
+            assert_eq!(got.seq, seq);
+        }
+        assert!(mailbox.try_match(&from0, &progress).is_none());
+    }
 }

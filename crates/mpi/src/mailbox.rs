@@ -1,9 +1,11 @@
 //! Per-rank mailboxes, message matching, and the deadlock watchdog's shared
 //! progress state.
 //!
-//! Each rank owns a [`Mailbox`]: an event-driven channel endpoint plus a
-//! pending queue of messages that arrived but have not matched a receive
-//! yet (MPI's "unexpected message queue"). Matching follows MPI's rules:
+//! Each rank owns a [`Mailbox`]: the pending queue of messages that
+//! arrived but have not matched a receive yet (MPI's "unexpected message
+//! queue"). Its communicator feeds it from the rank's inbox — a condvar
+//! channel on the thread and proc backends, an engine-owned queue on the
+//! event engine. Matching follows MPI's rules:
 //! messages from the same (source, tag) pair are matched in send order;
 //! wildcards take the earliest-arrived match.
 //!
@@ -715,13 +717,14 @@ fn stalled(size: usize, prev_deliveries: u64, sample: WatchdogSample) -> bool {
 const INDEX_DEPTH: usize = 32;
 
 // A tombstone costs nothing: `Option<Envelope>` uses the envelope's niche,
-// which also lets the channel's buffer become the store in place.
+// which also lets an arrival batch's buffer become the store in place.
 const _: () = assert!(std::mem::size_of::<Option<Envelope>>() == std::mem::size_of::<Envelope>());
 
-/// One rank's receive side.
-#[derive(Debug)]
+/// One rank's receive side. It holds no inbox of its own: the rank's
+/// communicator admits arrivals ([`Mailbox::admit`], [`Mailbox::pull`])
+/// before every match, and lends the channel to the blocking waits.
+#[derive(Debug, Default)]
 pub struct Mailbox {
-    rx: Receiver<Envelope>,
     /// Envelopes that arrived but have not matched a receive yet, in
     /// arrival order; `store[i]` has arrival number `base + i`. A matched
     /// envelope leaves a `None` tombstone, so matching never shifts the
@@ -815,17 +818,9 @@ fn is_wildcard(spec: &MatchSpec) -> bool {
 }
 
 impl Mailbox {
-    /// Wrap a channel endpoint.
-    pub fn new(rx: Receiver<Envelope>) -> Self {
-        Self {
-            rx,
-            store: VecDeque::new(),
-            base: 0,
-            live: 0,
-            index: None,
-            last_candidates: 0,
-            modes: None,
-        }
+    /// An empty mailbox.
+    pub fn new() -> Self {
+        Self::default()
     }
 
     fn modes(&mut self) -> &mut Modes {
@@ -846,8 +841,8 @@ impl Mailbox {
     /// Admit arrived envelopes into the store, minus duplicate copies the
     /// dedup filter has already seen. Into an empty store the batch's
     /// buffer is handed over in place, so a deep queue is never held
-    /// twice (once in the channel, once here).
-    fn admit(&mut self, mut batch: Vec<Envelope>) {
+    /// twice (once in the inbox, once here).
+    pub(crate) fn admit(&mut self, mut batch: Vec<Envelope>) {
         if let Some(seen) = self.modes.as_mut().and_then(|m| m.dedup.as_mut()) {
             batch.retain(|env| seen.insert((env.src, env.seq)));
         }
@@ -958,11 +953,10 @@ impl Mailbox {
         state.wrapping_mul(0x2545F4914F6CDD1D)
     }
 
-    /// Drain everything (channel + pending queue), in arrival order: the
-    /// messages this rank never received. Called at finalize time by the
-    /// leak check.
+    /// Drain the pending queue, in arrival order: the messages this rank
+    /// never received. Called at finalize time by the leak check, after
+    /// the communicator admitted whatever was still in the inbox.
     pub fn drain_all(&mut self) -> Vec<Envelope> {
-        self.drain_channel();
         self.live = 0;
         self.index = None;
         std::mem::take(&mut self.store)
@@ -971,10 +965,10 @@ impl Mailbox {
             .collect()
     }
 
-    /// Move everything currently sitting in the channel into the store
-    /// (non-blocking, one lock).
-    fn drain_channel(&mut self) {
-        let batch = self.rx.take_all();
+    /// Move everything currently sitting in a channel inbox into the
+    /// store (non-blocking, one lock).
+    pub(crate) fn pull(&mut self, inbox: &Receiver<Envelope>) {
+        let batch = inbox.take_all();
         if !batch.is_empty() {
             self.admit(batch.into());
         }
@@ -1036,7 +1030,6 @@ impl Mailbox {
     /// rather than of arrival order, so every backend (thread, event,
     /// proc) resolves the tie identically.
     pub fn try_match(&mut self, spec: &MatchSpec, progress: &Progress) -> Option<Envelope> {
-        self.drain_channel();
         let pos = if is_wildcard(spec) {
             let candidates = self.wildcard_candidates(spec);
             if candidates == 0 {
@@ -1069,7 +1062,8 @@ impl Mailbox {
         Some(self.take(pos))
     }
 
-    /// Blocking match: waits for a satisfying envelope, returning
+    /// Blocking match over a channel `inbox` (thread and proc backends):
+    /// waits for a satisfying envelope, returning
     /// [`Error::Deadlock`] if the watchdog poisons the world while
     /// waiting, or [`Error::RankFailed`] if the awaited peer crashes (or
     /// any rank crashes that this rank has not acknowledged — `acked` is
@@ -1080,11 +1074,13 @@ impl Mailbox {
     /// it immediately.
     pub(crate) fn recv_matching(
         &mut self,
+        inbox: &Receiver<Envelope>,
         spec: &MatchSpec,
         progress: &Progress,
         op: Option<PendingOp>,
         acked: u64,
     ) -> Result<Envelope> {
+        self.pull(inbox);
         if let Some(env) = self.try_match(spec, progress) {
             return Ok(env);
         }
@@ -1094,9 +1090,10 @@ impl Mailbox {
             None => progress.enter_blocked(),
         };
         loop {
-            match self.rx.recv_or_stop(|| progress.should_stop(target, acked)) {
+            match inbox.recv_or_stop(|| progress.should_stop(target, acked)) {
                 Ok(env) => {
                     self.admit(vec![env]);
+                    self.pull(inbox);
                     // The new arrival may or may not be ours; re-scan.
                     if let Some(env) = self.try_match(spec, progress) {
                         return Ok(env);
@@ -1107,6 +1104,7 @@ impl Mailbox {
                     // All senders dropped: drain leftovers then fail,
                     // reporting the failure or deadlock as the root cause
                     // when there is one.
+                    self.pull(inbox);
                     if let Some(env) = self.try_match(spec, progress) {
                         return Ok(env);
                     }
@@ -1121,21 +1119,22 @@ impl Mailbox {
 
     /// Non-blocking peek: the status of the earliest satisfying user
     /// envelope, if one is already here (the analogue of `MPI_Iprobe`).
-    pub fn peek_matching(&mut self, spec: &MatchSpec) -> Option<Status> {
-        self.drain_channel();
+    pub fn peek_matching(&self, spec: &MatchSpec) -> Option<Status> {
         self.find(spec).map(|pos| Status::of(self.slot(pos)))
     }
 
-    /// Blocking peek: waits until a satisfying user envelope exists and
-    /// returns its [`Status`] without consuming it (the analogue of
-    /// `MPI_Probe`).
+    /// Blocking peek over a channel `inbox`: waits until a satisfying
+    /// user envelope exists and returns its [`Status`] without consuming
+    /// it (the analogue of `MPI_Probe`).
     pub(crate) fn probe_matching(
         &mut self,
+        inbox: &Receiver<Envelope>,
         spec: &MatchSpec,
         progress: &Progress,
         op: Option<PendingOp>,
         acked: u64,
     ) -> Result<Status> {
+        self.pull(inbox);
         if let Some(status) = self.peek_matching(spec) {
             return Ok(status);
         }
@@ -1145,7 +1144,7 @@ impl Mailbox {
             None => progress.enter_blocked(),
         };
         loop {
-            match self.rx.recv_or_stop(|| progress.should_stop(target, acked)) {
+            match inbox.recv_or_stop(|| progress.should_stop(target, acked)) {
                 Ok(env) => {
                     self.admit(vec![env]);
                     if let Some(pos) = self.find(spec) {
@@ -1192,9 +1191,10 @@ mod tests {
     fn messages_match_in_arrival_order() {
         let (tx, rx) = channel();
         let progress = Progress::new(1);
-        let mut mb = Mailbox::new(rx);
+        let mut mb = Mailbox::new();
         tx.send(env(0, 1, 10)).expect("open channel");
         tx.send(env(0, 1, 20)).expect("open channel");
+        mb.pull(&rx);
         let spec = MatchSpec::User(SourceSel::Rank(0), TagSel::Tag(1));
         let first = mb.try_match(&spec, &progress).expect("message pending");
         assert_eq!(crate::datatype::decode_vec::<i32>(&first.payload), vec![10]);
@@ -1210,9 +1210,10 @@ mod tests {
     fn non_matching_messages_stay_queued() {
         let (tx, rx) = channel();
         let progress = Progress::new(1);
-        let mut mb = Mailbox::new(rx);
+        let mut mb = Mailbox::new();
         tx.send(env(0, 5, 1)).expect("open channel");
         tx.send(env(1, 7, 2)).expect("open channel");
+        mb.pull(&rx);
         let spec = MatchSpec::User(SourceSel::Rank(1), TagSel::Any);
         let got = mb.try_match(&spec, &progress).expect("src-1 message");
         assert_eq!(got.src, 1);
@@ -1225,12 +1226,13 @@ mod tests {
     fn wildcard_breaks_send_time_ties_by_src_then_seq() {
         let (tx, rx) = channel();
         let progress = Progress::new(1);
-        let mut mb = Mailbox::new(rx);
+        let mut mb = Mailbox::new();
         // Equal send times: the pick must not depend on arrival order
         // (src 2 arrives first) — the (src, seq) tie-break chooses src 1
         // on every backend.
         tx.send(env(2, 9, 1)).expect("open channel");
         tx.send(env(1, 9, 2)).expect("open channel");
+        mb.pull(&rx);
         let spec = MatchSpec::User(SourceSel::Any, TagSel::Any);
         assert_eq!(mb.try_match(&spec, &progress).expect("pending").src, 1);
         assert_eq!(mb.try_match(&spec, &progress).expect("pending").src, 2);
@@ -1240,11 +1242,12 @@ mod tests {
     fn wildcard_prefers_sim_earliest_send_over_arrival_order() {
         let (tx, rx) = channel();
         let progress = Progress::new(1);
-        let mut mb = Mailbox::new(rx);
+        let mut mb = Mailbox::new();
         let mut late = env(1, 9, 1);
         late.send_time = 5.0;
         tx.send(late).expect("open channel");
         tx.send(env(2, 9, 2)).expect("open channel");
+        mb.pull(&rx);
         let spec = MatchSpec::User(SourceSel::Any, TagSel::Any);
         // send_time dominates the (src, seq) tie-break.
         assert_eq!(mb.try_match(&spec, &progress).expect("pending").src, 2);
@@ -1254,14 +1257,14 @@ mod tests {
     fn blocking_recv_returns_when_message_arrives() {
         let (tx, rx) = channel();
         let progress = Progress::new(1);
-        let mut mb = Mailbox::new(rx);
+        let mut mb = Mailbox::new();
         let handle = std::thread::spawn(move || {
             std::thread::sleep(Duration::from_millis(20));
             tx.send(env(0, 3, 42)).expect("open channel");
         });
         let spec = MatchSpec::User(SourceSel::Rank(0), TagSel::Tag(3));
         let got = mb
-            .recv_matching(&spec, &progress, None, 0)
+            .recv_matching(&rx, &spec, &progress, None, 0)
             .expect("arrives");
         assert_eq!(crate::datatype::decode_vec::<i32>(&got.payload), vec![42]);
         handle.join().expect("sender thread");
@@ -1272,10 +1275,10 @@ mod tests {
         let (_tx, rx) = channel::<Envelope>();
         let progress = Progress::new(1);
         progress.poisoned.store(true, Ordering::SeqCst);
-        let mut mb = Mailbox::new(rx);
+        let mut mb = Mailbox::new();
         let spec = MatchSpec::User(SourceSel::Any, TagSel::Any);
         assert!(matches!(
-            mb.recv_matching(&spec, &progress, None, 0)
+            mb.recv_matching(&rx, &spec, &progress, None, 0)
                 .expect_err("poisoned"),
             Error::Deadlock(_)
         ));
@@ -1292,11 +1295,11 @@ mod tests {
             std::thread::sleep(Duration::from_millis(10));
             p2.poison(DeadlockInfo::default());
         });
-        let mut mb = Mailbox::new(rx);
+        let mut mb = Mailbox::new();
         let spec = MatchSpec::User(SourceSel::Any, TagSel::Any);
         let t = Instant::now();
         assert!(matches!(
-            mb.recv_matching(&spec, &progress, None, 0)
+            mb.recv_matching(&rx, &spec, &progress, None, 0)
                 .expect_err("poisoned"),
             Error::Deadlock(_)
         ));
@@ -1310,10 +1313,10 @@ mod tests {
         let (tx, rx) = channel::<Envelope>();
         drop(tx);
         let progress = Progress::new(1);
-        let mut mb = Mailbox::new(rx);
+        let mut mb = Mailbox::new();
         let spec = MatchSpec::User(SourceSel::Any, TagSel::Any);
         assert_eq!(
-            mb.recv_matching(&spec, &progress, None, 0)
+            mb.recv_matching(&rx, &spec, &progress, None, 0)
                 .expect_err("closed"),
             Error::WorldShutDown
         );
@@ -1323,11 +1326,11 @@ mod tests {
     fn probe_does_not_consume() {
         let (tx, rx) = channel();
         let progress = Progress::new(1);
-        let mut mb = Mailbox::new(rx);
+        let mut mb = Mailbox::new();
         tx.send(env(4, 8, 5)).expect("open channel");
         let spec = MatchSpec::User(SourceSel::Any, TagSel::Any);
         let peeked = mb
-            .probe_matching(&spec, &progress, None, 0)
+            .probe_matching(&rx, &spec, &progress, None, 0)
             .expect("pending");
         assert_eq!(peeked.source, 4);
         assert!(mb.try_match(&spec, &progress).is_some(), "still consumable");
@@ -1383,10 +1386,11 @@ mod tests {
     fn wildcard_match_counts_candidates() {
         let (tx, rx) = channel();
         let progress = Progress::new(1);
-        let mut mb = Mailbox::new(rx);
+        let mut mb = Mailbox::new();
         tx.send(env(1, 9, 1)).expect("open channel");
         tx.send(env(2, 9, 2)).expect("open channel");
         tx.send(env(3, 9, 3)).expect("open channel");
+        mb.pull(&rx);
         let spec = MatchSpec::User(SourceSel::Any, TagSel::Any);
         mb.try_match(&spec, &progress).expect("pending");
         assert_eq!(mb.last_candidates(), 3);
@@ -1399,11 +1403,12 @@ mod tests {
         let run = |seed: u64| -> Vec<usize> {
             let (tx, rx) = channel();
             let progress = Progress::new(1);
-            let mut mb = Mailbox::new(rx);
+            let mut mb = Mailbox::new();
             mb.set_perturb(seed);
             for src in 0..4 {
                 tx.send(env(src, 9, src as i32)).expect("open channel");
             }
+            mb.pull(&rx);
             let spec = MatchSpec::User(SourceSel::Any, TagSel::Any);
             (0..4)
                 .map(|_| mb.try_match(&spec, &progress).expect("pending").src)
@@ -1423,10 +1428,10 @@ mod tests {
         let (_tx, rx) = channel::<Envelope>();
         let progress = Progress::new(2);
         progress.mark_failed(1, 0.5);
-        let mut mb = Mailbox::new(rx);
+        let mut mb = Mailbox::new();
         let spec = MatchSpec::User(SourceSel::Rank(1), TagSel::Any);
         assert_eq!(
-            mb.recv_matching(&spec, &progress, None, 1)
+            mb.recv_matching(&rx, &spec, &progress, None, 1)
                 .expect_err("peer failed"),
             Error::RankFailed { rank: 1, at: 0.5 }
         );
@@ -1437,12 +1442,12 @@ mod tests {
         let (tx, rx) = channel::<Envelope>();
         let progress = Progress::new(3);
         progress.mark_failed(2, 0.25);
-        let mut mb = Mailbox::new(rx);
+        let mut mb = Mailbox::new();
         let spec = MatchSpec::User(SourceSel::Any, TagSel::Any);
         // Epoch 1 not yet acknowledged: the wait aborts and names the
         // failed rank.
         assert_eq!(
-            mb.recv_matching(&spec, &progress, None, 0)
+            mb.recv_matching(&rx, &spec, &progress, None, 0)
                 .expect_err("unacked failure"),
             Error::RankFailed { rank: 2, at: 0.25 }
         );
@@ -1452,7 +1457,9 @@ mod tests {
             std::thread::sleep(Duration::from_millis(10));
             tx.send(env(0, 3, 9)).expect("open channel");
         });
-        let got = mb.recv_matching(&spec, &progress, None, 1).expect("lives");
+        let got = mb
+            .recv_matching(&rx, &spec, &progress, None, 1)
+            .expect("lives");
         assert_eq!(got.src, 0);
         handle.join().expect("sender thread");
     }
@@ -1468,11 +1475,11 @@ mod tests {
             std::thread::sleep(Duration::from_millis(10));
             p2.mark_failed(0, 1.0);
         });
-        let mut mb = Mailbox::new(rx);
+        let mut mb = Mailbox::new();
         let spec = MatchSpec::User(SourceSel::Rank(0), TagSel::Any);
         let t = Instant::now();
         assert_eq!(
-            mb.recv_matching(&spec, &progress, None, 0)
+            mb.recv_matching(&rx, &spec, &progress, None, 0)
                 .expect_err("peer fails mid-wait"),
             Error::RankFailed { rank: 0, at: 1.0 }
         );
@@ -1485,7 +1492,7 @@ mod tests {
     fn dedup_filters_second_copy_of_same_sequence_number() {
         let (tx, rx) = channel();
         let progress = Progress::new(1);
-        let mut mb = Mailbox::new(rx);
+        let mut mb = Mailbox::new();
         mb.enable_dedup();
         let mut first = env(0, 1, 10);
         first.seq = 7;
@@ -1496,6 +1503,7 @@ mod tests {
         tx.send(first).expect("open channel");
         tx.send(dup).expect("open channel");
         tx.send(other).expect("open channel");
+        mb.pull(&rx);
         let spec = MatchSpec::User(SourceSel::Rank(0), TagSel::Tag(1));
         assert!(mb.try_match(&spec, &progress).is_some());
         let second = mb.try_match(&spec, &progress).expect("distinct message");
@@ -1812,7 +1820,7 @@ mod tests {
             let progress = Progress::new(1);
             let stopped = Progress::new(1);
             stopped.poisoned.store(true, Ordering::SeqCst);
-            let mut mb = Mailbox::new(rx);
+            let mut mb = Mailbox::new();
             let mut reference = LinearMailbox {
                 pending: VecDeque::new(),
                 perturb: None,
@@ -1862,6 +1870,7 @@ mod tests {
                         reference.admit(make(d));
                         continue;
                     }
+                    mb.pull(&rx);
                     let spec = random_spec(&mut rng, &reference.pending);
                     let user = !matches!(spec, MatchSpec::Internal(..));
                     match rng.gen_range(0..4) {
@@ -1873,7 +1882,7 @@ mod tests {
                             // A poisoned world turns "nothing matches" into
                             // an error instead of a wait.
                             let want = reference.peek_idx(&spec).map(|i| Status::of(&reference.pending[i]));
-                            assert_eq!(mb.probe_matching(&spec, &stopped, None, 0).ok(), want, "{spec:?}");
+                            assert_eq!(mb.probe_matching(&rx, &spec, &stopped, None, 0).ok(), want, "{spec:?}");
                         }
                         _ => match_both(&mut mb, &mut reference, &spec, &progress),
                     }
@@ -1888,6 +1897,7 @@ mod tests {
                 }
             }
             assert!(deepest > INDEX_DEPTH, "the index was exercised");
+            mb.pull(&rx);
             // Drain half the remainder by wildcard and every other envelope
             // of the rest by exact source, so drain_all meets tombstones.
             let any = MatchSpec::User(SourceSel::Any, TagSel::Any);
@@ -1928,12 +1938,13 @@ mod tests {
     fn drained_deep_mailbox_releases_index_and_store() {
         let (tx, rx) = channel();
         let progress = Progress::new(1);
-        let mut mb = Mailbox::new(rx);
+        let mut mb = Mailbox::new();
         let depth = 4 * INDEX_DEPTH as u64;
         for seq in 0..depth {
             tx.send(make((seq as usize % 7, MsgClass::User(0), seq as f64, seq)))
                 .expect("open channel");
         }
+        mb.pull(&rx);
         let any = MatchSpec::User(SourceSel::Any, TagSel::Tag(0));
         assert_eq!(mb.peek_matching(&any).expect("pending").source, 0);
         assert!(mb.index.is_some(), "deep mailbox is indexed");

@@ -556,7 +556,7 @@ impl<'c, 'w: 'c> StepComm<'c, 'w> {
         user: (&'static str, CallSite),
     ) -> Result<Envelope> {
         let env = self.wait.recv(self.comm, &spec, Some(&user)).await?;
-        let candidates = self.comm.mailbox_mut().last_candidates();
+        let candidates = self.comm.last_candidates();
         self.comm
             .record_user_recv::<T>(&env, &spec, candidates, user.1);
         Ok(env)

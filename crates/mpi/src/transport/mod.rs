@@ -12,9 +12,10 @@
 //!   in one process, outboxes are condvar-channel senders. Zero behaviour
 //!   change relative to the pre-trait runtime.
 //! * The event engine ([`World::run_event`](crate::World::run_event))
-//!   builds the same channel mesh, with an outbox that also records the
-//!   destination so the engine can requeue a parked receiver. It is the
-//!   seeded, deterministic backend.
+//!   builds no channels: it runs every rank on one thread and owns one
+//!   plain inbox queue per rank, and a send records its destination so
+//!   the engine can requeue a parked receiver. It is the seeded,
+//!   deterministic backend.
 //! * [`proc::ProcTransport`] (via [`World::run_proc`](crate::World::run_proc))
 //!   — real multi-OS-process ranks over Unix-domain sockets with
 //!   length-prefixed frames (see [`wire`]), a dedicated send thread per
@@ -27,8 +28,9 @@
 //!   destination rank, failing (with the envelope dropped) when the
 //!   destination can no longer receive;
 //! * **poll** — receive-side matching stays in
-//!   [`Mailbox`](crate::mailbox::Mailbox), which drains its channel
-//!   endpoint; a transport only has to feed that endpoint;
+//!   [`Mailbox`](crate::mailbox::Mailbox), which the rank's communicator
+//!   feeds from its inbox ([`Link`]); a transport only has to feed that
+//!   inbox;
 //! * **wakeup registration** — channels are registered with
 //!   [`Progress::register_waker`] at `open` time so poison and failure
 //!   broadcasts reach blocked receivers immediately;
@@ -45,7 +47,8 @@ pub(crate) mod wire;
 
 use crate::chan::{channel, Receiver, Sender};
 use crate::envelope::Envelope;
-use crate::mailbox::Progress;
+use crate::event::EventMesh;
+use crate::mailbox::{Mailbox, Progress};
 use std::sync::Arc;
 
 /// Delivery failure: the destination rank can no longer receive (its
@@ -74,6 +77,66 @@ impl Outbox for Sender<Envelope> {
 /// Sender handles to every rank's mailbox, indexed by destination rank.
 /// Shared by reference between all ranks a process hosts.
 pub type Outboxes = Vec<Box<dyn Outbox>>;
+
+/// How one rank's communicator moves envelopes: through the shared
+/// outboxes and its own channel inbox (thread and proc backends), or
+/// through the event engine's single-threaded queues.
+pub(crate) enum Link<'w> {
+    /// Condvar-channel or socket delivery; the inbox is this rank's own,
+    /// and dropping it closes the rank to further sends.
+    Chan {
+        outboxes: &'w Outboxes,
+        inbox: Receiver<Envelope>,
+    },
+    /// The event engine's queues, which outlive every rank.
+    Event(&'w EventMesh),
+}
+
+// Two words either way: as much as an outbox-row reference plus a
+// channel receiver, so the event variant costs a `Comm` nothing.
+const _: () = assert!(std::mem::size_of::<Link<'static>>() == 2 * std::mem::size_of::<usize>());
+
+impl Link<'_> {
+    /// Number of ranks the link reaches.
+    pub(crate) fn size(&self) -> usize {
+        match self {
+            Link::Chan { outboxes, .. } => outboxes.len(),
+            Link::Event(mesh) => mesh.size(),
+        }
+    }
+
+    /// Deliver `env` to rank `dst`. Event delivery cannot fail: the
+    /// engine's queues outlive every rank.
+    pub(crate) fn send(&self, dst: usize, env: Envelope) -> std::result::Result<(), SendFailed> {
+        match self {
+            Link::Chan { outboxes, .. } => outboxes[dst].send(env),
+            Link::Event(mesh) => {
+                mesh.push(dst, env);
+                Ok(())
+            }
+        }
+    }
+
+    /// Admit everything waiting in `rank`'s inbox into its mailbox.
+    pub(crate) fn collect(&self, rank: usize, mailbox: &mut Mailbox) {
+        match self {
+            Link::Chan { inbox, .. } => mailbox.pull(inbox),
+            Link::Event(mesh) => mesh.collect(rank, mailbox),
+        }
+    }
+
+    /// The channel inbox a blocking wait parks on.
+    ///
+    /// # Panics
+    /// Panics on an event link: event ranks park on the engine, never on
+    /// a channel.
+    pub(crate) fn inbox(&self) -> &Receiver<Envelope> {
+        match self {
+            Link::Chan { inbox, .. } => inbox,
+            Link::Event(_) => unreachable!("event ranks never block on a channel"),
+        }
+    }
+}
 
 /// The wiring a transport hands back for the ranks this process hosts:
 /// one shared outbox row (an entry per destination world rank) and the

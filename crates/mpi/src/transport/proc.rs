@@ -39,7 +39,7 @@ use crate::error::{Error, Result};
 use crate::mailbox::{Progress, ProgressNotifier};
 use crate::stats::CommStats;
 use crate::transport::wire::{read_frame, write_frame, Frame, RankResult, RankValue};
-use crate::transport::{Outbox, Outboxes, SendFailed, Transport, WorldWiring};
+use crate::transport::{Link, Outbox, Outboxes, SendFailed, Transport, WorldWiring};
 use crate::world::{fold_outcomes, RunOutput, WorldConfig, WorldSetup};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap};
@@ -701,7 +701,13 @@ where
     // *other* processes are making progress, so deadlock detection is
     // deliberately absent (see docs/backends.md). `await_results` bounds
     // the damage with a hard deadline.
-    let mut comm = setup.comm(rank, &wiring.outboxes, inbox_rx);
+    let mut comm = setup.comm(
+        rank,
+        Link::Chan {
+            outboxes: &wiring.outboxes,
+            inbox: inbox_rx,
+        },
+    );
     let value = match catch_unwind(AssertUnwindSafe(|| f(&mut comm))) {
         Ok(result) => result,
         Err(_) => Err(Error::RankPanicked(rank)),

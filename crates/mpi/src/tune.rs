@@ -600,42 +600,43 @@ impl StepProgram<()> for Probe {
         let (kind, elems) = (self.kind, self.elems);
         Box::pin(async move {
             let (rank, p) = (sc.rank(), sc.size());
+            // Each rank builds its payload once, outside the timed loop:
+            // the simulated clock never sees it, so rebuilding it per
+            // iteration would only churn the allocator.
+            let data: Vec<u64> = match kind {
+                CollKind::Barrier => Vec::new(),
+                CollKind::Bcast if rank == 0 => vec![7; elems],
+                CollKind::Bcast => Vec::new(),
+                CollKind::Reduce | CollKind::Allreduce => vec![rank as u64 + 1; elems],
+                CollKind::Gather | CollKind::Allgather => vec![rank as u64; elems],
+                // Variable-length blocks: selection for allgatherv is
+                // topology-only (bytes = 0), so probe with small ragged
+                // blocks regardless of the cell's nominal size.
+                CollKind::Allgatherv => vec![rank as u64; 24 + (rank % 3) * 8],
+                CollKind::Alltoall => (0..elems * p).map(|i| i as u64).collect(),
+            };
             for _ in 0..TUNE_ITERS {
                 match kind {
                     CollKind::Barrier => sc.barrier().await?,
                     CollKind::Bcast => {
-                        let root_data = if rank == 0 {
-                            vec![7u64; elems]
-                        } else {
-                            Vec::new()
-                        };
-                        sc.bcast((rank == 0).then_some(&root_data[..]), 0).await?;
+                        sc.bcast((rank == 0).then_some(&data[..]), 0).await?;
                     }
                     CollKind::Reduce => {
-                        let data = vec![rank as u64 + 1; elems];
                         sc.reduce(&data, Op::Sum, 0).await?;
                     }
                     CollKind::Allreduce => {
-                        let data = vec![rank as u64 + 1; elems];
                         sc.allreduce(&data, Op::Sum).await?;
                     }
                     CollKind::Gather => {
-                        let data = vec![rank as u64; elems];
                         sc.gather(&data, 0).await?;
                     }
                     CollKind::Allgather => {
-                        let data = vec![rank as u64; elems];
                         sc.allgather(&data).await?;
                     }
                     CollKind::Allgatherv => {
-                        // Variable-length blocks: selection for allgatherv is
-                        // topology-only (bytes = 0), so probe with small ragged
-                        // blocks regardless of the cell's nominal size.
-                        let data = vec![rank as u64; 24 + (rank % 3) * 8];
                         sc.allgatherv(&data).await?;
                     }
                     CollKind::Alltoall => {
-                        let data: Vec<u64> = (0..elems * p).map(|i| i as u64).collect();
                         sc.alltoall(&data).await?;
                     }
                 }

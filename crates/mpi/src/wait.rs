@@ -224,14 +224,10 @@ impl Waiter {
         let progress = comm.progress();
         let op = comm.pending_recv(spec, Some(("probe", *site)));
         let ctx = match self {
-            Waiter::Blocking => {
-                return comm
-                    .mailbox_mut()
-                    .probe_matching(spec, progress, Some(op), acked);
-            }
+            Waiter::Blocking => return comm.probe_blocking(spec, op),
             Waiter::Event(ctx) => ctx,
         };
-        if let Some(st) = comm.mailbox_mut().peek_matching(spec) {
+        if let Some(st) = comm.peek(spec) {
             return Ok(st);
         }
         let _guard = progress.enter_blocked_as(op);
@@ -240,7 +236,7 @@ impl Waiter {
                 return Err(progress.stop_error(target, acked));
             }
             park(ctx, comm.sim_time(), RankStep::Recv).await;
-            if let Some(st) = comm.mailbox_mut().peek_matching(spec) {
+            if let Some(st) = comm.peek(spec) {
                 return Ok(st);
             }
         }

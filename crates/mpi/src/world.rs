@@ -2,16 +2,14 @@
 //! results, statistics, and simulated times — plus the setup and the
 //! result fold every backend shares.
 
-use crate::chan::Receiver;
 use crate::check::{CheckEvent, CheckMode, DeadlockInfo};
 use crate::comm::{Comm, RankReport};
-use crate::envelope::Envelope;
 use crate::error::{Error, Result};
 use crate::fault::{ActiveFaults, FaultPlan};
-use crate::mailbox::{watchdog, Mailbox, Progress};
+use crate::mailbox::{watchdog, Progress};
 use crate::stats::CommStats;
 use crate::trace::{CollSpan, PhaseSpan, Timeline};
-use crate::transport::{Outboxes, ThreadTransport, Transport, WorldWiring};
+use crate::transport::{Link, ThreadTransport, Transport, WorldWiring};
 use crate::tune::{TuningTable, WorldTuning};
 use pdc_cluster::{CostModel, MachineModel, Placement, PlacementPolicy};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -605,7 +603,13 @@ impl World {
             for (rank, rx) in inboxes {
                 let (setup, outboxes, f) = (&setup, &outboxes, &f);
                 handles.push(scope.spawn(move || {
-                    let mut comm = setup.comm(rank, outboxes, rx);
+                    let mut comm = setup.comm(
+                        rank,
+                        Link::Chan {
+                            outboxes,
+                            inbox: rx,
+                        },
+                    );
                     let value = match catch_unwind(AssertUnwindSafe(|| f(&mut comm))) {
                         Ok(result) => result,
                         Err(_) => Err(Error::RankPanicked(rank)),
@@ -701,19 +705,12 @@ impl WorldSetup {
         }
     }
 
-    /// Rank `rank`'s communicator, sending through `outboxes` and
-    /// receiving from `inbox`.
-    pub(crate) fn comm<'w>(
-        &'w self,
-        rank: usize,
-        outboxes: &'w Outboxes,
-        inbox: Receiver<Envelope>,
-    ) -> Comm<'w> {
+    /// Rank `rank`'s communicator, sending and receiving over `link`.
+    pub(crate) fn comm<'w>(&'w self, rank: usize, link: Link<'w>) -> Comm<'w> {
         Comm::new(
             rank,
-            outboxes,
+            link,
             &self.progress,
-            Mailbox::new(inbox),
             Arc::clone(&self.cost),
             self.eager_threshold,
             self.tracing,

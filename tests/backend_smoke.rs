@@ -19,15 +19,23 @@
 //! blocking closure under a seeded `virtual_ranks` config (which runs
 //! thread-per-rank) against the same step body on the event engine.
 //!
+//! Payloads on either side of the inline limit of the payload type cross
+//! point-to-point and collective paths, with and without injected
+//! duplicates, and a message nobody receives reaches the finalize leak
+//! check from the event engine's queue as it does from a thread's
+//! channel.
+//!
 //! The crate-level `event_conformance` suite covers more sizes and
 //! programs.
 
+use bytes::INLINE_CAPACITY;
+use pdc_check::{analyze, FindingKind};
 use pdc_modules::module3::{BucketStrategy, DistributionSortProgram, InputDist};
 use pdc_modules::module7::{top_k_rank, top_k_step, TopKStrategy};
 use pdc_mpi::tune::measure;
 use pdc_mpi::{
-    drive, CheckEvent, CheckMode, CollAlgo, CollKind, Op, Result, SizeClass, StepComm, StepFuture,
-    StepProgram, TuningTable, World, WorldConfig,
+    drive, CheckEvent, CheckMode, CollAlgo, CollKind, FaultPlan, Op, Result, SizeClass, StepComm,
+    StepFuture, StepProgram, TuningTable, World, WorldConfig,
 };
 use std::path::Path;
 
@@ -209,4 +217,169 @@ fn module7_blocking_replay_matches_the_event_engine() {
         let out = World::run_event(seeded(other), &TopK).expect("other seed");
         assert_eq!(out.values, event.values, "seed {other} changed the answer");
     }
+}
+
+/// Payload sizes around the inline limit of the payload type: empty, one
+/// and two words, the limit itself, one byte past it, and a page.
+const BOUNDARY_SIZES: [usize; 6] = [0, 8, 16, INLINE_CAPACITY, INLINE_CAPACITY + 1, 4096];
+
+/// `n` bytes that identify the sender and the operation.
+fn pattern(n: usize, salt: usize) -> Vec<u8> {
+    (0..n).map(|j| (j * 31 + salt * 7 + 1) as u8).collect()
+}
+
+/// Every boundary size through a ring send/recv, `bcast`, `allgather`
+/// and `alltoallv`, checking each payload on arrival. Returns a checksum
+/// of everything received.
+struct InlineBoundary;
+
+impl StepProgram<u64> for InlineBoundary {
+    fn build<'c, 'w: 'c>(&'c self, mut sc: StepComm<'c, 'w>) -> StepFuture<'c, Result<u64>> {
+        Box::pin(async move {
+            let (rank, size) = (sc.rank(), sc.size());
+            let (right, left) = ((rank + 1) % size, (rank + size - 1) % size);
+            let mut check = 0u64;
+            let mut absorb = |bytes: &[u8]| {
+                for &b in bytes {
+                    check = check.wrapping_mul(31).wrapping_add(u64::from(b));
+                }
+            };
+            for (op, &n) in BOUNDARY_SIZES.iter().enumerate() {
+                let tag = op as u32;
+                sc.send(&pattern(n, rank), right, tag).await?;
+                let (got, _) = sc.recv::<u8, _, _>(left, tag).await?;
+                assert_eq!(got, pattern(n, left), "{n} bytes from rank {left}");
+                absorb(&got);
+
+                let root = op % size;
+                let mine = pattern(n, size + root);
+                let got = sc.bcast((rank == root).then_some(&mine[..]), root).await?;
+                assert_eq!(got, mine, "{n}-byte bcast from {root}");
+                absorb(&got);
+
+                let got = sc.allgather(&pattern(n, rank)).await?;
+                let want: Vec<u8> = (0..size).flat_map(|r| pattern(n, r)).collect();
+                assert_eq!(got, want, "{n}-byte allgather blocks");
+                absorb(&got);
+
+                let parts = (0..size).map(|dst| pattern(n, rank * size + dst)).collect();
+                let got = sc.alltoallv(parts).await?;
+                for (src, block) in got.iter().enumerate() {
+                    assert_eq!(
+                        *block,
+                        pattern(n, src * size + rank),
+                        "{n}-byte block from {src}"
+                    );
+                    absorb(block);
+                }
+            }
+            Ok(check)
+        })
+    }
+}
+
+#[test]
+fn payloads_across_the_inline_limit_are_thread_event_identical() {
+    const RANKS: usize = 5;
+    let plain = || WorldConfig::new(RANKS).with_check(CheckMode::Record);
+    // Duplicates re-send the same payload value, so both representations
+    // take the clone path; the receivers filter the second copies.
+    let duplicating = || plain().with_faults(FaultPlan::seeded(17).with_duplicate_rate(0.3));
+    for (name, cfg) in [
+        ("plain", &plain as &dyn Fn() -> WorldConfig),
+        ("duplicating", &duplicating),
+    ] {
+        let (thread, thread_logs) =
+            World::run_with_check(cfg(), |comm| drive(comm, |sc| InlineBoundary.build(sc)));
+        let thread = thread.expect("thread backend runs");
+        let (event, event_logs) =
+            World::run_event_with_check(cfg().with_sched_seed(0), &InlineBoundary);
+        let event = event.expect("event backend runs");
+
+        assert_eq!(thread.values, event.values, "{name}: results");
+        assert_eq!(
+            thread.sim_time.to_bits(),
+            event.sim_time.to_bits(),
+            "{name}: sim clock"
+        );
+        assert_eq!(
+            format!("{:?}", thread.stats),
+            format!("{:?}", event.stats),
+            "{name}: stats"
+        );
+        assert_eq!(
+            render_logs(&thread_logs),
+            render_logs(&event_logs),
+            "{name}: logs"
+        );
+        let duplicates = event_logs
+            .iter()
+            .flatten()
+            .filter(|e| {
+                matches!(
+                    e,
+                    CheckEvent::FaultInjected {
+                        kind: "duplicate",
+                        ..
+                    }
+                )
+            })
+            .count();
+        assert_eq!(
+            duplicates > 0,
+            name == "duplicating",
+            "{name}: {duplicates} duplicates"
+        );
+    }
+}
+
+/// Rank 0 sends rank 1 a small and a large message that nobody
+/// receives. Rank 1 never communicates, so on the event engine it has
+/// finished before they arrive and they are still in its queue at
+/// finalize.
+struct Unreceived;
+
+impl StepProgram<()> for Unreceived {
+    fn build<'c, 'w: 'c>(&'c self, mut sc: StepComm<'c, 'w>) -> StepFuture<'c, Result<()>> {
+        Box::pin(async move {
+            if sc.rank() == 0 {
+                // BUG: nobody ever receives these.
+                sc.send(&[9.0f64, 9.0], 1, 42).await?;
+                sc.send(&pattern(4096, 0), 1, 43).await?;
+            }
+            Ok(())
+        })
+    }
+}
+
+#[test]
+fn an_unreceived_message_is_reported_at_finalize_on_both_backends() {
+    let cfg = || WorldConfig::new(3).with_check(CheckMode::Record);
+    let (thread, thread_logs) =
+        World::run_with_check(cfg(), |comm| drive(comm, |sc| Unreceived.build(sc)));
+    let (event, event_logs) = World::run_event_with_check(cfg().with_sched_seed(0), &Unreceived);
+    let thread_report = analyze(&thread, &thread_logs);
+    let event_report = analyze(&event, &event_logs);
+    thread.expect("the program itself completes on threads");
+    event.expect("the program itself completes on the event engine");
+
+    assert_eq!(render_logs(&thread_logs), render_logs(&event_logs));
+    assert_eq!(thread_report.render(), event_report.render());
+    let unmatched: Vec<_> = event_report
+        .violations
+        .iter()
+        .filter(|f| f.kind == FindingKind::UnmatchedSend)
+        .collect();
+    assert_eq!(unmatched.len(), 2, "{}", event_report.render());
+    assert!(unmatched.iter().all(|f| f.ranks == vec![0, 1]));
+    assert!(
+        unmatched[0].message.contains("16 bytes"),
+        "{}",
+        unmatched[0].message
+    );
+    assert!(
+        unmatched[1].message.contains("4096 bytes"),
+        "{}",
+        unmatched[1].message
+    );
 }
