@@ -15,7 +15,7 @@
 //!   flag *immediately* (the flag itself is re-checked under the queue
 //!   lock, so the wakeup cannot be lost);
 //! * dropping the last sender notifies a parked receiver too, turning an
-//!   abandoned wait into [`RecvError::Disconnected`] rather than a hang;
+//!   abandoned wait into [`WaitError::Disconnected`] rather than a hang;
 //!   with no receiver parked (every rendezvous ack on the event engine)
 //!   the drop costs no futex syscall either.
 //!
@@ -24,7 +24,9 @@
 //! path.
 //!
 //! Every operation acts on the channel at once: a send pushes, a sender
-//! drop decrements, a receive pops. Message delivery uses these channels
+//! drop decrements, a receive pops. A blocked wait takes nothing: it
+//! returns once a message is queued and leaves the taking to the caller
+//! (the wait core, `wait.rs`). Message delivery uses these channels
 //! on the thread and proc backends only; the event engine delivers
 //! through its own single-threaded queues (`event.rs`). It still uses a
 //! channel for each rendezvous ack, which its ranks only `try_recv`,
@@ -38,7 +40,7 @@ use std::time::Duration;
 /// longer than any expected wait; the condvar signal is the real wakeup.
 const BACKSTOP: Duration = Duration::from_millis(50);
 
-/// Scheduler-yield iterations before a blocked receive parks on the
+/// Scheduler-yield iterations before a blocked wait parks on the
 /// condvar. Covers the common "reply is one context switch away" case.
 const SPIN_YIELDS: usize = 3;
 
@@ -96,9 +98,9 @@ pub enum TryRecvError {
     Disconnected,
 }
 
-/// Error returned by [`Receiver::recv_or_stop`].
+/// Why [`Receiver::wait_or_stop`] returned without a queued message.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RecvError {
+pub enum WaitError {
     /// All senders disconnected and the channel is drained.
     Disconnected,
     /// The stop condition became true before a message arrived.
@@ -184,12 +186,14 @@ impl<T: Send + 'static> Receiver<T> {
         std::mem::take(&mut state.queue)
     }
 
-    /// Block until a message arrives, every sender disconnects, or `stop`
-    /// becomes true. `stop` is evaluated under the channel lock and
-    /// re-evaluated on every wakeup, pairing with [`Wake::wake_all`]:
-    /// whoever flips the stop condition and then wakes this channel is
-    /// guaranteed to be observed.
-    pub fn recv_or_stop(&self, stop: impl Fn() -> bool) -> Result<T, RecvError> {
+    /// Block until a message is queued, every sender disconnects, or
+    /// `stop` becomes true, taking nothing: the caller takes what arrived
+    /// ([`Receiver::try_recv`], [`Receiver::take_all`]). A queued message
+    /// wins over a concurrent stop. `stop` is evaluated under the channel
+    /// lock and re-evaluated on every wakeup, pairing with
+    /// [`Wake::wake_all`]: whoever flips the stop condition and then wakes
+    /// this channel is guaranteed to be observed.
+    pub fn wait_or_stop(&self, stop: impl Fn() -> bool) -> Result<(), WaitError> {
         // Yield-spin briefly before parking: in a tight message exchange
         // the peer usually produces the reply within one scheduler
         // quantum, and a sched_yield round is cheaper than a futex sleep
@@ -198,32 +202,15 @@ impl<T: Send + 'static> Receiver<T> {
         // loop, and it is short enough not to starve peers when many
         // ranks block at once (collectives on few cores).
         for _ in 0..SPIN_YIELDS {
-            {
-                let mut state = self.0.lock();
-                if let Some(v) = state.queue.pop_front() {
-                    return Ok(v);
-                }
-                if stop() {
-                    return Err(RecvError::Stopped);
-                }
-                if state.senders == 0 {
-                    return Err(RecvError::Disconnected);
-                }
+            if let Some(done) = ready(&self.0.lock(), &stop) {
+                return done;
             }
             std::thread::yield_now();
         }
         let mut state = self.0.lock();
         loop {
-            // Deliver pending messages even when stopping: a message that
-            // already arrived should win over a concurrent poison.
-            if let Some(v) = state.queue.pop_front() {
-                return Ok(v);
-            }
-            if stop() {
-                return Err(RecvError::Stopped);
-            }
-            if state.senders == 0 {
-                return Err(RecvError::Disconnected);
+            if let Some(done) = ready(&state, &stop) {
+                return done;
             }
             state.parked += 1;
             (state, _) = self
@@ -243,6 +230,23 @@ impl<T: Send + 'static> Receiver<T> {
     {
         let strong: Arc<dyn Wake> = Arc::clone(&self.0) as Arc<dyn Wake>;
         Arc::downgrade(&strong)
+    }
+}
+
+/// With the channel lock held: how a wait ends now, if it does — a
+/// queued message first, then the stop condition, then disconnection.
+fn ready<T: Send + 'static>(
+    state: &State<T>,
+    stop: &impl Fn() -> bool,
+) -> Option<Result<(), WaitError>> {
+    if !state.queue.is_empty() {
+        Some(Ok(()))
+    } else if stop() {
+        Some(Err(WaitError::Stopped))
+    } else if state.senders == 0 {
+        Some(Err(WaitError::Disconnected))
+    } else {
+        None
     }
 }
 
@@ -291,7 +295,8 @@ mod tests {
             tx.send(42).expect("receiver alive");
         });
         let t = Instant::now();
-        assert_eq!(rx.recv_or_stop(|| false), Ok(42));
+        assert_eq!(rx.wait_or_stop(|| false), Ok(()));
+        assert_eq!(rx.try_recv(), Ok(42));
         // Event wakeup, not the 50 ms backstop tick.
         assert!(t.elapsed() < BACKSTOP, "took {:?}", t.elapsed());
         handle.join().expect("sender thread");
@@ -305,14 +310,14 @@ mod tests {
         let waker = rx.waker();
         let waiter = std::thread::spawn(move || {
             let t = Instant::now();
-            let r = rx.recv_or_stop(|| stop2.load(Ordering::Relaxed));
+            let r = rx.wait_or_stop(|| stop2.load(Ordering::Relaxed));
             (r, t.elapsed())
         });
         std::thread::sleep(Duration::from_millis(5));
         stop.store(true, Ordering::Relaxed);
         waker.upgrade().expect("receiver alive").wake_all();
         let (r, waited) = waiter.join().expect("waiter thread");
-        assert_eq!(r, Err(RecvError::Stopped));
+        assert_eq!(r, Err(WaitError::Stopped));
         assert!(
             waited < BACKSTOP,
             "woke via signal, not backstop: {waited:?}"
@@ -324,8 +329,9 @@ mod tests {
     fn queued_message_beats_stop() {
         let (tx, rx) = channel();
         tx.send(1).expect("receiver alive");
-        assert_eq!(rx.recv_or_stop(|| true), Ok(1));
-        assert_eq!(rx.recv_or_stop(|| true), Err(RecvError::Stopped));
+        assert_eq!(rx.wait_or_stop(|| true), Ok(()));
+        assert_eq!(rx.try_recv(), Ok(1));
+        assert_eq!(rx.wait_or_stop(|| true), Err(WaitError::Stopped));
     }
 
     #[test]
@@ -345,7 +351,7 @@ mod tests {
                     drop(tx);
                     dropped
                 });
-                assert_eq!(rx.recv_or_stop(|| false), Err(RecvError::Disconnected));
+                assert_eq!(rx.wait_or_stop(|| false), Err(WaitError::Disconnected));
                 let woke = Instant::now();
                 woke.saturating_duration_since(dropper.join().expect("dropper thread"))
             })

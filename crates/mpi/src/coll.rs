@@ -76,6 +76,7 @@ use crate::tune::{
 use bytes::Bytes;
 use pdc_cluster::Placement;
 use std::collections::{BTreeMap, BTreeSet};
+use std::future::Future;
 
 const T_SECOND_PHASE: u64 = 512;
 const T_INTER_TREE: u64 = 300;
@@ -459,33 +460,44 @@ async fn tree_reduce<T: Datatype, F: Fn(&T, &T) -> T>(
 /// `expect(block)` when that is given. Every hop forwards the refcounted
 /// payload it received; nothing is decoded here. Returns every position's
 /// block.
-async fn ring_allgather<T: Datatype>(
-    sc: &mut StepComm<'_, '_>,
-    g: &Group<'_>,
+///
+/// `mine` goes into the block table before the rounds start, so the
+/// suspended rounds hold the table alone, not the table and the argument
+/// (which an `async fn` would keep for the whole call).
+fn ring_allgather<'s, 'c, 'w, 'g, T, G, E>(
+    sc: &'s mut StepComm<'c, 'w>,
+    g: &'s Group<'g>,
     mine: Bytes,
-    tag: impl Fn(usize) -> u64,
-    expect: impl Fn(usize) -> Option<usize>,
-) -> Result<Vec<Option<Bytes>>> {
-    let (p, me) = (g.len(), g.me);
-    let mut blocks: Vec<Option<Bytes>> = vec![None; p];
-    blocks[me] = Some(mine);
-    let right = g.rank((me + 1) % p);
-    let left = g.rank((me + p - 1) % p);
-    for k in 0..p.saturating_sub(1) {
-        let send_block = (me + p - k) % p;
-        let payload = blocks[send_block]
-            .clone()
-            .expect("block held from previous round");
-        sc.comm
-            .coll_send_bytes(payload, T::NAME, T::SIZE, right, tag(k))?;
-        let recv_block = (me + p - k - 1) % p;
-        let env = sc.coll_recv_raw::<T>(left, tag(k)).await?;
-        if expect(recv_block).is_some_and(|n| env.payload.len() != n) {
-            return Err(length_mismatch("allgather"));
+    tag: G,
+    expect: E,
+) -> impl Future<Output = Result<Vec<Option<Bytes>>>> + use<'s, 'c, 'w, 'g, T, G, E>
+where
+    T: Datatype,
+    G: Fn(usize) -> u64,
+    E: Fn(usize) -> Option<usize>,
+{
+    let mut blocks: Vec<Option<Bytes>> = vec![None; g.len()];
+    blocks[g.me] = Some(mine);
+    async move {
+        let (p, me) = (g.len(), g.me);
+        let right = g.rank((me + 1) % p);
+        let left = g.rank((me + p - 1) % p);
+        for k in 0..p.saturating_sub(1) {
+            let send_block = (me + p - k) % p;
+            let payload = blocks[send_block]
+                .clone()
+                .expect("block held from previous round");
+            sc.comm
+                .coll_send_bytes(payload, T::NAME, T::SIZE, right, tag(k))?;
+            let recv_block = (me + p - k - 1) % p;
+            let env = sc.coll_recv_raw::<T>(left, tag(k)).await?;
+            if expect(recv_block).is_some_and(|n| env.payload.len() != n) {
+                return Err(length_mismatch("allgather"));
+            }
+            blocks[recv_block] = Some(env.payload);
         }
-        blocks[recv_block] = Some(env.payload);
+        Ok(blocks)
     }
-    Ok(blocks)
 }
 
 /// Linear scatter from position `root`: the root sends position `i` its
@@ -1046,7 +1058,7 @@ async fn hier_allgather<T: Datatype>(
         let mine = Bytes::from(concat(&rows));
         let tag = |k: usize| base + T_INTER_RING + (k as u64 % 64);
         let expect = |gi: usize| Some(blk * topo.groups[gi].len());
-        let bundles = ring_allgather::<T>(sc, &ring, mine, tag, expect).await?;
+        let bundles = ring_allgather::<T, _, _>(sc, &ring, mine, tag, expect).await?;
         let mut full: Vec<u8> = Vec::with_capacity(blk * g.len());
         for (gi, i) in topo.locate_all(g.len()) {
             let b = circulated(&bundles[gi]);
@@ -1102,7 +1114,8 @@ async fn hier_allgatherv<T: Datatype>(
         let leaders = topo.leaders_world(g);
         let ring = Group::of(&leaders, topo.my_group);
         let tag = |k: usize| base + T_INTER_RING + (k as u64 % 64);
-        let bundles = ring_allgather::<u8>(sc, &ring, Bytes::from(bundle), tag, |_| None).await?;
+        let bundles =
+            ring_allgather::<u8, _, _>(sc, &ring, Bytes::from(bundle), tag, |_| None).await?;
         // Re-frame into position order.
         let mut frames: Vec<Vec<&[u8]>> = Vec::with_capacity(topo.groups.len());
         for (gi, grp) in topo.groups.iter().enumerate() {
@@ -1505,7 +1518,8 @@ pub(crate) async fn allgather<T: Datatype>(
         Some(CollAlgo::Hierarchical) => Box::pin(hier_allgather(sc, &g, data, base)).await,
         _ => {
             let tag = |k: usize| base + k as u64;
-            let blocks = ring_allgather::<T>(sc, &g, encode_slice(data), tag, |_| Some(blk)).await;
+            let blocks =
+                ring_allgather::<T, _, _>(sc, &g, encode_slice(data), tag, |_| Some(blk)).await;
             blocks.map(|blocks| {
                 let mut out = Vec::with_capacity(data.len() * g.len());
                 for b in &blocks {
@@ -1538,7 +1552,7 @@ pub(crate) async fn allgatherv<T: Datatype>(
         Some(CollAlgo::Hierarchical) => Box::pin(hier_allgatherv(sc, &g, data, base)).await,
         _ => {
             let tag = |k: usize| base + k as u64;
-            let blocks = ring_allgather::<T>(sc, &g, encode_slice(data), tag, |_| None).await;
+            let blocks = ring_allgather::<T, _, _>(sc, &g, encode_slice(data), tag, |_| None).await;
             blocks.map(|blocks| blocks.iter().map(|b| decode_vec(circulated(b))).collect())
         }
     };

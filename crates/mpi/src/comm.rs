@@ -24,7 +24,7 @@
 //! propagates synchronization waits exactly like a conservative
 //! discrete-event simulation.
 
-use crate::chan::{channel, Receiver, RecvError};
+use crate::chan::{channel, Receiver};
 use crate::check::{CallSite, CheckEvent, CheckMode, PendingOp};
 use crate::coll::{self, Fold, Scope};
 use crate::datatype::{decode_vec, encode_slice, Datatype};
@@ -639,7 +639,7 @@ impl<'w> Comm<'w> {
             let (tx, rx) = channel();
             if let Link::Chan { .. } = self.link {
                 // Register for the poison broadcast: a sender blocked in
-                // `await_ack` must wake the instant the watchdog fires.
+                // its ack wait must wake the instant the watchdog fires.
                 // Event ranks never block on the channel; the engine
                 // wakes them.
                 self.progress.register_waker(rx.waker());
@@ -700,38 +700,6 @@ impl<'w> Comm<'w> {
         Ok(ack_rx)
     }
 
-    /// Block until the rendezvous partner acknowledges, advancing the clock
-    /// to the acknowledged time. `op` names the blocked call for the
-    /// watchdog's wait-for graph. The wait is event-driven: the matching
-    /// receive, a failure of `dst`, and the watchdog's poison all wake it
-    /// immediately.
-    pub(crate) fn await_ack(
-        &mut self,
-        ack: Receiver<f64>,
-        dst: usize,
-        op: PendingOp,
-    ) -> Result<()> {
-        let before = self.now;
-        let acked = self.acked_failures;
-        let _guard = self.progress.enter_blocked_as(op);
-        match ack.recv_or_stop(|| self.progress.should_stop(Some(dst), acked)) {
-            Ok(t) => {
-                self.finish_ack(t, dst, before);
-                Ok(())
-            }
-            Err(RecvError::Stopped) => Err(self.progress.stop_error(Some(dst), acked)),
-            Err(RecvError::Disconnected) => {
-                // A peer that exited (deadlock or crash) drops its mailbox
-                // — and with it our ack sender; report the root cause.
-                if self.progress.should_stop(Some(dst), acked) {
-                    Err(self.progress.stop_error(Some(dst), acked))
-                } else {
-                    Err(Error::WorldShutDown)
-                }
-            }
-        }
-    }
-
     /// Describe a blocked receive/probe for the wait-for graph. `user`
     /// names the primitive and its call site for user-level receives;
     /// internal receives are attributed to the enclosing collective.
@@ -743,44 +711,19 @@ impl<'w> Comm<'w> {
         PendingOp::recv(self.rank, *spec, user, self.coll_site)
     }
 
-    /// Blocking matched receive with clock propagation (the wait core's
-    /// blocking arm). `user` names the primitive and call site for
-    /// deadlock explanations.
-    pub(crate) fn transport_recv(
-        &mut self,
-        spec: &MatchSpec,
-        user: Option<(&'static str, CallSite)>,
-    ) -> Result<Envelope> {
-        self.enact_crash()?;
-        let before = self.now;
-        let op = self.pending_recv(spec, user);
-        let env = self.mailbox.recv_matching(
-            self.link.inbox(),
-            spec,
-            self.progress,
-            Some(op),
-            self.acked_failures,
-        )?;
-        Ok(self.finish_recv(env, before))
-    }
-
-    /// Non-blocking matched receive: a single mailbox probe with the same
-    /// clock/ack/span semantics as [`Comm::transport_recv`] when a message
-    /// matches. The wait core's event arm polls this between parks.
+    /// Non-blocking matched receive: admit every arrival, take the
+    /// envelope `spec` matches if one is here, and complete its receive.
+    /// The wait core tries this before and after every park.
     pub(crate) fn try_transport_recv(&mut self, spec: &MatchSpec) -> Result<Option<Envelope>> {
         self.enact_crash()?;
-        let before = self.now;
-        match self.match_now(spec) {
-            Some(env) => Ok(Some(self.finish_recv(env, before))),
-            None => Ok(None),
-        }
+        Ok(self.match_now(spec).map(|env| self.finish_recv(env)))
     }
 
     /// Completion half of a matched receive: advance the clock to the
     /// message's arrival, release a rendezvous sender, and record
-    /// stats/spans. Shared by both arms of the wait core so the
-    /// observable effects are bit-identical.
-    fn finish_recv(&mut self, mut env: Envelope, before: f64) -> Envelope {
+    /// stats/spans.
+    fn finish_recv(&mut self, mut env: Envelope) -> Envelope {
+        let before = self.now;
         // The message left the sender at `send_time` (gap already paid
         // there); it is visible here one wire latency later.
         let arrival = self
@@ -807,9 +750,9 @@ impl<'w> Comm<'w> {
     }
 
     /// Completion half of a rendezvous ack wait: advance the clock to the
-    /// acknowledged match time and record the wait span. Shared by both
-    /// arms of the wait core.
-    pub(crate) fn finish_ack(&mut self, t: f64, dst: usize, before: f64) {
+    /// acknowledged match time `t` and record the wait span.
+    pub(crate) fn finish_ack(&mut self, t: f64, dst: usize) {
+        let before = self.now;
         self.now = self.now.max(t);
         self.stats.sim_comm_time += self.now - before;
         let mut span = Span::basic(SpanKind::Send, before, self.now, dst, 0);
@@ -1446,15 +1389,16 @@ impl<'w> Comm<'w> {
         self.mailbox.peek_matching(spec)
     }
 
-    /// Blocking peek (thread and proc backends): wait on the channel
-    /// inbox until a user envelope matches `spec`.
-    pub(crate) fn probe_blocking(&mut self, spec: &MatchSpec, op: PendingOp) -> Result<Status> {
-        self.mailbox.probe_matching(
-            self.link.inbox(),
-            spec,
-            self.progress,
-            Some(op),
-            self.acked_failures,
-        )
+    /// This rank's mailbox, for tests that drive a wait over a mailbox
+    /// they filled themselves.
+    #[cfg(test)]
+    pub(crate) fn mailbox_mut(&mut self) -> &mut Mailbox {
+        &mut self.mailbox
+    }
+
+    /// The channel inbox a blocking rank parks on (thread and proc
+    /// backends only).
+    pub(crate) fn inbox(&self) -> &Receiver<Envelope> {
+        self.link.inbox()
     }
 }

@@ -103,8 +103,8 @@ impl MatchSpec {
 /// Completion path for a rendezvous acknowledgement: how the receiver
 /// reports its match-time clock back to the blocked sender.
 pub enum AckHandle {
-    /// Sender lives in this process: a channel straight back to its
-    /// `await_ack` receiver.
+    /// Sender lives in this process: a channel straight back to the ack
+    /// receiver it waits on.
     Local(Sender<f64>),
     /// Sender lives in another process: a callback that frames the ack
     /// onto the peer socket (see `transport::wire`).

@@ -90,8 +90,7 @@ pub use topology::{dims_create, CartTopology};
 pub use trace::{
     render_timeline, to_chrome_json, CollSpan, PhaseSpan, Span, SpanKind, Timeline, TimelineSummary,
 };
-pub use transport::proc::{is_proc_child, ProcTransport};
-pub use transport::{Outbox, Outboxes, SendFailed, ThreadTransport, Transport, WorldWiring};
+pub use transport::proc::is_proc_child;
 pub use tune::{CollAlgo, CollKind, PlacementLayout, SizeClass, TuningTable};
 pub use world::{CancelToken, ProfContext, RunOutput, World, WorldConfig};
 

@@ -18,10 +18,10 @@
 //! setting the flag, so a poisoned world unblocks in microseconds, not
 //! at the next poll tick.
 
-use crate::chan::{Receiver, RecvError, Wake};
+use crate::chan::{Receiver, WaitError, Wake};
 use crate::check::{BlockedOp, DeadlockInfo, PendingOp};
 use crate::envelope::{Envelope, MatchSpec, MsgClass, SourceSel, Status, TagSel};
-use crate::error::{Error, Result};
+use crate::error::Error;
 use std::collections::{BTreeMap, BTreeSet, HashSet, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, PoisonError, Weak};
@@ -76,10 +76,10 @@ pub struct Progress {
     epoch: AtomicU64,
     /// Which ranks have finished their closure, indexed by rank. The
     /// agreement protocol counts a finished rank as implicitly
-    /// participating, so survivors' [`Progress::agree`] cannot hang on a
+    /// participating, so survivors' agreement cannot hang on a
     /// rank that already exited.
     done_ranks: Mutex<BTreeSet<usize>>,
-    /// Agreement-cell state for [`Progress::agree`].
+    /// Agreement-cell state ([`Progress::agree_enter`]).
     agree: Mutex<AgreeState>,
     agree_cv: Condvar,
     /// Cross-process mirror hook: a transport whose ranks span several
@@ -376,36 +376,12 @@ impl Progress {
         self.deadlock_error()
     }
 
-    /// Collective failure agreement ([`Comm::agree`](crate::Comm::agree)'s
-    /// engine): blocks until every world rank has entered this generation,
-    /// failed, or finished, then returns a consistent snapshot of the
-    /// failed set and the failure epoch it covers. Every participant of a
-    /// generation returns the *same* snapshot.
-    pub fn agree(&self, rank: usize) -> Result<(Vec<(usize, f64)>, u64)> {
-        let my_gen = self.agree_enter(rank);
-        let mut st = self.agree.lock().unwrap_or_else(PoisonError::into_inner);
-        loop {
-            if let Some((gen, snapshot, epoch)) = &st.resolved {
-                if *gen == my_gen {
-                    return Ok((snapshot.clone(), *epoch));
-                }
-            }
-            if self.is_poisoned() {
-                return Err(self.deadlock_error());
-            }
-            st.waiters += 1;
-            (st, _) = self
-                .agree_cv
-                .wait_timeout(st, Duration::from_millis(50))
-                .unwrap_or_else(PoisonError::into_inner);
-            st.waiters -= 1;
-        }
-    }
-
-    /// Entry half of [`Progress::agree`]: register this rank in the current
-    /// agreement generation and return its number. The caller then waits
-    /// however suits its execution model (condvar or the event engine's
-    /// resume queue) and checks [`Progress::agree_poll`].
+    /// Enter collective failure agreement
+    /// ([`Comm::agree`](crate::Comm::agree)'s engine): register `rank` in
+    /// the current generation and return its number. The generation
+    /// resolves once every world rank has entered it, failed, or finished;
+    /// [`Progress::agree_poll`] then hands every participant the *same*
+    /// snapshot of the failed set and the failure epoch it covers.
     pub fn agree_enter(&self, rank: usize) -> u64 {
         let my_gen = {
             let mut st = self.agree.lock().unwrap_or_else(PoisonError::into_inner);
@@ -435,6 +411,32 @@ impl Progress {
         None
     }
 
+    /// Block until agreement generation `gen` has resolved (`Ok`) or
+    /// `stop` holds. `stop` is evaluated under the agreement lock, which
+    /// every resolution and every poison notify takes too, so no wake is
+    /// lost. The wait core parks thread and proc ranks here.
+    pub(crate) fn agree_wait(
+        &self,
+        gen: u64,
+        stop: impl Fn() -> bool,
+    ) -> std::result::Result<(), WaitError> {
+        let mut st = self.agree.lock().unwrap_or_else(PoisonError::into_inner);
+        loop {
+            if st.resolved.as_ref().is_some_and(|r| r.0 == gen) {
+                return Ok(());
+            }
+            if stop() {
+                return Err(WaitError::Stopped);
+            }
+            st.waiters += 1;
+            (st, _) = self
+                .agree_cv
+                .wait_timeout(st, Duration::from_millis(50))
+                .unwrap_or_else(PoisonError::into_inner);
+            st.waiters -= 1;
+        }
+    }
+
     /// Re-check the agreement condition (a rank failed or finished) and
     /// wake agreement waiters.
     fn notify_agree(&self) {
@@ -444,7 +446,7 @@ impl Progress {
     }
 
     /// With the agreement lock held: wake the threads parked in
-    /// [`Progress::agree`], if there are any.
+    /// [`Progress::agree_wait`], if there are any.
     fn notify_agree_waiters(&self, st: &AgreeState) {
         if st.waiters > 0 {
             self.agree_cv.notify_all();
@@ -572,16 +574,6 @@ impl Progress {
         }
     }
 
-    /// RAII guard marking the current rank as blocked (anonymously: the
-    /// watchdog will see the rank counted but cannot name its operation).
-    pub fn enter_blocked(&self) -> BlockedGuard<'_> {
-        self.blocked.fetch_add(1, Ordering::SeqCst);
-        BlockedGuard {
-            progress: self,
-            rank: None,
-        }
-    }
-
     /// RAII guard marking the current rank as blocked *in* `op`, so the
     /// watchdog can report the call and build the wait-for graph. `op`
     /// is plain data; nothing is formatted unless a deadlock is
@@ -598,7 +590,7 @@ impl Progress {
         self.blocked.fetch_add(1, Ordering::SeqCst);
         BlockedGuard {
             progress: self,
-            rank: Some(rank),
+            rank,
         }
     }
 
@@ -636,21 +628,19 @@ impl Progress {
     }
 }
 
-/// Guard that decrements the blocked count (and clears the registered
-/// operation, if any) on drop.
+/// Guard that decrements the blocked count and clears the registered
+/// operation on drop.
 pub struct BlockedGuard<'a> {
     progress: &'a Progress,
-    rank: Option<usize>,
+    rank: usize,
 }
 
 impl Drop for BlockedGuard<'_> {
     fn drop(&mut self) {
         self.progress.blocked.fetch_sub(1, Ordering::SeqCst);
-        if let Some(rank) = self.rank {
-            if let Ok(mut ops) = self.progress.pending.lock() {
-                if let Some(slot) = ops.get_mut(rank) {
-                    *slot = None;
-                }
+        if let Ok(mut ops) = self.progress.pending.lock() {
+            if let Some(slot) = ops.get_mut(self.rank) {
+                *slot = None;
             }
         }
     }
@@ -722,7 +712,7 @@ const _: () = assert!(std::mem::size_of::<Option<Envelope>>() == std::mem::size_
 
 /// One rank's receive side. It holds no inbox of its own: the rank's
 /// communicator admits arrivals ([`Mailbox::admit`], [`Mailbox::pull`])
-/// before every match, and lends the channel to the blocking waits.
+/// before every match, and a blocked rank parks on the inbox itself.
 #[derive(Debug, Default)]
 pub struct Mailbox {
     /// Envelopes that arrived but have not matched a receive yet, in
@@ -1062,117 +1052,22 @@ impl Mailbox {
         Some(self.take(pos))
     }
 
-    /// Blocking match over a channel `inbox` (thread and proc backends):
-    /// waits for a satisfying envelope, returning
-    /// [`Error::Deadlock`] if the watchdog poisons the world while
-    /// waiting, or [`Error::RankFailed`] if the awaited peer crashes (or
-    /// any rank crashes that this rank has not acknowledged — `acked` is
-    /// the caller's acknowledged failure epoch, 0 when no faults are in
-    /// play). `op` (when given) registers what this rank is waiting for,
-    /// so the watchdog can explain rather than just detect a deadlock.
-    /// The wait is event-driven: delivery, poison, and failure all wake
-    /// it immediately.
-    pub(crate) fn recv_matching(
-        &mut self,
-        inbox: &Receiver<Envelope>,
-        spec: &MatchSpec,
-        progress: &Progress,
-        op: Option<PendingOp>,
-        acked: u64,
-    ) -> Result<Envelope> {
-        self.pull(inbox);
-        if let Some(env) = self.try_match(spec, progress) {
-            return Ok(env);
-        }
-        let target = spec.source_rank();
-        let _guard = match op {
-            Some(op) => progress.enter_blocked_as(op),
-            None => progress.enter_blocked(),
-        };
-        loop {
-            match inbox.recv_or_stop(|| progress.should_stop(target, acked)) {
-                Ok(env) => {
-                    self.admit(vec![env]);
-                    self.pull(inbox);
-                    // The new arrival may or may not be ours; re-scan.
-                    if let Some(env) = self.try_match(spec, progress) {
-                        return Ok(env);
-                    }
-                }
-                Err(RecvError::Stopped) => return Err(progress.stop_error(target, acked)),
-                Err(RecvError::Disconnected) => {
-                    // All senders dropped: drain leftovers then fail,
-                    // reporting the failure or deadlock as the root cause
-                    // when there is one.
-                    self.pull(inbox);
-                    if let Some(env) = self.try_match(spec, progress) {
-                        return Ok(env);
-                    }
-                    if progress.should_stop(target, acked) {
-                        return Err(progress.stop_error(target, acked));
-                    }
-                    return Err(Error::WorldShutDown);
-                }
-            }
-        }
-    }
-
     /// Non-blocking peek: the status of the earliest satisfying user
     /// envelope, if one is already here (the analogue of `MPI_Iprobe`).
     pub fn peek_matching(&self, spec: &MatchSpec) -> Option<Status> {
         self.find(spec).map(|pos| Status::of(self.slot(pos)))
     }
-
-    /// Blocking peek over a channel `inbox`: waits until a satisfying
-    /// user envelope exists and returns its [`Status`] without consuming
-    /// it (the analogue of `MPI_Probe`).
-    pub(crate) fn probe_matching(
-        &mut self,
-        inbox: &Receiver<Envelope>,
-        spec: &MatchSpec,
-        progress: &Progress,
-        op: Option<PendingOp>,
-        acked: u64,
-    ) -> Result<Status> {
-        self.pull(inbox);
-        if let Some(status) = self.peek_matching(spec) {
-            return Ok(status);
-        }
-        let target = spec.source_rank();
-        let _guard = match op {
-            Some(op) => progress.enter_blocked_as(op),
-            None => progress.enter_blocked(),
-        };
-        loop {
-            match inbox.recv_or_stop(|| progress.should_stop(target, acked)) {
-                Ok(env) => {
-                    self.admit(vec![env]);
-                    if let Some(pos) = self.find(spec) {
-                        return Ok(Status::of(self.slot(pos)));
-                    }
-                }
-                Err(RecvError::Stopped) => return Err(progress.stop_error(target, acked)),
-                Err(RecvError::Disconnected) => {
-                    if progress.should_stop(target, acked) {
-                        return Err(progress.stop_error(target, acked));
-                    }
-                    return Err(Error::WorldShutDown);
-                }
-            }
-        }
-    }
 }
-
-/// Sender handles to every rank's mailbox. Moved to the transport layer;
-/// re-exported here for continuity.
-pub use crate::transport::Outboxes;
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::chan::channel;
+    use crate::check::CallSite;
     use crate::datatype::encode_slice;
     use crate::envelope::{MsgClass, SourceSel, TagSel};
+    use crate::step::block_on;
+    use crate::wait::{TestWorld, Waiter};
 
     fn env(src: usize, tag: u32, val: i32) -> Envelope {
         Envelope {
@@ -1251,89 +1146,6 @@ mod tests {
         let spec = MatchSpec::User(SourceSel::Any, TagSel::Any);
         // send_time dominates the (src, seq) tie-break.
         assert_eq!(mb.try_match(&spec, &progress).expect("pending").src, 2);
-    }
-
-    #[test]
-    fn blocking_recv_returns_when_message_arrives() {
-        let (tx, rx) = channel();
-        let progress = Progress::new(1);
-        let mut mb = Mailbox::new();
-        let handle = std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(20));
-            tx.send(env(0, 3, 42)).expect("open channel");
-        });
-        let spec = MatchSpec::User(SourceSel::Rank(0), TagSel::Tag(3));
-        let got = mb
-            .recv_matching(&rx, &spec, &progress, None, 0)
-            .expect("arrives");
-        assert_eq!(crate::datatype::decode_vec::<i32>(&got.payload), vec![42]);
-        handle.join().expect("sender thread");
-    }
-
-    #[test]
-    fn poisoned_world_unblocks_receivers() {
-        let (_tx, rx) = channel::<Envelope>();
-        let progress = Progress::new(1);
-        progress.poisoned.store(true, Ordering::SeqCst);
-        let mut mb = Mailbox::new();
-        let spec = MatchSpec::User(SourceSel::Any, TagSel::Any);
-        assert!(matches!(
-            mb.recv_matching(&rx, &spec, &progress, None, 0)
-                .expect_err("poisoned"),
-            Error::Deadlock(_)
-        ));
-    }
-
-    #[test]
-    fn poison_mid_wait_wakes_via_registered_waker() {
-        use std::sync::Arc;
-        let (_tx, rx) = channel::<Envelope>();
-        let progress = Arc::new(Progress::new(1));
-        progress.register_waker(rx.waker());
-        let p2 = Arc::clone(&progress);
-        let poisoner = std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(10));
-            p2.poison(DeadlockInfo::default());
-        });
-        let mut mb = Mailbox::new();
-        let spec = MatchSpec::User(SourceSel::Any, TagSel::Any);
-        let t = Instant::now();
-        assert!(matches!(
-            mb.recv_matching(&rx, &spec, &progress, None, 0)
-                .expect_err("poisoned"),
-            Error::Deadlock(_)
-        ));
-        // Event wakeup: far below the 50 ms backstop.
-        assert!(t.elapsed() < Duration::from_millis(45), "{:?}", t.elapsed());
-        poisoner.join().expect("poisoner thread");
-    }
-
-    #[test]
-    fn disconnected_channel_is_shutdown_not_hang() {
-        let (tx, rx) = channel::<Envelope>();
-        drop(tx);
-        let progress = Progress::new(1);
-        let mut mb = Mailbox::new();
-        let spec = MatchSpec::User(SourceSel::Any, TagSel::Any);
-        assert_eq!(
-            mb.recv_matching(&rx, &spec, &progress, None, 0)
-                .expect_err("closed"),
-            Error::WorldShutDown
-        );
-    }
-
-    #[test]
-    fn probe_does_not_consume() {
-        let (tx, rx) = channel();
-        let progress = Progress::new(1);
-        let mut mb = Mailbox::new();
-        tx.send(env(4, 8, 5)).expect("open channel");
-        let spec = MatchSpec::User(SourceSel::Any, TagSel::Any);
-        let peeked = mb
-            .probe_matching(&rx, &spec, &progress, None, 0)
-            .expect("pending");
-        assert_eq!(peeked.source, 4);
-        assert!(mb.try_match(&spec, &progress).is_some(), "still consumable");
     }
 
     #[test]
@@ -1424,71 +1236,6 @@ mod tests {
     }
 
     #[test]
-    fn failed_exact_source_aborts_recv_with_rank_failed() {
-        let (_tx, rx) = channel::<Envelope>();
-        let progress = Progress::new(2);
-        progress.mark_failed(1, 0.5);
-        let mut mb = Mailbox::new();
-        let spec = MatchSpec::User(SourceSel::Rank(1), TagSel::Any);
-        assert_eq!(
-            mb.recv_matching(&rx, &spec, &progress, None, 1)
-                .expect_err("peer failed"),
-            Error::RankFailed { rank: 1, at: 0.5 }
-        );
-    }
-
-    #[test]
-    fn unacked_failure_aborts_wildcard_recv_until_acknowledged() {
-        let (tx, rx) = channel::<Envelope>();
-        let progress = Progress::new(3);
-        progress.mark_failed(2, 0.25);
-        let mut mb = Mailbox::new();
-        let spec = MatchSpec::User(SourceSel::Any, TagSel::Any);
-        // Epoch 1 not yet acknowledged: the wait aborts and names the
-        // failed rank.
-        assert_eq!(
-            mb.recv_matching(&rx, &spec, &progress, None, 0)
-                .expect_err("unacked failure"),
-            Error::RankFailed { rank: 2, at: 0.25 }
-        );
-        // After acknowledging epoch 1, a wildcard wait from a live peer
-        // proceeds normally.
-        let handle = std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(10));
-            tx.send(env(0, 3, 9)).expect("open channel");
-        });
-        let got = mb
-            .recv_matching(&rx, &spec, &progress, None, 1)
-            .expect("lives");
-        assert_eq!(got.src, 0);
-        handle.join().expect("sender thread");
-    }
-
-    #[test]
-    fn mark_failed_wakes_blocked_receiver_immediately() {
-        use std::sync::Arc;
-        let (_tx, rx) = channel::<Envelope>();
-        let progress = Arc::new(Progress::new(2));
-        progress.register_waker(rx.waker());
-        let p2 = Arc::clone(&progress);
-        let failer = std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(10));
-            p2.mark_failed(0, 1.0);
-        });
-        let mut mb = Mailbox::new();
-        let spec = MatchSpec::User(SourceSel::Rank(0), TagSel::Any);
-        let t = Instant::now();
-        assert_eq!(
-            mb.recv_matching(&rx, &spec, &progress, None, 0)
-                .expect_err("peer fails mid-wait"),
-            Error::RankFailed { rank: 0, at: 1.0 }
-        );
-        // Event wakeup: far below the 50 ms backstop.
-        assert!(t.elapsed() < Duration::from_millis(45), "{:?}", t.elapsed());
-        failer.join().expect("failer thread");
-    }
-
-    #[test]
     fn dedup_filters_second_copy_of_same_sequence_number() {
         let (tx, rx) = channel();
         let progress = Progress::new(1);
@@ -1511,52 +1258,62 @@ mod tests {
         assert!(mb.try_match(&spec, &progress).is_none());
     }
 
+    /// One blocking agreement, through the wait core.
+    fn agree(comm: &mut crate::Comm<'_>) -> crate::Result<(Vec<(usize, f64)>, u64)> {
+        block_on(Waiter::Blocking.agree(comm, CallSite::here()))
+    }
+
     #[test]
     fn agree_resolves_over_entered_failed_and_done_ranks() {
-        use std::sync::Arc;
-        let progress = Arc::new(Progress::new(4));
-        progress.mark_failed(3, 0.75);
-        progress.mark_done(2);
-        let p2 = Arc::clone(&progress);
-        let other = std::thread::spawn(move || p2.agree(1).expect("resolves"));
-        let (snapshot, epoch) = progress.agree(0).expect("resolves");
-        assert_eq!(snapshot, vec![(3, 0.75)]);
-        assert_eq!(epoch, 1);
-        let theirs = other.join().expect("agree thread");
-        assert_eq!(theirs, (snapshot, epoch), "same snapshot on every rank");
+        let w = TestWorld::new(4);
+        w.progress().mark_failed(3, 0.75);
+        w.progress().mark_done(2);
+        std::thread::scope(|s| {
+            let other = s.spawn(|| agree(&mut w.comm(1)).expect("resolves"));
+            let (snapshot, epoch) = agree(&mut w.comm(0)).expect("resolves");
+            assert_eq!(snapshot, vec![(3, 0.75)]);
+            assert_eq!(epoch, 1);
+            let theirs = other.join().expect("agree thread");
+            assert_eq!(theirs, (snapshot, epoch), "same snapshot on every rank");
+        });
     }
 
     #[test]
     fn agree_generations_stay_consistent_across_rounds() {
-        use std::sync::Arc;
-        let progress = Arc::new(Progress::new(2));
-        for round in 0..3 {
-            let p2 = Arc::clone(&progress);
-            let other = std::thread::spawn(move || p2.agree(1).expect("resolves"));
-            let mine = progress.agree(0).expect("resolves");
-            assert_eq!(mine, other.join().expect("agree thread"), "round {round}");
-        }
-        progress.mark_failed(1, 2.0);
-        let (snapshot, epoch) = progress.agree(0).expect("survivor resolves alone");
-        assert_eq!(snapshot, vec![(1, 2.0)]);
-        assert_eq!(epoch, 1);
+        let w = TestWorld::new(2);
+        std::thread::scope(|s| {
+            let other = s.spawn(|| {
+                let mut comm = w.comm(1);
+                (0..3)
+                    .map(|_| agree(&mut comm).expect("resolves"))
+                    .collect::<Vec<_>>()
+            });
+            let mut comm = w.comm(0);
+            let mine: Vec<_> = (0..3)
+                .map(|_| agree(&mut comm).expect("resolves"))
+                .collect();
+            assert_eq!(mine, other.join().expect("agree thread"), "every round");
+            w.progress().mark_failed(1, 2.0);
+            let (snapshot, epoch) = agree(&mut comm).expect("survivor resolves alone");
+            assert_eq!(snapshot, vec![(1, 2.0)]);
+            assert_eq!(epoch, 1);
+        });
     }
 
     #[test]
     fn poison_unblocks_agree_waiters() {
-        use std::sync::Arc;
-        let progress = Arc::new(Progress::new(2));
-        let p2 = Arc::clone(&progress);
-        let poisoner = std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(10));
-            p2.poison(DeadlockInfo::default());
+        let w = TestWorld::new(2);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                std::thread::sleep(Duration::from_millis(10));
+                w.progress().poison(DeadlockInfo::default());
+            });
+            // Rank 1 never enters: without the poison this would hang.
+            assert!(matches!(
+                agree(&mut w.comm(0)).expect_err("poisoned"),
+                Error::Deadlock(_)
+            ));
         });
-        // Rank 1 never enters: without the poison this would hang.
-        assert!(matches!(
-            progress.agree(0).expect_err("poisoned"),
-            Error::Deadlock(_)
-        ));
-        poisoner.join().expect("poisoner thread");
     }
 
     /// Trials per wake-latency test.
@@ -1603,27 +1360,23 @@ mod tests {
 
     #[test]
     fn last_agree_entry_wakes_a_parked_agree() {
-        use std::sync::Arc;
         let wake = median_wake(|| {
-            let progress = Arc::new(Progress::new(2));
-            let p = Arc::clone(&progress);
-            let last = std::thread::spawn(move || {
-                while p
-                    .agree
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .waiters
-                    == 0
-                {
-                    std::thread::yield_now();
-                }
-                let triggered = Instant::now();
-                p.agree(1).expect("the last entry resolves the agreement");
-                triggered
-            });
-            progress.agree(0).expect("agreement resolves");
-            let woke = Instant::now();
-            (last.join().expect("last entrant thread"), woke)
+            let w = TestWorld::new(2);
+            std::thread::scope(|s| {
+                let last = s.spawn(|| {
+                    let mut comm = w.comm(1);
+                    let waiters = || w.progress().agree.lock().map_or(0, |st| st.waiters);
+                    while waiters() == 0 {
+                        std::thread::yield_now();
+                    }
+                    let triggered = Instant::now();
+                    agree(&mut comm).expect("the last entry resolves the agreement");
+                    triggered
+                });
+                agree(&mut w.comm(0)).expect("agreement resolves");
+                let woke = Instant::now();
+                (last.join().expect("last entrant thread"), woke)
+            })
         });
         assert!(wake < PROMPT, "median wake {wake:?}");
     }
@@ -1818,8 +1571,9 @@ mod tests {
             let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
             let (tx, rx) = channel();
             let progress = Progress::new(1);
-            let stopped = Progress::new(1);
-            stopped.poisoned.store(true, Ordering::SeqCst);
+            let world = TestWorld::new(1);
+            world.progress().poisoned.store(true, Ordering::SeqCst);
+            let mut stopped = world.comm(0);
             let mut mb = Mailbox::new();
             let mut reference = LinearMailbox {
                 pending: VecDeque::new(),
@@ -1882,7 +1636,11 @@ mod tests {
                             // A poisoned world turns "nothing matches" into
                             // an error instead of a wait.
                             let want = reference.peek_idx(&spec).map(|i| Status::of(&reference.pending[i]));
-                            assert_eq!(mb.probe_matching(&rx, &spec, &stopped, None, 0).ok(), want, "{spec:?}");
+                            std::mem::swap(stopped.mailbox_mut(), &mut mb);
+                            let site = CallSite::here();
+                            let got = block_on(Waiter::Blocking.probe(&mut stopped, &spec, &site));
+                            std::mem::swap(stopped.mailbox_mut(), &mut mb);
+                            assert_eq!(got.ok(), want, "{spec:?}");
                         }
                         _ => match_both(&mut mb, &mut reference, &spec, &progress),
                     }

@@ -32,7 +32,7 @@
 //! (`tests/event_conformance.rs`) pins results, sim clocks, `CommStats`,
 //! and checker logs byte-identical across backends.
 
-use crate::check::{CallSite, CheckEvent, PendingOn, PendingOp};
+use crate::check::{CallSite, CheckEvent};
 use crate::coll::{self, Scope};
 use crate::comm::{Comm, RecvRequest, SendRequest};
 use crate::datatype::{decode_into, Datatype};
@@ -518,7 +518,7 @@ impl<'c, 'w: 'c> StepComm<'c, 'w> {
         if let Some(ack) = ack {
             let what = "send(rendezvous)";
             self.wait
-                .ack(self.comm, ack, dest, tag, what, &site)
+                .ack(self.comm, &ack, dest, tag, what, &site)
                 .await?;
         }
         Ok(())
@@ -543,7 +543,7 @@ impl<'c, 'w: 'c> StepComm<'c, 'w> {
             .transport_send(data, dest, MsgClass::User(tag), true, site)?
             .expect("synchronous send has an ack channel");
         self.wait
-            .ack(self.comm, ack, dest, tag, "ssend", &site)
+            .ack(self.comm, &ack, dest, tag, "ssend", &site)
             .await
     }
 
@@ -627,7 +627,7 @@ impl<'c, 'w: 'c> StepComm<'c, 'w> {
         if let Some(ack) = req.ack {
             let (dest, tag) = (req.dest, req.tag);
             self.wait
-                .ack(self.comm, ack, dest, tag, "wait_send", &site)
+                .ack(self.comm, &ack, dest, tag, "wait_send", &site)
                 .await?;
         }
         if let Some(id) = req.id {
@@ -676,13 +676,7 @@ impl<'c, 'w: 'c> StepComm<'c, 'w> {
 
     pub(crate) async fn agree_at(&mut self, site: CallSite) -> Result<Vec<(usize, f64)>> {
         self.comm.enact_crash()?;
-        let op = PendingOp {
-            rank: self.comm.rank(),
-            op: "agree",
-            site,
-            on: PendingOn::Agree,
-        };
-        let (failed, epoch) = self.wait.agree(self.comm, op).await?;
+        let (failed, epoch) = self.wait.agree(self.comm, site).await?;
         self.comm.ack_failures(epoch);
         Ok(failed)
     }

@@ -45,7 +45,7 @@ pub struct Span {
     /// True for point-to-point traffic generated inside a collective.
     pub internal: bool,
     /// True for the blocked portion of a rendezvous send (the sender
-    /// waiting in `await_ack` for the matching receive).
+    /// waiting on its ack for the matching receive).
     pub rdv_wait: bool,
     /// Sender sequence number: the envelope stamped on a Send span, or the
     /// matched envelope on a Recv span. `None` for Compute and wait-only

@@ -1,45 +1,44 @@
-//! Pluggable transports: how envelopes move between ranks.
+//! Transports: how envelopes move between ranks.
 //!
-//! The runtime's message path was born around in-process condvar channels
-//! (`chan.rs`): an outbox per destination rank, a mailbox per receiver,
-//! and the shared [`Progress`] state for wakeups, finalize, and failure
-//! surfacing. This module extracts that contract behind two traits so the
-//! same `Comm` primitives — and therefore the eight module rank bodies,
-//! pdc-check event logging, pdc-prof counters, and the fault layer — run
-//! unchanged over every backend:
+//! The same `Comm` primitives — and therefore the eight module rank
+//! bodies, pdc-check event logging, pdc-prof counters, and the fault
+//! layer — run unchanged over three backends, which differ only in how an
+//! envelope reaches the destination rank's inbox:
 //!
-//! * [`ThreadTransport`] — the default engine: every rank is an OS thread
-//!   in one process, outboxes are condvar-channel senders. Zero behaviour
-//!   change relative to the pre-trait runtime.
-//! * The event engine ([`World::run_event`](crate::World::run_event))
-//!   builds no channels: it runs every rank on one thread and owns one
-//!   plain inbox queue per rank, and a send records its destination so
-//!   the engine can requeue a parked receiver. It is the seeded,
-//!   deterministic backend.
-//! * [`proc::ProcTransport`] (via [`World::run_proc`](crate::World::run_proc))
-//!   — real multi-OS-process ranks over Unix-domain sockets with
-//!   length-prefixed frames (see [`wire`]), a dedicated send thread per
-//!   peer, and typed peer-death detection feeding the ULFM
-//!   `agree`/`shrink` path.
+//! * **thread** — the default: every rank is an OS thread in one
+//!   process, and [`channel_mesh`] gives each rank a condvar channel
+//!   (`chan.rs`) as its inbox; the outboxes are the channels' senders.
+//! * **event** ([`World::run_event`](crate::World::run_event)) builds no
+//!   channels: it runs every rank on one thread and owns one plain inbox
+//!   queue per rank, and a send records its destination so the engine
+//!   can requeue a parked receiver. It is the seeded, deterministic
+//!   backend.
+//! * **proc** (`proc::ProcTransport`, via
+//!   [`World::run_proc`](crate::World::run_proc)) — real multi-OS-process
+//!   ranks over Unix-domain sockets with length-prefixed frames (see
+//!   [`wire`]), a dedicated send thread per peer, and typed peer-death
+//!   detection feeding the ULFM `agree`/`shrink` path.
 //!
 //! The contract, piece by piece:
 //!
 //! * **send** — [`Outbox::send`] delivers one [`Envelope`] toward a
 //!   destination rank, failing (with the envelope dropped) when the
 //!   destination can no longer receive;
-//! * **poll** — receive-side matching stays in
-//!   [`Mailbox`](crate::mailbox::Mailbox), which the rank's communicator
-//!   feeds from its inbox ([`Link`]); a transport only has to feed that
-//!   inbox;
-//! * **wakeup registration** — channels are registered with
-//!   [`Progress::register_waker`] at `open` time so poison and failure
-//!   broadcasts reach blocked receivers immediately;
-//! * **finalize/drain** — [`Transport::finalize`] runs after every
-//!   locally hosted rank has completed (the proc backend tears down its
-//!   socket mesh here; the in-process backends have nothing to do);
+//! * **receive** — matching stays in [`Mailbox`](crate::mailbox::Mailbox),
+//!   which the rank's communicator feeds from its inbox ([`Link`]); a
+//!   transport only has to feed that inbox;
+//! * **wait** — a blocked rank waits only in the wait core (`wait.rs`):
+//!   on the thread and proc backends it parks on its channel inbox or a
+//!   rendezvous ack channel, on the event engine it yields to the
+//!   engine. Channels are registered with [`Progress::register_waker`]
+//!   before any rank runs, so poison and failure broadcasts reach parked
+//!   ranks immediately;
+//! * **teardown** — the in-process backends have nothing to drain
+//!   (dropping the outboxes closes the channels); the proc backend
+//!   flushes and closes its socket mesh once every rank reported;
 //! * **failure surfacing** — crashes flow through
-//!   [`Progress::mark_failed`]; cross-process transports mirror them with
-//!   a [`ProgressNotifier`](crate::mailbox::Progress) so every process
+//!   [`Progress::mark_failed`]; the proc backend mirrors them with a
+//!   [`ProgressNotifier`](crate::mailbox::Progress) so every process
 //!   observes the same typed `RankFailed`, not a hang.
 
 pub mod proc;
@@ -49,7 +48,6 @@ use crate::chan::{channel, Receiver, Sender};
 use crate::envelope::Envelope;
 use crate::event::EventMesh;
 use crate::mailbox::{Mailbox, Progress};
-use std::sync::Arc;
 
 /// Delivery failure: the destination rank can no longer receive (its
 /// closure finished, the world is tearing down, or its process died). The
@@ -138,64 +136,24 @@ impl Link<'_> {
     }
 }
 
-/// The wiring a transport hands back for the ranks this process hosts:
-/// one shared outbox row (an entry per destination world rank) and the
-/// inbox endpoint of every locally hosted rank.
-pub struct WorldWiring {
-    /// One outbox per destination world rank.
-    pub outboxes: Outboxes,
-    /// `(rank, inbox)` for each rank hosted in this process — all of them
-    /// for the in-process backends, exactly one for the proc backend.
-    pub inboxes: Vec<(usize, Receiver<Envelope>)>,
-}
-
-/// A message-movement engine for one world.
-///
-/// `open` builds the mesh and registers wakers; the world bootstrap then
-/// runs rank bodies against the returned wiring; `finalize` runs once
-/// every locally hosted rank has completed.
-pub trait Transport {
-    /// Backend name, for diagnostics and benchmark records.
-    fn name(&self) -> &'static str;
-
-    /// Open the mesh for a world of `size` ranks, registering every inbox
-    /// with `progress` for the poison/failure broadcast.
-    fn open(&self, size: usize, progress: &Arc<Progress>) -> WorldWiring;
-
-    /// Tear down after all locally hosted ranks completed. In-process
-    /// backends have nothing to drain (dropping the wiring closes the
-    /// channels); the proc backend flushes and closes its socket mesh.
-    fn finalize(&self, progress: &Arc<Progress>) {
-        let _ = progress;
+/// The thread backend's mesh for a world of `size` ranks: one condvar
+/// channel per rank, returned as the shared outbox row and every rank's
+/// inbox, in rank order. Every inbox is registered with `progress` before
+/// any rank starts, so the watchdog can wake all parked receivers the
+/// instant it detects deadlock.
+pub(crate) fn channel_mesh(
+    size: usize,
+    progress: &Progress,
+) -> (Outboxes, Vec<Receiver<Envelope>>) {
+    let mut outboxes: Outboxes = Vec::with_capacity(size);
+    let mut inboxes = Vec::with_capacity(size);
+    for _ in 0..size {
+        let (tx, rx) = channel();
+        progress.register_waker(rx.waker());
+        outboxes.push(Box::new(tx) as Box<dyn Outbox>);
+        inboxes.push(rx);
     }
-}
-
-/// The default engine: one OS thread per rank, condvar-channel outboxes,
-/// kernel scheduling. Semantically identical to the pre-trait runtime.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct ThreadTransport;
-
-impl Transport for ThreadTransport {
-    fn name(&self) -> &'static str {
-        "thread"
-    }
-
-    /// Builds one condvar channel per rank and registers every inbox for
-    /// the poison broadcast.
-    fn open(&self, size: usize, progress: &Arc<Progress>) -> WorldWiring {
-        let mut outboxes: Outboxes = Vec::with_capacity(size);
-        let mut inboxes = Vec::with_capacity(size);
-        for rank in 0..size {
-            let (tx, rx) = channel();
-            // Register every inbox before any rank starts: the watchdog
-            // can then wake all blocked receivers the instant it detects
-            // deadlock.
-            progress.register_waker(rx.waker());
-            outboxes.push(Box::new(tx) as Box<dyn Outbox>);
-            inboxes.push((rank, rx));
-        }
-        WorldWiring { outboxes, inboxes }
-    }
+    (outboxes, inboxes)
 }
 
 #[cfg(test)]
@@ -218,19 +176,13 @@ mod tests {
 
     #[test]
     fn channel_outbox_delivers_and_reports_gone_receiver() {
-        let progress = Arc::new(Progress::new(2));
-        let wiring = ThreadTransport.open(2, &progress);
-        assert_eq!(wiring.outboxes.len(), 2);
-        assert_eq!(wiring.inboxes.len(), 2);
-        wiring.outboxes[1].send(env(0)).expect("receiver alive");
-        let (_, rx1) = &wiring.inboxes[1];
-        assert_eq!(rx1.try_recv().expect("delivered").src, 0);
-        drop(wiring.inboxes);
-        assert_eq!(wiring.outboxes[1].send(env(0)), Err(SendFailed));
-    }
-
-    #[test]
-    fn backends_report_their_names() {
-        assert_eq!(ThreadTransport.name(), "thread");
+        let progress = Progress::new(2);
+        let (outboxes, mut inboxes) = channel_mesh(2, &progress);
+        assert_eq!(outboxes.len(), 2);
+        assert_eq!(inboxes.len(), 2);
+        outboxes[1].send(env(0)).expect("receiver alive");
+        assert_eq!(inboxes[1].try_recv().expect("delivered").src, 0);
+        inboxes.truncate(1);
+        assert_eq!(outboxes[1].send(env(0)), Err(SendFailed));
     }
 }

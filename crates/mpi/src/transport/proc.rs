@@ -31,7 +31,7 @@
 //! snapshot is consistent only because a crashed rank's `Failed` frame
 //! precedes its `Done` frame on the same FIFO socket.
 
-use crate::chan::{self, RecvError};
+use crate::chan;
 use crate::check::CheckEvent;
 use crate::comm::{Comm, RankReport};
 use crate::envelope::{AckHandle, Envelope};
@@ -39,13 +39,12 @@ use crate::error::{Error, Result};
 use crate::mailbox::{Progress, ProgressNotifier};
 use crate::stats::CommStats;
 use crate::transport::wire::{read_frame, write_frame, Frame, RankResult, RankValue};
-use crate::transport::{Link, Outbox, Outboxes, SendFailed, Transport, WorldWiring};
+use crate::transport::{Link, Outbox, Outboxes, SendFailed};
 use crate::world::{fold_outcomes, RunOutput, WorldConfig, WorldSetup};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap};
 use std::io::{self, BufReader, BufWriter, Read, Write as _};
 use std::os::unix::net::{UnixListener, UnixStream};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
@@ -321,9 +320,9 @@ fn read_hello<R: Read>(r: &mut R, me: usize, size: usize) -> io::Result<usize> {
 
 /// The multi-process transport for one world: built around this process's
 /// rank, opened against the world's [`Progress`], torn down by
-/// [`Transport::finalize`] once the local rank (and every peer's result)
-/// is in.
-pub struct ProcTransport {
+/// [`ProcTransport::finalize`] once the local rank (and every peer's
+/// result) is in.
+pub(crate) struct ProcTransport {
     rank: usize,
     size: usize,
     world: u32,
@@ -451,15 +450,12 @@ impl ProcTransport {
                 .unwrap_or_else(PoisonError::into_inner),
         )
     }
-}
 
-impl Transport for ProcTransport {
-    fn name(&self) -> &'static str {
-        "proc"
-    }
-
-    fn open(&self, size: usize, progress: &Arc<Progress>) -> WorldWiring {
-        assert_eq!(size, self.size, "transport built for this world size");
+    /// Build the socket mesh, start every peer's reader and writer
+    /// threads, and install the progress mirror. Returns the outbox row
+    /// (a local channel for this rank, a socket route for every peer) and
+    /// this rank's inbox, registered for the poison/failure broadcast.
+    fn open(&self, progress: &Arc<Progress>) -> (Outboxes, chan::Receiver<Envelope>) {
         let streams = self.connect_mesh();
         // One frame queue per connected peer; the writer thread owns the
         // receiving half, everything else clones the sender out of
@@ -502,19 +498,19 @@ impl Transport for ProcTransport {
                     .spawn(move || {
                         let mut out = BufWriter::new(stream);
                         // Drains queued frames before honouring the stop
-                        // flag (`recv_or_stop` pops before it stops), so
+                        // flag (a queued frame wins over the stop), so
                         // finalize never cuts off a peer mid-protocol.
-                        loop {
-                            match frame_rx.recv_or_stop(|| stop.load(Ordering::Relaxed)) {
-                                Ok(frame) => {
-                                    if write_frame(&mut out, &frame)
-                                        .and_then(|()| out.flush())
-                                        .is_err()
-                                    {
-                                        return; // peer socket gone; reader reports it
-                                    }
+                        while frame_rx
+                            .wait_or_stop(|| stop.load(Ordering::Relaxed))
+                            .is_ok()
+                        {
+                            while let Ok(frame) = frame_rx.try_recv() {
+                                if write_frame(&mut out, &frame)
+                                    .and_then(|()| out.flush())
+                                    .is_err()
+                                {
+                                    return; // peer socket gone; reader reports it
                                 }
-                                Err(RecvError::Stopped) | Err(RecvError::Disconnected) => return,
                             }
                         }
                     })
@@ -632,13 +628,12 @@ impl Transport for ProcTransport {
                 }
             })
             .collect();
-        WorldWiring {
-            outboxes,
-            inboxes: vec![(self.rank, inbox_rx)],
-        }
+        (outboxes, inbox_rx)
     }
 
-    fn finalize(&self, _progress: &Arc<Progress>) {
+    /// Tear down once every rank reported: writers drain their queues,
+    /// then the sockets close and the readers exit.
+    fn finalize(&self) {
         let Some(mesh) = self
             .mesh
             .lock()
@@ -688,38 +683,18 @@ where
     let (rank, dir) = proc_identity(cfg.size);
     let world = WORLD_COUNTER.fetch_add(1, Ordering::SeqCst);
     let transport = ProcTransport::new(rank, cfg.size, world, dir);
-
-    let wiring = transport.open(cfg.size, progress);
-    let (_, inbox_rx) = wiring
-        .inboxes
-        .into_iter()
-        .next()
-        .expect("proc wiring hosts the local rank");
+    let (outboxes, inbox) = transport.open(progress);
 
     let started = Instant::now();
     // No wall-clock watchdog here: this process cannot observe whether
     // *other* processes are making progress, so deadlock detection is
     // deliberately absent (see docs/backends.md). `await_results` bounds
     // the damage with a hard deadline.
-    let mut comm = setup.comm(
-        rank,
-        Link::Chan {
-            outboxes: &wiring.outboxes,
-            inbox: inbox_rx,
-        },
-    );
-    let value = match catch_unwind(AssertUnwindSafe(|| f(&mut comm))) {
-        Ok(result) => result,
-        Err(_) => Err(Error::RankPanicked(rank)),
+    let link = Link::Chan {
+        outboxes: &outboxes,
+        inbox,
     };
-    progress.mark_done(rank);
-    if cfg.check.is_on() {
-        // Same as the in-process backends: wait for every rank before the
-        // finalize-time leak check drains the mailbox. Remote `Done`
-        // frames feed the same counter `mark_done` bumps locally.
-        progress.wait_all_done();
-    }
-    let report: RankReport = comm.into_report();
+    let (value, report) = setup.run_rank(rank, link, &f);
     let value = match value {
         Ok(v) => RankValue::Ok(v.to_value()),
         Err(e) => RankValue::Err(e),
@@ -732,7 +707,7 @@ where
         check_log: report.check_log,
     });
     transport.await_results(progress);
-    transport.finalize(progress);
+    transport.finalize();
 
     // Traces, phases, and collective spans do not cross the wire: every
     // rank's come back empty.

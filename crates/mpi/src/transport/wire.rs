@@ -102,7 +102,7 @@ pub(crate) enum Frame {
     /// `Progress::mark_failed`).
     Failed { rank: usize, at: f64 },
     /// `rank` entered agreement generation `generation` (mirrors
-    /// `Progress::agree`'s entry).
+    /// `Progress::agree_enter`).
     AgreeEnter { rank: usize, generation: u64 },
     /// `rank`'s final report (value, stats, checker log).
     Result(RankResult),

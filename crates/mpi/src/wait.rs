@@ -5,28 +5,42 @@
 //! a [`StepComm`](crate::StepComm), and suspends only by awaiting one of
 //! the [`Waiter`]'s four waits:
 //!
-//! | wait            | completes when                                     |
-//! |-----------------|----------------------------------------------------|
-//! | [`Waiter::recv`]  | a message matching the spec is in the mailbox    |
-//! | [`Waiter::ack`]   | the rendezvous partner started the matching receive |
-//! | [`Waiter::probe`] | a matching user message is in the mailbox (kept) |
-//! | [`Waiter::agree`] | every rank entered the agreement, failed, or finished |
+//! | wait              | completes when                                      | a blocking rank parks on | stops on |
+//! |-------------------|-----------------------------------------------------|--------------------------|----------|
+//! | [`Waiter::recv`]  | a message matching the spec is in the mailbox       | its channel inbox        | poison, a failed source, an unacknowledged failure |
+//! | [`Waiter::ack`]   | the rendezvous partner started the matching receive | the send's ack channel   | poison, a failed destination, an unacknowledged failure |
+//! | [`Waiter::probe`] | a matching user message is in the mailbox (kept)    | its channel inbox        | as `recv` |
+//! | [`Waiter::agree`] | every rank entered the agreement, failed, or finished | the agreement condvar  | poison |
 //!
-//! A [`Waiter::Blocking`] rank (thread and proc backends) waits
-//! by blocking its thread inside the mailbox, ack channel, or agreement
-//! condvar, so its futures complete on their first poll. A
-//! [`Waiter::Event`] rank (the event backend) parks its state machine on
-//! its [`WaitCell`] and leaves the wake to the discrete-event engine.
-//! Either way the same completion code runs (`finish_recv`/`finish_ack`),
-//! so the observable effects are identical.
+//! All four run one loop ([`Waiter::wait_for`]): try to complete; on the
+//! first miss, register what the rank waits for with the shared progress
+//! state as a plain-data [`PendingOp`] (rank, primitive, call site, and
+//! the match spec or destination and tag); then park, and try again. A
+//! park ends in one of three ways: woken (try again), stopped (report
+//! the stop error), or the channel closed (one last try, then the stop
+//! error or [`Error::WorldShutDown`]). Nothing is formatted and nothing
+//! is allocated on the way: the deadlock explanation's text is rendered
+//! from the registered records only when a deadlock is reported.
 //!
-//! A wait that cannot complete at once registers what it needs with the
-//! shared progress state as a plain-data [`PendingOp`] (rank, primitive,
-//! call site, and the match spec or destination and tag). Nothing is
-//! formatted and nothing is allocated: the deadlock explanation's text is
-//! rendered from these records only when a deadlock is reported.
+//! Only the park differs by backend:
+//!
+//! * a [`Waiter::Blocking`] rank (thread and proc backends) blocks its
+//!   thread on the channel or condvar in the table, with a short
+//!   yield-spin first on a channel. The stop condition is evaluated under
+//!   that lock, so a message that already arrived wins over a concurrent
+//!   poison, and no wake is lost. Its futures complete on their first
+//!   poll;
+//! * a [`Waiter::Event`] rank (the event backend) checks the stop
+//!   condition, marks itself parked on its [`WaitCell`], and yields to the
+//!   discrete-event engine, which re-polls it after a wake. Its channels
+//!   never close.
+//!
+//! The event engine also takes wake hints a blocking rank does not need,
+//! since its channels and condvar wake their own waiters: a completed
+//! receive may release a rendezvous sender, and entering an agreement is
+//! a progress change for the ranks parked in it.
 
-use crate::chan::{Receiver, TryRecvError};
+use crate::chan::{Receiver, TryRecvError, WaitError};
 use crate::check::{CallSite, PendingOn, PendingOp};
 use crate::comm::Comm;
 use crate::envelope::{Envelope, MatchSpec, Status};
@@ -91,183 +105,501 @@ pub(crate) enum Waiter {
     Event(EventCtx),
 }
 
-/// Future that suspends exactly once; the rank is already marked parked
-/// on its wait cell, and the engine re-polls it after a wake.
-struct Park {
-    yielded: bool,
+/// What a wait parks on, which also fixes what stops it early.
+#[derive(Clone, Copy)]
+enum ParkOn<'a> {
+    /// The rank's channel inbox: a receive or probe from `from` (`None`
+    /// for any source), reported to the event engine as `step`.
+    Inbox { from: Option<usize>, step: RankStep },
+    /// The ack channel of a rendezvous send to `dst`.
+    Ack { ack: &'a Receiver<f64>, dst: usize },
+    /// The resolution of agreement generation `gen`.
+    Agree(u64),
 }
 
-impl Future for Park {
-    type Output = ();
+impl ParkOn<'_> {
+    /// The blocking point an event rank parked here reports.
+    fn step(self) -> RankStep {
+        match self {
+            ParkOn::Inbox { step, .. } => step,
+            ParkOn::Ack { .. } => RankStep::RendezvousAck,
+            ParkOn::Agree(_) => RankStep::Agree,
+        }
+    }
 
-    fn poll(mut self: Pin<&mut Self>, _cx: &mut Context<'_>) -> Poll<()> {
-        if self.yielded {
-            Poll::Ready(())
+    /// The awaited peer of a wait that failures stop: a receive or probe
+    /// stops on poison, its source's failure, or a failure this rank has
+    /// not acknowledged, and a rendezvous send likewise with its
+    /// destination. `None` for an agreement, which only poison stops:
+    /// agreeing is how a rank acknowledges failures.
+    fn peer(self) -> Option<Option<usize>> {
+        match self {
+            ParkOn::Inbox { from, .. } => Some(from),
+            ParkOn::Ack { dst, .. } => Some(Some(dst)),
+            ParkOn::Agree(_) => None,
+        }
+    }
+
+    /// Should a wait parked here stop?
+    fn stopped(self, comm: &Comm<'_>) -> bool {
+        match self.peer() {
+            Some(peer) => comm.progress().should_stop(peer, comm.acked_failures()),
+            None => comm.progress().is_poisoned(),
+        }
+    }
+
+    /// The error a stopped wait reports.
+    fn stop_error(self, comm: &Comm<'_>) -> Error {
+        match self.peer() {
+            Some(peer) => comm.progress().stop_error(peer, comm.acked_failures()),
+            None => comm.progress().deadlock_error(),
+        }
+    }
+
+    /// The error of a wait whose channel closed with nothing to take: the
+    /// failure or deadlock behind the close when there is one, else the
+    /// world is shutting down.
+    fn closed_error(self, comm: &Comm<'_>) -> Error {
+        if self.stopped(comm) {
+            self.stop_error(comm)
         } else {
-            self.yielded = true;
-            Poll::Pending
+            Error::WorldShutDown
         }
     }
 }
 
-/// Park the calling rank at `step`, priced at simulated time `now`.
-fn park(ctx: &EventCtx, now: f64, step: RankStep) -> Park {
-    let mut cell = ctx.cell.borrow_mut();
-    cell.now = now;
-    cell.waiting = step;
-    cell.parked = true;
-    Park { yielded: false }
+/// One park: already over (every blocking park, and an event park that
+/// found its stop condition), or one suspension of an event rank, which
+/// the engine ends by re-polling it.
+enum Park {
+    Over(std::result::Result<(), WaitError>),
+    Yield,
+}
+
+impl Future for Park {
+    type Output = std::result::Result<(), WaitError>;
+
+    fn poll(mut self: Pin<&mut Self>, _cx: &mut Context<'_>) -> Poll<Self::Output> {
+        match *self {
+            Park::Over(done) => Poll::Ready(done),
+            Park::Yield => {
+                *self = Park::Over(Ok(()));
+                Poll::Pending
+            }
+        }
+    }
 }
 
 impl Waiter {
     /// Wait for a message matching `spec` and complete its receive
     /// (clock, stats, rendezvous release). `user` names the primitive and
     /// call site of a user-level receive for deadlock explanations.
-    pub(crate) async fn recv(
-        &self,
-        comm: &mut Comm<'_>,
-        spec: &MatchSpec,
-        user: Option<&(&'static str, CallSite)>,
-    ) -> Result<Envelope> {
-        let user = user.copied();
-        let ctx = match self {
-            Waiter::Blocking => return comm.transport_recv(spec, user),
-            Waiter::Event(ctx) => ctx,
-        };
-        // Completing a match releases a rendezvous sender, so the
-        // sender's rank is pushed as a wake hint for the engine.
-        if let Some(env) = comm.try_transport_recv(spec)? {
-            ctx.hints.borrow_mut().wake.push(env.src);
-            return Ok(env);
-        }
+    pub(crate) fn recv<'a, 'w>(
+        &'a self,
+        comm: &'a mut Comm<'w>,
+        spec: &'a MatchSpec,
+        user: Option<&'a (&'static str, CallSite)>,
+    ) -> impl Future<Output = Result<Envelope>> + use<'a, 'w> {
         let step = match spec {
             MatchSpec::User(..) => RankStep::Recv,
             MatchSpec::Internal(..) => RankStep::Collective,
         };
-        let target = spec.source_rank();
-        let acked = comm.acked_failures();
-        let op = comm.pending_recv(spec, user);
-        let progress = comm.progress();
-        let _guard = progress.enter_blocked_as(op);
-        loop {
-            if progress.should_stop(target, acked) {
-                return Err(progress.stop_error(target, acked));
-            }
-            park(ctx, comm.sim_time(), step).await;
-            if let Some(env) = comm.try_transport_recv(spec)? {
-                ctx.hints.borrow_mut().wake.push(env.src);
-                return Ok(env);
-            }
-        }
+        let on = ParkOn::Inbox {
+            from: spec.source_rank(),
+            step,
+        };
+        self.wait_for(
+            comm,
+            on,
+            move |c| c.pending_recv(spec, user.copied()),
+            move |c| {
+                let env = c.try_transport_recv(spec)?;
+                if let (Some(env), Waiter::Event(ctx)) = (&env, self) {
+                    // The match may release a rendezvous sender.
+                    ctx.hints.borrow_mut().wake.push(env.src);
+                }
+                Ok(env)
+            },
+        )
     }
 
     /// Wait for the rendezvous partner of a send to `dst` with `tag` to
     /// start the matching receive, advancing the clock to the acknowledged
     /// time. `what` and `site` name the blocked call for the wait-for
     /// graph.
-    pub(crate) async fn ack(
-        &self,
-        comm: &mut Comm<'_>,
-        ack: Receiver<f64>,
+    pub(crate) fn ack<'a, 'w>(
+        &'a self,
+        comm: &'a mut Comm<'w>,
+        ack: &'a Receiver<f64>,
         dst: usize,
         tag: u32,
         what: &'static str,
-        site: &CallSite,
-    ) -> Result<()> {
-        let op = PendingOp {
-            rank: comm.rank(),
-            op: what,
-            site: *site,
-            on: PendingOn::Send { dest: dst, tag },
-        };
-        let ctx = match self {
-            Waiter::Blocking => return comm.await_ack(ack, dst, op),
-            Waiter::Event(ctx) => ctx,
-        };
-        let before = comm.sim_time();
-        let acked = comm.acked_failures();
-        let progress = comm.progress();
-        let _guard = progress.enter_blocked_as(op);
-        loop {
-            match ack.try_recv() {
+        site: &'a CallSite,
+    ) -> impl Future<Output = Result<()>> + use<'a, 'w> {
+        let on = ParkOn::Ack { ack, dst };
+        self.wait_for(
+            comm,
+            on,
+            move |c| PendingOp {
+                rank: c.rank(),
+                op: what,
+                site: *site,
+                on: PendingOn::Send { dest: dst, tag },
+            },
+            move |c| match ack.try_recv() {
                 Ok(t) => {
-                    comm.finish_ack(t, dst, before);
-                    return Ok(());
+                    c.finish_ack(t, dst);
+                    Ok(Some(()))
                 }
-                Err(TryRecvError::Empty) => {
-                    if progress.should_stop(Some(dst), acked) {
-                        return Err(progress.stop_error(Some(dst), acked));
-                    }
-                    park(ctx, comm.sim_time(), RankStep::RendezvousAck).await;
-                }
-                Err(TryRecvError::Disconnected) => {
-                    return Err(if progress.should_stop(Some(dst), acked) {
-                        progress.stop_error(Some(dst), acked)
-                    } else {
-                        Error::WorldShutDown
-                    });
-                }
-            }
-        }
+                Err(TryRecvError::Empty) => Ok(None),
+                // A partner that exited dropped the envelope, and with it
+                // the ack sender.
+                Err(TryRecvError::Disconnected) => Err(ParkOn::Ack { ack, dst }.closed_error(c)),
+            },
+        )
     }
 
     /// Wait until a user message matching `spec` is in the mailbox and
     /// return its status without receiving it.
-    pub(crate) async fn probe(
-        &self,
-        comm: &mut Comm<'_>,
-        spec: &MatchSpec,
-        site: &CallSite,
-    ) -> Result<Status> {
-        let target = spec.source_rank();
-        let acked = comm.acked_failures();
-        let progress = comm.progress();
-        let op = comm.pending_recv(spec, Some(("probe", *site)));
-        let ctx = match self {
-            Waiter::Blocking => return comm.probe_blocking(spec, op),
-            Waiter::Event(ctx) => ctx,
+    pub(crate) fn probe<'a, 'w>(
+        &'a self,
+        comm: &'a mut Comm<'w>,
+        spec: &'a MatchSpec,
+        site: &'a CallSite,
+    ) -> impl Future<Output = Result<Status>> + use<'a, 'w> {
+        let on = ParkOn::Inbox {
+            from: spec.source_rank(),
+            step: RankStep::Recv,
         };
-        if let Some(st) = comm.peek(spec) {
-            return Ok(st);
+        self.wait_for(
+            comm,
+            on,
+            move |c| c.pending_recv(spec, Some(("probe", *site))),
+            move |c| Ok(c.peek(spec)),
+        )
+    }
+
+    /// Enter a failure agreement and wait until every world rank has
+    /// entered it, failed, or finished; returns the agreed failed set and
+    /// the failure epoch it covers. The rank enters when the wait is
+    /// created, before its first poll.
+    pub(crate) fn agree<'a, 'w>(
+        &'a self,
+        comm: &'a mut Comm<'w>,
+        site: CallSite,
+    ) -> impl Future<Output = Result<(Vec<(usize, f64)>, u64)>> + use<'a, 'w> {
+        let gen = comm.progress().agree_enter(comm.rank());
+        if let Waiter::Event(ctx) = self {
+            ctx.hints.borrow_mut().agree_entered = true;
         }
-        let _guard = progress.enter_blocked_as(op);
-        loop {
-            if progress.should_stop(target, acked) {
-                return Err(progress.stop_error(target, acked));
+        self.wait_for(
+            comm,
+            ParkOn::Agree(gen),
+            move |c| PendingOp {
+                rank: c.rank(),
+                op: "agree",
+                site,
+                on: PendingOn::Agree,
+            },
+            move |c| Ok(c.progress().agree_poll(gen)),
+        )
+    }
+
+    /// The one wait loop: `attempt` to complete; on the first miss
+    /// register the blocked operation `op` (unregistered when the wait
+    /// ends, however it ends); then park on `on` until woken, stopped, or
+    /// the channel closed, and attempt again.
+    ///
+    /// An `async` block rather than an `async fn`: the block holds each
+    /// argument once, where an `async fn` would hold it twice for the
+    /// whole wait — on the event engine that is per-rank memory.
+    #[allow(clippy::manual_async_fn)]
+    fn wait_for<'a, 'w, R, O, A>(
+        &'a self,
+        comm: &'a mut Comm<'w>,
+        on: ParkOn<'a>,
+        op: O,
+        mut attempt: A,
+    ) -> impl Future<Output = Result<R>> + use<'a, 'w, R, O, A>
+    where
+        O: FnOnce(&Comm<'w>) -> PendingOp,
+        A: FnMut(&mut Comm<'w>) -> Result<Option<R>>,
+    {
+        async move {
+            if let Some(done) = attempt(comm)? {
+                return Ok(done);
             }
-            park(ctx, comm.sim_time(), RankStep::Recv).await;
-            if let Some(st) = comm.peek(spec) {
-                return Ok(st);
+            let _guard = comm.progress().enter_blocked_as(op(comm));
+            loop {
+                match self.park(comm, on).await {
+                    Ok(()) => {}
+                    Err(WaitError::Stopped) => return Err(on.stop_error(comm)),
+                    // One last try takes whatever arrived before the close.
+                    Err(WaitError::Disconnected) => {
+                        return attempt(comm)?.ok_or_else(|| on.closed_error(comm));
+                    }
+                }
+                if let Some(done) = attempt(comm)? {
+                    return Ok(done);
+                }
             }
         }
     }
 
-    /// Wait until every world rank has entered this failure agreement,
-    /// failed, or finished; returns the agreed failed set and the failure
-    /// epoch it covers.
-    pub(crate) async fn agree(
-        &self,
-        comm: &mut Comm<'_>,
-        op: PendingOp,
-    ) -> Result<(Vec<(usize, f64)>, u64)> {
-        let rank = comm.rank();
-        let progress = comm.progress();
-        let _guard = progress.enter_blocked_as(op);
+    /// Park the rank on `on` until woken, stopped, or the channel closed —
+    /// the only step of a wait that differs between backends.
+    fn park(&self, comm: &Comm<'_>, on: ParkOn<'_>) -> Park {
         let ctx = match self {
-            Waiter::Blocking => return progress.agree(rank),
+            Waiter::Blocking => {
+                let stopped = || on.stopped(comm);
+                return Park::Over(match on {
+                    ParkOn::Inbox { .. } => comm.inbox().wait_or_stop(stopped),
+                    ParkOn::Ack { ack, .. } => ack.wait_or_stop(stopped),
+                    ParkOn::Agree(gen) => comm.progress().agree_wait(gen, stopped),
+                });
+            }
             Waiter::Event(ctx) => ctx,
         };
-        let my_gen = progress.agree_enter(rank);
-        ctx.hints.borrow_mut().agree_entered = true;
-        loop {
-            if let Some(agreed) = progress.agree_poll(my_gen) {
-                return Ok(agreed);
-            }
-            if progress.is_poisoned() {
-                return Err(progress.deadlock_error());
-            }
-            ctx.hints.borrow_mut().agree_parked.push(rank);
-            park(ctx, comm.sim_time(), RankStep::Agree).await;
+        if on.stopped(comm) {
+            return Park::Over(Err(WaitError::Stopped));
         }
+        if let ParkOn::Agree(_) = on {
+            // An agreement resolves on progress state, not on a message:
+            // the engine requeues these ranks on every progress change.
+            ctx.hints.borrow_mut().agree_parked.push(comm.rank());
+        }
+        let mut cell = ctx.cell.borrow_mut();
+        cell.now = comm.sim_time();
+        cell.waiting = on.step();
+        cell.parked = true;
+        Park::Yield
+    }
+}
+
+/// A thread-backend world for unit tests: the shared setup and channel
+/// mesh, with each rank's communicator built on the calling thread (an
+/// event-capable `Comm` is not `Send`).
+#[cfg(test)]
+pub(crate) struct TestWorld {
+    setup: crate::world::WorldSetup,
+    pub outboxes: crate::transport::Outboxes,
+    inboxes: std::sync::Mutex<Vec<Option<Receiver<Envelope>>>>,
+}
+
+#[cfg(test)]
+impl TestWorld {
+    pub(crate) fn new(size: usize) -> Self {
+        let setup = crate::world::WorldSetup::new(&crate::WorldConfig::new(size));
+        let (outboxes, inboxes) = crate::transport::channel_mesh(size, &setup.progress);
+        TestWorld {
+            setup,
+            outboxes,
+            inboxes: std::sync::Mutex::new(inboxes.into_iter().map(Some).collect()),
+        }
+    }
+
+    pub(crate) fn progress(&self) -> &crate::mailbox::Progress {
+        &self.setup.progress
+    }
+
+    /// Rank `rank`'s communicator over its own inbox, which it takes.
+    pub(crate) fn comm(&self, rank: usize) -> Comm<'_> {
+        let inbox = self.inboxes.lock().expect("inbox table")[rank]
+            .take()
+            .expect("one communicator per rank");
+        self.comm_with(rank, inbox)
+    }
+
+    /// Rank `rank`'s communicator over `inbox` instead of its own.
+    pub(crate) fn comm_with(&self, rank: usize, inbox: Receiver<Envelope>) -> Comm<'_> {
+        let link = crate::transport::Link::Chan {
+            outboxes: &self.outboxes,
+            inbox,
+        };
+        self.setup.comm(rank, link)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::chan::channel;
+    use crate::check::DeadlockInfo;
+    use crate::envelope::{MsgClass, SourceSel, TagSel};
+    use crate::step::block_on;
+    use std::sync::atomic::Ordering;
+    use std::time::{Duration, Instant};
+
+    fn env(src: usize, tag: u32, val: i32) -> Envelope {
+        Envelope {
+            src,
+            class: MsgClass::User(tag),
+            type_name: "i32",
+            type_size: 4,
+            payload: crate::datatype::encode_slice(&[val]),
+            send_time: 0.0,
+            seq: 0,
+            ack: None,
+        }
+    }
+
+    fn spec(src: SourceSel) -> MatchSpec {
+        MatchSpec::User(src, TagSel::Any)
+    }
+
+    fn recv(comm: &mut Comm<'_>, spec: MatchSpec) -> Result<Envelope> {
+        block_on(Waiter::Blocking.recv(comm, &spec, None))
+    }
+
+    fn probe(comm: &mut Comm<'_>, spec: MatchSpec) -> Result<Status> {
+        block_on(Waiter::Blocking.probe(comm, &spec, &CallSite::here()))
+    }
+
+    fn ack(comm: &mut Comm<'_>, ack: &Receiver<f64>) -> Result<()> {
+        let site = CallSite::here();
+        block_on(Waiter::Blocking.ack(comm, ack, 1, 0, "ssend", &site))
+    }
+
+    /// An event wake, not the channel's 50 ms backstop.
+    const PROMPT: Duration = Duration::from_millis(45);
+
+    #[test]
+    fn blocked_recv_wakes_on_delivery() {
+        let w = TestWorld::new(2);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                std::thread::sleep(Duration::from_millis(20));
+                w.outboxes[0].send(env(1, 3, 42)).expect("inbox open");
+            });
+            let mut comm = w.comm(0);
+            let got = recv(
+                &mut comm,
+                MatchSpec::User(SourceSel::Rank(1), TagSel::Tag(3)),
+            )
+            .expect("arrives");
+            assert_eq!(crate::datatype::decode_vec::<i32>(&got.payload), vec![42]);
+        });
+    }
+
+    #[test]
+    fn poisoned_world_stops_a_recv() {
+        let w = TestWorld::new(1);
+        w.progress().poisoned.store(true, Ordering::SeqCst);
+        let err = recv(&mut w.comm(0), spec(SourceSel::Any)).expect_err("poisoned");
+        assert!(matches!(err, Error::Deadlock(_)), "{err:?}");
+    }
+
+    #[test]
+    fn poison_mid_wait_wakes_via_registered_waker() {
+        let w = TestWorld::new(1);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                std::thread::sleep(Duration::from_millis(10));
+                w.progress().poison(DeadlockInfo::default());
+            });
+            let t = Instant::now();
+            let err = recv(&mut w.comm(0), spec(SourceSel::Any)).expect_err("poisoned");
+            assert!(matches!(err, Error::Deadlock(_)), "{err:?}");
+            assert!(t.elapsed() < PROMPT, "{:?}", t.elapsed());
+        });
+    }
+
+    #[test]
+    fn closed_inbox_is_shutdown_not_hang() {
+        let w = TestWorld::new(1);
+        for use_probe in [false, true] {
+            let (tx, rx) = channel::<Envelope>();
+            drop(tx);
+            let mut comm = w.comm_with(0, rx);
+            let err = if use_probe {
+                probe(&mut comm, spec(SourceSel::Any)).map(|_| ())
+            } else {
+                recv(&mut comm, spec(SourceSel::Any)).map(|_| ())
+            };
+            assert_eq!(err, Err(Error::WorldShutDown), "probe: {use_probe}");
+        }
+    }
+
+    #[test]
+    fn probe_does_not_consume() {
+        let w = TestWorld::new(5);
+        let mut comm = w.comm(0);
+        w.outboxes[0].send(env(4, 8, 5)).expect("inbox open");
+        let peeked = probe(&mut comm, spec(SourceSel::Any)).expect("pending");
+        assert_eq!(peeked.source, 4);
+        let got = recv(&mut comm, spec(SourceSel::Any)).expect("still consumable");
+        assert_eq!(got.src, 4);
+    }
+
+    #[test]
+    fn failed_exact_source_aborts_recv_with_rank_failed() {
+        let w = TestWorld::new(2);
+        w.progress().mark_failed(1, 0.5);
+        let mut comm = w.comm(0);
+        // Acknowledged: the abort is the awaited peer's failure alone.
+        comm.ack_failures(1);
+        assert_eq!(
+            recv(&mut comm, spec(SourceSel::Rank(1))).expect_err("peer failed"),
+            Error::RankFailed { rank: 1, at: 0.5 }
+        );
+    }
+
+    #[test]
+    fn unacked_failure_aborts_wildcard_recv_until_acknowledged() {
+        let w = TestWorld::new(3);
+        w.progress().mark_failed(2, 0.25);
+        let mut comm = w.comm(0);
+        // Epoch 1 not yet acknowledged: the wait aborts and names the
+        // failed rank.
+        assert_eq!(
+            recv(&mut comm, spec(SourceSel::Any)).expect_err("unacked failure"),
+            Error::RankFailed { rank: 2, at: 0.25 }
+        );
+        // After acknowledging epoch 1, a wildcard wait from a live peer
+        // proceeds normally.
+        comm.ack_failures(1);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                std::thread::sleep(Duration::from_millis(10));
+                w.outboxes[0].send(env(1, 3, 9)).expect("inbox open");
+            });
+            assert_eq!(recv(&mut comm, spec(SourceSel::Any)).expect("lives").src, 1);
+        });
+    }
+
+    #[test]
+    fn mark_failed_wakes_blocked_receiver_immediately() {
+        let w = TestWorld::new(2);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                std::thread::sleep(Duration::from_millis(10));
+                w.progress().mark_failed(1, 1.0);
+            });
+            let t = Instant::now();
+            assert_eq!(
+                recv(&mut w.comm(0), spec(SourceSel::Rank(1))).expect_err("peer fails mid-wait"),
+                Error::RankFailed { rank: 1, at: 1.0 }
+            );
+            assert!(t.elapsed() < PROMPT, "{:?}", t.elapsed());
+        });
+    }
+
+    #[test]
+    fn ack_wait_completes_on_release_and_fails_on_a_dropped_partner() {
+        let w = TestWorld::new(2);
+        let mut comm = w.comm(0);
+        let (tx, rx) = channel::<f64>();
+        std::thread::scope(|s| {
+            s.spawn(move || {
+                std::thread::sleep(Duration::from_millis(10));
+                tx.send(2.5).expect("ack open");
+            });
+            ack(&mut comm, &rx).expect("released");
+        });
+        assert_eq!(comm.sim_time(), 2.5, "the clock advances to the match");
+        // The partner's envelope, and with it the ack sender, is gone.
+        let (tx, rx) = channel::<f64>();
+        drop(tx);
+        assert_eq!(ack(&mut comm, &rx), Err(Error::WorldShutDown));
     }
 }

@@ -9,7 +9,7 @@ use crate::fault::{ActiveFaults, FaultPlan};
 use crate::mailbox::{watchdog, Progress};
 use crate::stats::CommStats;
 use crate::trace::{CollSpan, PhaseSpan, Timeline};
-use crate::transport::{Link, ThreadTransport, Transport, WorldWiring};
+use crate::transport::{channel_mesh, Link};
 use crate::tune::{TuningTable, WorldTuning};
 use pdc_cluster::{CostModel, MachineModel, Placement, PlacementPolicy};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -468,8 +468,9 @@ impl<T> RunOutput<T> {
 
 /// The machine context a profiler needs to turn a traced run into
 /// attributed verdicts: which hardware the clock charged against and where
-/// each rank lived. Returned by [`World::run_with_profile`] so pdc-prof
-/// never has to reconstruct the cost model from a config.
+/// each rank lived. Built from the run's config
+/// ([`ProfContext::from_config`]), so pdc-prof never has to reconstruct
+/// the cost model itself.
 #[derive(Debug, Clone)]
 pub struct ProfContext {
     /// Hardware model the simulated clock charged against.
@@ -525,21 +526,6 @@ impl World {
         Self::run_inner(cfg, f)
     }
 
-    /// Like [`World::run`], but forces tracing on and also returns the
-    /// [`ProfContext`] (machine model + placement) the run executed under
-    /// — the hook pdc-prof's `profile_world` builds on, mirroring
-    /// [`World::run_with_check`] for the correctness checker. The context
-    /// is returned even when the run fails.
-    pub fn run_with_profile<T, F>(mut cfg: WorldConfig, f: F) -> (Result<RunOutput<T>>, ProfContext)
-    where
-        T: Send,
-        F: Fn(&mut Comm) -> Result<T> + Send + Sync,
-    {
-        cfg.tracing = true;
-        let ctx = ProfContext::from_config(&cfg);
-        (Self::run_inner(cfg, f).0, ctx)
-    }
-
     /// Like [`World::run`], but each rank is a real OS **process**, not a
     /// thread — `mpirun` semantics. The calling process hosts rank 0 and
     /// re-executes its own binary once per remaining rank (SPMD: every
@@ -592,66 +578,43 @@ impl World {
         F: Fn(&mut Comm) -> Result<T> + Send + Sync,
     {
         let setup = WorldSetup::new(&cfg);
-        let transport = ThreadTransport;
-        let WorldWiring { outboxes, inboxes } = transport.open(cfg.size, &setup.progress);
+        let (outboxes, inboxes) = channel_mesh(cfg.size, &setup.progress);
 
         let started = Instant::now();
-        let mut slots: Vec<Option<(Result<T>, RankReport)>> = (0..cfg.size).map(|_| None).collect();
-
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(cfg.size);
-            for (rank, rx) in inboxes {
-                let (setup, outboxes, f) = (&setup, &outboxes, &f);
-                handles.push(scope.spawn(move || {
-                    let mut comm = setup.comm(
-                        rank,
-                        Link::Chan {
-                            outboxes,
-                            inbox: rx,
-                        },
-                    );
-                    let value = match catch_unwind(AssertUnwindSafe(|| f(&mut comm))) {
-                        Ok(result) => result,
-                        Err(_) => Err(Error::RankPanicked(rank)),
-                    };
-                    setup.progress.mark_done(rank);
-                    if setup.check.is_on() {
-                        // The finalize-time leak check drains this rank's
-                        // mailbox; wait until every rank has finished so
-                        // all in-flight sends have landed first. (Blocked
-                        // ranks are released by the watchdog's poison, so
-                        // this terminates even on deadlocked runs.)
-                        setup.progress.wait_all_done();
-                    }
-                    (value, comm.into_report())
-                }));
-            }
+        let outcomes: Vec<(Result<T>, RankReport)> = std::thread::scope(|scope| {
+            let handles: Vec<_> = inboxes
+                .into_iter()
+                .enumerate()
+                .map(|(rank, inbox)| {
+                    let (setup, outboxes, f) = (&setup, &outboxes, &f);
+                    scope.spawn(move || setup.run_rank(rank, Link::Chan { outboxes, inbox }, f))
+                })
+                .collect();
             if let Some(interval) = cfg.watchdog {
                 let progress = &setup.progress;
                 scope.spawn(move || watchdog(progress, interval));
             }
-            for (rank, handle) in handles.into_iter().enumerate() {
-                let outcome = handle.join().unwrap_or_else(|_| {
-                    (
-                        Err(Error::RankPanicked(rank)),
-                        RankReport {
-                            stats: CommStats::new(),
-                            clock: 0.0,
-                            trace: Vec::new(),
-                            check_log: Vec::new(),
-                            phases: Vec::new(),
-                            colls: Vec::new(),
-                        },
-                    )
-                });
-                slots[rank] = Some(outcome);
-            }
+            handles
+                .into_iter()
+                .enumerate()
+                .map(|(rank, handle)| {
+                    handle.join().unwrap_or_else(|_| {
+                        (
+                            Err(Error::RankPanicked(rank)),
+                            RankReport {
+                                stats: CommStats::new(),
+                                clock: 0.0,
+                                trace: Vec::new(),
+                                check_log: Vec::new(),
+                                phases: Vec::new(),
+                                colls: Vec::new(),
+                            },
+                        )
+                    })
+                })
+                .collect()
         });
-        transport.finalize(&setup.progress);
-        let outcomes = slots
-            .into_iter()
-            .map(|slot| slot.expect("every rank produced a slot"));
-        fold_outcomes(outcomes, started, Vec::new())
+        fold_outcomes(outcomes.into_iter(), started, Vec::new())
     }
 
     /// Convenience: run with the default single-node configuration.
@@ -718,6 +681,35 @@ impl WorldSetup {
             self.faults.clone(),
             self.tuning.clone(),
         )
+    }
+}
+
+impl WorldSetup {
+    /// Run `f` as rank `rank` of a blocking backend (thread or proc): build
+    /// its communicator over `link`, contain a panic as
+    /// [`Error::RankPanicked`], mark the rank done, and hand back its
+    /// result with its report. With checking on, the rank first waits for
+    /// every rank to finish, so all in-flight sends have landed before the
+    /// finalize-time leak check drains its mailbox (blocked ranks are
+    /// released by the watchdog's poison, so this terminates even on
+    /// deadlocked runs; on the proc backend, peers' `Done` frames feed
+    /// the same count).
+    pub(crate) fn run_rank<T>(
+        &self,
+        rank: usize,
+        link: Link<'_>,
+        f: impl FnOnce(&mut Comm) -> Result<T>,
+    ) -> (Result<T>, RankReport) {
+        let mut comm = self.comm(rank, link);
+        let value = match catch_unwind(AssertUnwindSafe(|| f(&mut comm))) {
+            Ok(result) => result,
+            Err(_) => Err(Error::RankPanicked(rank)),
+        };
+        self.progress.mark_done(rank);
+        if self.check.is_on() {
+            self.progress.wait_all_done();
+        }
+        (value, comm.into_report())
     }
 }
 

@@ -39,11 +39,10 @@
 //! assert!(profiled.profile.kernel("kernel").is_some());
 //! ```
 //!
-//! The machine context comes from
-//! [`World::run_with_profile`](pdc_mpi::World::run_with_profile), the
-//! profiling counterpart of the pdc-check hook — see `docs/profiling.md`
-//! for the counter model, the wait-state definitions, and a worked
-//! late-sender diagnosis.
+//! The machine context comes from the run's own config
+//! ([`ProfContext::from_config`](pdc_mpi::ProfContext::from_config)) —
+//! see `docs/profiling.md` for the counter model, the wait-state
+//! definitions, and a worked late-sender diagnosis.
 
 #![warn(missing_docs)]
 
@@ -62,7 +61,7 @@ pub use profile::{Profile, ProtocolTotals};
 pub use render::render;
 pub use waitstate::{WaitKind, WaitState};
 
-use pdc_mpi::{Comm, Result, RunOutput, World, WorldConfig};
+use pdc_mpi::{Comm, ProfContext, Result, RunOutput, World, WorldConfig};
 
 /// A profiled execution: the world's ordinary output plus its diagnosis.
 #[derive(Debug)]
@@ -89,8 +88,9 @@ where
     T: Send,
     F: Fn(&mut Comm) -> Result<T> + Send + Sync,
 {
-    let (result, ctx) = World::run_with_profile(cfg, f);
-    let output = result?;
+    let cfg = cfg.with_tracing();
+    let ctx = ProfContext::from_config(&cfg);
+    let output = World::run(cfg, f)?;
     let profile = Profile::from_run(&output, &ctx);
     Ok(Profiled { output, profile })
 }

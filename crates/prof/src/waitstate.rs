@@ -5,8 +5,8 @@
 //! * **late sender** — a receive was posted before the matching message
 //!   even left its sender; the receiver's blocked time up to the send
 //!   instant is charged to the sender;
-//! * **late receiver** — a rendezvous send sat in `await_ack` because the
-//!   matching receive was posted late; the sender's blocked time is
+//! * **late receiver** — a rendezvous send waited for its ack because
+//!   the matching receive was posted late; the sender's blocked time is
 //!   charged to the receiver;
 //! * **arrival imbalance** — ranks entered the same collective at
 //!   different times; every early arriver's wait up to the last arrival

@@ -25,6 +25,11 @@
 //! check from the event engine's queue as it does from a thread's
 //! channel.
 //!
+//! Every kind of wait — a receive, a rendezvous send's ack, a probe and
+//! an agreement — ends in the same error on threads as on the event
+//! engine when it cannot complete: a crashed peer's `RankFailed`, or the
+//! same deadlock analysis.
+//!
 //! The crate-level `event_conformance` suite covers more sizes and
 //! programs.
 
@@ -34,10 +39,11 @@ use pdc_modules::module3::{BucketStrategy, DistributionSortProgram, InputDist};
 use pdc_modules::module7::{top_k_rank, top_k_step, TopKStrategy};
 use pdc_mpi::tune::measure;
 use pdc_mpi::{
-    drive, CheckEvent, CheckMode, CollAlgo, CollKind, FaultPlan, Op, Result, SizeClass, StepComm,
-    StepFuture, StepProgram, TuningTable, World, WorldConfig,
+    drive, CheckEvent, CheckMode, CollAlgo, CollKind, Error, FaultPlan, Op, Result, SizeClass,
+    StepComm, StepFuture, StepProgram, TuningTable, World, WorldConfig,
 };
 use std::path::Path;
+use std::time::Duration;
 
 #[test]
 fn module3_deep_mailboxes_are_thread_event_identical() {
@@ -382,4 +388,117 @@ fn an_unreceived_message_is_reported_at_finalize_on_both_backends() {
         "{}",
         unmatched[1].message
     );
+}
+
+/// Programs in which one kind of wait can never complete.
+#[derive(Debug, Clone, Copy)]
+enum StuckWait {
+    /// Rank 0 receives from rank 1, which crashes after computing.
+    RecvFromCrashed,
+    /// Rank 0's rendezvous send waits for rank 1, which waits for another
+    /// tag.
+    UnreceivedRendezvous,
+    /// Rank 0 probes for a message rank 1 never sends; rank 1 waits for
+    /// rank 0.
+    UnansweredProbe,
+    /// Rank 2 crashes and ranks 0 and 1 agree on it. Rank 1 then agrees
+    /// again, alone, while rank 0 waits for a message from it.
+    AgreeAfterCrash,
+}
+
+impl StuckWait {
+    fn config(self) -> WorldConfig {
+        let cfg = WorldConfig::new(2)
+            .with_eager_threshold(0)
+            .with_watchdog(Some(Duration::from_millis(20)));
+        match self {
+            StuckWait::RecvFromCrashed => cfg.with_faults(FaultPlan::seeded(1).crash_rank(1, 0.0)),
+            StuckWait::AgreeAfterCrash => WorldConfig::new(3)
+                .with_watchdog(Some(Duration::from_millis(20)))
+                .with_faults(FaultPlan::seeded(1).crash_rank(2, 0.0)),
+            _ => cfg,
+        }
+    }
+
+    /// The blocked operations a deadlocked run reports, by rank.
+    fn blocked(self) -> Vec<(usize, &'static str)> {
+        match self {
+            StuckWait::RecvFromCrashed => Vec::new(),
+            StuckWait::UnreceivedRendezvous => vec![(0, "send(rendezvous)"), (1, "recv")],
+            StuckWait::UnansweredProbe => vec![(0, "probe"), (1, "recv")],
+            StuckWait::AgreeAfterCrash => vec![(0, "recv"), (1, "agree")],
+        }
+    }
+}
+
+impl StepProgram<()> for StuckWait {
+    fn build<'c, 'w: 'c>(&'c self, mut sc: StepComm<'c, 'w>) -> StepFuture<'c, Result<()>> {
+        let this = *self;
+        Box::pin(async move {
+            let rank = sc.rank();
+            match (this, rank) {
+                (StuckWait::RecvFromCrashed, 0) => {
+                    sc.recv::<u8, _, _>(1, 0).await?;
+                }
+                (StuckWait::RecvFromCrashed, _) => {
+                    sc.charge_flops(1e6);
+                    sc.send(&[1u8], 0, 0).await?;
+                }
+                (StuckWait::UnreceivedRendezvous, 0) => {
+                    sc.send(&[0u8; 64], 1, 9).await?;
+                }
+                (StuckWait::UnansweredProbe, 0) => {
+                    sc.probe(1, 2).await?;
+                }
+                (StuckWait::UnreceivedRendezvous | StuckWait::UnansweredProbe, _) => {
+                    sc.recv::<u8, _, _>(0, 8).await?;
+                }
+                (StuckWait::AgreeAfterCrash, 2) => match sc.recv::<u8, _, _>(0, 1).await {
+                    // The casualty: model process death.
+                    Err(Error::RankFailed { rank: 2, .. }) => {}
+                    other => panic!("rank 2 must crash, got {other:?}"),
+                },
+                (StuckWait::AgreeAfterCrash, _) => {
+                    assert_eq!(sc.agree().await?, vec![(2, 0.0)]);
+                    if rank == 0 {
+                        sc.recv::<u8, _, _>(1, 5).await?;
+                    } else {
+                        sc.agree().await?;
+                    }
+                }
+            }
+            Ok(())
+        })
+    }
+}
+
+#[test]
+fn every_wait_aborts_alike_on_thread_and_event() {
+    for stuck in [
+        StuckWait::RecvFromCrashed,
+        StuckWait::UnreceivedRendezvous,
+        StuckWait::UnansweredProbe,
+        StuckWait::AgreeAfterCrash,
+    ] {
+        let thread = World::run(stuck.config(), |comm| drive(comm, |sc| stuck.build(sc)))
+            .expect_err("the wait cannot complete on threads");
+        let event = World::run_event(stuck.config(), &stuck)
+            .expect_err("the wait cannot complete on the event engine");
+        assert_eq!(thread, event, "{stuck:?}: thread vs event");
+        match event {
+            Error::RankFailed { rank, at } => {
+                assert!(
+                    stuck.blocked().is_empty(),
+                    "{stuck:?} failed instead: {event:?}"
+                );
+                assert_eq!(rank, 1, "{stuck:?}");
+                assert!(at > 0.0, "{stuck:?}: the crash comes after computing");
+            }
+            Error::Deadlock(info) => {
+                let blocked: Vec<_> = info.blocked.iter().map(|op| (op.rank, op.op)).collect();
+                assert_eq!(blocked, stuck.blocked(), "{stuck:?}");
+            }
+            other => panic!("{stuck:?}: unexpected {other:?}"),
+        }
+    }
 }
