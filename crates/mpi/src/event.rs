@@ -37,7 +37,7 @@ use crate::check::{CheckEvent, DeadlockInfo};
 use crate::comm::Comm;
 use crate::envelope::Envelope;
 use crate::error::{Error, Result};
-use crate::mailbox::Mailbox;
+use crate::mailbox::{release_ack, Mailbox};
 use crate::step::{RankStep, StepComm, StepFuture, StepProgram};
 use crate::transport::Link;
 use crate::wait::{EventCtx, Hints, WaitCell};
@@ -114,6 +114,15 @@ impl EventMesh {
             std::mem::take(&mut *inbox)
         };
         mailbox.admit(batch);
+    }
+
+    /// Release the rendezvous senders of rank `rank`'s queued envelopes,
+    /// pushing their ranks onto `senders` (see
+    /// [`Mailbox::release_acks`]).
+    pub(crate) fn release_acks(&self, rank: usize, senders: &mut Vec<usize>) {
+        for env in self.inboxes[rank].borrow_mut().iter_mut() {
+            release_ack(env, senders);
+        }
     }
 }
 
@@ -367,6 +376,10 @@ where
             agree_progress = false;
         }
         for dst in mesh.dirty.borrow_mut().drain(..) {
+            if futures[dst].is_none() {
+                // Sent to a finished rank: release a rendezvous sender.
+                mesh.release_acks(dst, &mut hints.borrow_mut().wake);
+            }
             wake_rank(&cells, &mut heap, &mut counter, seed, dst);
         }
         // The hint lists are drained where they are, keeping their
@@ -400,7 +413,6 @@ where
 mod tests {
     use super::*;
     use crate::envelope::{MatchSpec, MsgClass, SourceSel, TagSel};
-    use crate::mailbox::Progress;
 
     fn env(src: usize, seq: u64) -> Envelope {
         Envelope {
@@ -430,7 +442,6 @@ mod tests {
     #[test]
     fn collect_admits_the_queue_in_arrival_order_and_empties_it() {
         let mesh = EventMesh::new(2);
-        let progress = Progress::new(2);
         let mut mailbox = Mailbox::new();
         mesh.collect(1, &mut mailbox);
         assert!(
@@ -449,9 +460,9 @@ mod tests {
         );
         let from0 = MatchSpec::User(SourceSel::Rank(0), TagSel::Any);
         for seq in 0..40 {
-            let got = mailbox.try_match(&from0, &progress).expect("queued");
+            let got = mailbox.try_match(&from0).expect("queued");
             assert_eq!(got.seq, seq);
         }
-        assert!(mailbox.try_match(&from0, &progress).is_none());
+        assert!(mailbox.try_match(&from0).is_none());
     }
 }

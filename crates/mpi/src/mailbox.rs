@@ -22,7 +22,10 @@ use crate::chan::{Receiver, WaitError, Wake};
 use crate::check::{BlockedOp, DeadlockInfo, PendingOp};
 use crate::envelope::{Envelope, MatchSpec, MsgClass, SourceSel, Status, TagSel};
 use crate::error::Error;
-use std::collections::{BTreeMap, BTreeSet, HashSet, VecDeque};
+use std::cmp::Reverse;
+use std::collections::hash_map::Entry;
+use std::collections::{BTreeMap, BTreeSet, BinaryHeap, HashMap, HashSet, VecDeque};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, PoisonError, Weak};
 use std::time::{Duration, Instant};
@@ -30,8 +33,9 @@ use std::time::{Duration, Instant};
 /// Shared world state used for progress tracking and deadlock detection.
 #[derive(Debug)]
 pub struct Progress {
-    /// Envelopes enqueued or matched since the world started; any movement
-    /// counts as progress.
+    /// Envelopes enqueued or matched by thread and proc ranks since the
+    /// world started; any movement counts as progress. Only the watchdog
+    /// reads it, so event-engine ranks do not count.
     pub deliveries: AtomicU64,
     /// Ranks currently blocked inside a primitive.
     pub blocked: AtomicUsize,
@@ -766,39 +770,240 @@ fn wild_key(pos: u64, env: &Envelope) -> WildKey {
     (t, env.src, env.seq, pos)
 }
 
-/// Side index of a deep mailbox, keyed by arrival number.
-#[derive(Debug, Default)]
-struct Index {
-    /// `(src, arrival)` of every live envelope: one arrival-ordered FIFO
-    /// per source, for exact-source user and internal matches.
-    by_src: BTreeSet<(usize, u64)>,
-    /// Every live user envelope in wildcard order.
-    wild: BTreeSet<WildKey>,
-    /// Live user envelopes per tag, so a wildcard's candidate count is a
-    /// lookup.
-    tags: BTreeMap<u32, usize>,
-}
+/// End of a per-source chain, and "no predecessor" for its head.
+const NIL: u64 = u64::MAX;
 
-impl Index {
-    fn insert(&mut self, pos: u64, env: &Envelope) {
-        self.by_src.insert((env.src, pos));
-        if let MsgClass::User(tag) = env.class {
-            self.wild.insert(wild_key(pos, env));
-            *self.tags.entry(tag).or_default() += 1;
+/// Multiplicative (Fx-style) hash for the index's small integer keys:
+/// ranks and tags need no flood resistance, and SipHash would cost more
+/// than the rest of a match.
+#[derive(Default)]
+struct IntHasher(u64);
+
+impl Hasher for IntHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
         }
     }
 
-    fn remove(&mut self, pos: u64, env: &Envelope) {
-        self.by_src.remove(&(env.src, pos));
-        if let MsgClass::User(tag) = env.class {
-            self.wild.remove(&wild_key(pos, env));
-            match self.tags.get_mut(&tag) {
-                Some(n) if *n > 1 => *n -= 1,
-                _ => {
-                    self.tags.remove(&tag);
-                }
+    fn write_u32(&mut self, n: u32) {
+        self.write_u64(u64::from(n));
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.write_u64(n as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+type IntMap<K, V> = HashMap<K, V, BuildHasherDefault<IntHasher>>;
+
+/// Side index of a deep mailbox, keyed by arrival number. Nothing in it
+/// is allocated per envelope: its buffers grow with the deepest queue.
+#[derive(Debug, Default)]
+struct Index {
+    /// `next[i]`: arrival number of the next live envelope from the same
+    /// source as store slot `i`, or [`NIL`]. Kept parallel to the store.
+    next: VecDeque<u64>,
+    /// `src → (oldest, newest)` live arrival: one arrival-ordered chain
+    /// per source, for exact-source user and internal matches.
+    chains: IntMap<usize, (u64, u64)>,
+    /// One wildcard-order heap per user tag.
+    tags: IntMap<u32, TagHeap>,
+    /// Live user envelopes over all tags.
+    user_live: usize,
+}
+
+/// The wildcard order of one tag's live envelopes, as a min-heap with
+/// lazy deletion: a matched envelope leaves its key behind, and queries
+/// pop such stale tops. The heap is pruned once stale keys outnumber live
+/// ones, so it never holds more than twice its live count.
+#[derive(Debug, Default)]
+struct TagHeap {
+    heap: BinaryHeap<Reverse<WildKey>>,
+    /// Live envelopes with this tag.
+    live: usize,
+}
+
+/// Is `key` (from `tag`'s heap) still a live envelope of the store whose
+/// first slot has arrival number `base`? Trailing arrival numbers are
+/// reused, so the slot's envelope is compared, not just its presence.
+fn is_live(store: &VecDeque<Option<Envelope>>, base: u64, tag: u32, key: &WildKey) -> bool {
+    key.3
+        .checked_sub(base)
+        .and_then(|i| store.get(i as usize))
+        .and_then(Option::as_ref)
+        .is_some_and(|env| env.class == MsgClass::User(tag) && wild_key(key.3, env) == *key)
+}
+
+impl TagHeap {
+    /// The wildcard-order minimum of this tag's live envelopes, popping
+    /// stale keys off the top on the way.
+    fn top(&mut self, store: &VecDeque<Option<Envelope>>, base: u64, tag: u32) -> Option<WildKey> {
+        while let Some(Reverse(key)) = self.heap.peek() {
+            if is_live(store, base, tag, key) {
+                return Some(*key);
+            }
+            self.heap.pop();
+        }
+        None
+    }
+
+    /// Drop every stale key (and a key pushed twice for one envelope, when
+    /// a reused arrival number met an identical envelope).
+    fn prune(&mut self, store: &VecDeque<Option<Envelope>>, base: u64, tag: u32) {
+        let mut keys = std::mem::take(&mut self.heap).into_vec();
+        keys.retain(|Reverse(key)| is_live(store, base, tag, key));
+        keys.sort_unstable();
+        keys.dedup();
+        self.heap = keys.into();
+    }
+}
+
+impl Index {
+    /// (Re)index every live envelope of `store`, whose first slot has
+    /// arrival number `base`, keeping the buffers already allocated.
+    fn rebuild(&mut self, store: &VecDeque<Option<Envelope>>, base: u64) {
+        self.next.clear();
+        self.chains.clear();
+        for tag in self.tags.values_mut() {
+            tag.heap.clear();
+            tag.live = 0;
+        }
+        self.user_live = 0;
+        for (i, slot) in store.iter().enumerate() {
+            self.push(base, base + i as u64, slot.as_ref());
+        }
+        self.tags.retain(|_, tag| tag.live > 0);
+    }
+
+    /// Append store slot `pos`, holding `env` or a tombstone.
+    fn push(&mut self, base: u64, pos: u64, env: Option<&Envelope>) {
+        self.next.push_back(NIL);
+        let Some(env) = env else {
+            return;
+        };
+        match self.chains.entry(env.src) {
+            Entry::Occupied(mut chain) => {
+                let newest = &mut chain.get_mut().1;
+                self.next[(*newest - base) as usize] = pos;
+                *newest = pos;
+            }
+            Entry::Vacant(chain) => {
+                chain.insert((pos, pos));
             }
         }
+        if let MsgClass::User(tag) = env.class {
+            let tag = self.tags.entry(tag).or_default();
+            tag.heap.push(Reverse(wild_key(pos, env)));
+            tag.live += 1;
+            self.user_live += 1;
+        }
+    }
+
+    /// The oldest envelope from `src` that `spec` matches, with its chain
+    /// predecessor ([`NIL`] at the head).
+    fn find_exact(
+        &self,
+        store: &VecDeque<Option<Envelope>>,
+        base: u64,
+        src: usize,
+        spec: &MatchSpec,
+    ) -> Option<Hit> {
+        let (mut pos, _) = *self.chains.get(&src)?;
+        let mut prev = NIL;
+        while pos != NIL {
+            let i = (pos - base) as usize;
+            let env = store[i].as_ref().expect("chained slot is live");
+            if spec.matches(env) {
+                return Some(Hit {
+                    pos,
+                    prev: Some(prev),
+                });
+            }
+            prev = pos;
+            pos = self.next[i];
+        }
+        None
+    }
+
+    /// The wildcard-order minimum among live user envelopes with `tag`.
+    fn find_wild(
+        &mut self,
+        store: &VecDeque<Option<Envelope>>,
+        base: u64,
+        tag: TagSel,
+    ) -> Option<u64> {
+        let key = match tag {
+            TagSel::Tag(t) => self.tags.get_mut(&t)?.top(store, base, t),
+            TagSel::Any => self
+                .tags
+                .iter_mut()
+                .filter_map(|(&t, heap)| heap.top(store, base, t))
+                .min(),
+        };
+        key.map(|key| key.3)
+    }
+
+    /// Unindex `env`, just taken out of store slot `hit.pos`.
+    fn remove(&mut self, store: &VecDeque<Option<Envelope>>, base: u64, hit: Hit, env: &Envelope) {
+        let at = |pos: u64| (pos - base) as usize;
+        let chain = self
+            .chains
+            .get_mut(&env.src)
+            .expect("live source has a chain");
+        // A wildcard or perturbed match did not walk the chain: find the
+        // predecessor (none, in the usual case of the chain's head).
+        let prev = hit.prev.unwrap_or_else(|| {
+            let (mut prev, mut pos) = (NIL, chain.0);
+            while pos != hit.pos {
+                prev = pos;
+                pos = self.next[at(pos)];
+            }
+            prev
+        });
+        let next = self.next[at(hit.pos)];
+        if prev != NIL {
+            self.next[at(prev)] = next;
+            if chain.1 == hit.pos {
+                chain.1 = prev;
+            }
+        } else if next != NIL {
+            chain.0 = next;
+        } else {
+            self.chains.remove(&env.src);
+        }
+        if let MsgClass::User(t) = env.class {
+            self.user_live -= 1;
+            let tag = self.tags.get_mut(&t).expect("live tag has a heap");
+            tag.live -= 1;
+            if tag.live == 0 {
+                self.tags.remove(&t);
+            } else if tag.heap.len() > 2 * tag.live {
+                tag.prune(store, base, t);
+            }
+        }
+    }
+}
+
+/// Where a match was found: the envelope's arrival number and, when an
+/// indexed lookup walked its source chain, the chain predecessor.
+#[derive(Debug, Clone, Copy)]
+struct Hit {
+    pos: u64,
+    prev: Option<u64>,
+}
+
+impl Hit {
+    fn at(pos: u64) -> Self {
+        Hit { pos, prev: None }
     }
 }
 
@@ -843,24 +1048,17 @@ impl Mailbox {
             for env in batch {
                 let pos = self.base + self.store.len() as u64;
                 if let Some(index) = &mut self.index {
-                    index.insert(pos, &env);
+                    index.push(self.base, pos, Some(&env));
                 }
                 self.store.push_back(Some(env));
                 self.live += 1;
             }
         }
         if self.index.is_none() && self.live > INDEX_DEPTH {
-            self.index = Some(self.build_index());
+            let mut index = Box::<Index>::default();
+            index.rebuild(&self.store, self.base);
+            self.index = Some(index);
         }
-    }
-
-    /// Index every live envelope.
-    fn build_index(&self) -> Box<Index> {
-        let mut index = Box::<Index>::default();
-        for (pos, env) in self.live_slots() {
-            index.insert(pos, env);
-        }
-        index
     }
 
     /// Live envelopes with their arrival numbers, in arrival order.
@@ -875,13 +1073,13 @@ impl Mailbox {
     fn slot(&self, pos: u64) -> &Envelope {
         self.store[(pos - self.base) as usize]
             .as_ref()
-            .expect("indexed slot is live")
+            .expect("matched slot is live")
     }
 
-    /// Consume the envelope with arrival number `pos`. A drained mailbox
-    /// releases its store buffer and index.
-    fn take(&mut self, pos: u64) -> Envelope {
-        let env = self.store[(pos - self.base) as usize]
+    /// Consume the envelope `hit` found. A drained mailbox releases its
+    /// store buffer and index.
+    fn take(&mut self, hit: Hit) -> Envelope {
+        let env = self.store[(hit.pos - self.base) as usize]
             .take()
             .expect("matched slot is live");
         self.live -= 1;
@@ -891,23 +1089,30 @@ impl Mailbox {
             return env;
         }
         if let Some(index) = &mut self.index {
-            index.remove(pos, &env);
+            index.remove(&self.store, self.base, hit, &env);
         }
         while let Some(None) = self.store.front() {
             self.store.pop_front();
             self.base += 1;
+            if let Some(index) = &mut self.index {
+                index.next.pop_front();
+            }
         }
-        // Trailing arrival numbers are reused; nothing indexes them.
+        // Trailing arrival numbers are reused: the chains no longer reach
+        // them, and the wildcard heaps check every key against its slot.
         while let Some(None) = self.store.back() {
             self.store.pop_back();
+            if let Some(index) = &mut self.index {
+                index.next.pop_back();
+            }
         }
         // Amortised O(1): at least half the compacted slots are
         // tombstones, each left by one match.
         if self.store.len() > 2 * self.live + INDEX_DEPTH {
             self.store.retain(Option::is_some);
             // Arrival numbers changed.
-            if self.index.is_some() {
-                self.index = Some(self.build_index());
+            if let Some(index) = &mut self.index {
+                index.rebuild(&self.store, self.base);
             }
         }
         env
@@ -955,6 +1160,15 @@ impl Mailbox {
             .collect()
     }
 
+    /// Release the rendezvous senders of every pending envelope, pushing
+    /// each sender's rank onto `senders`: the owning rank has finished and
+    /// will never receive them. The envelopes stay for the leak check.
+    pub(crate) fn release_acks(&mut self, senders: &mut Vec<usize>) {
+        for env in self.store.iter_mut().flatten() {
+            release_ack(env, senders);
+        }
+    }
+
     /// Move everything currently sitting in a channel inbox into the
     /// store (non-blocking, one lock).
     pub(crate) fn pull(&mut self, inbox: &Receiver<Envelope>) {
@@ -964,41 +1178,37 @@ impl Mailbox {
         }
     }
 
-    /// Arrival number of the envelope a peek reports for `spec`: earliest
-    /// arrival for exact sources, the deterministic `(send_time, src,
-    /// seq)` minimum for wildcards — the same envelope an unperturbed
-    /// [`Mailbox::try_match`] consumes, so probe-then-recv patterns
-    /// observe one consistent choice on every backend.
-    fn find(&self, spec: &MatchSpec) -> Option<u64> {
-        let Some(index) = &self.index else {
+    /// The envelope a match of `spec` takes: earliest arrival for exact
+    /// sources, the deterministic `(send_time, src, seq)` minimum for
+    /// wildcards — the same envelope an unperturbed
+    /// [`Mailbox::try_match`] consumes and a peek reports, so
+    /// probe-then-recv patterns observe one consistent choice on every
+    /// backend.
+    fn find(&mut self, spec: &MatchSpec) -> Option<Hit> {
+        let Some(index) = &mut self.index else {
             let mut hits = self.live_slots().filter(|(_, env)| spec.matches(env));
             return if is_wildcard(spec) {
                 hits.min_by_key(|&(pos, env)| wild_key(pos, env))
             } else {
                 hits.next()
             }
-            .map(|(pos, _)| pos);
+            .map(|(pos, _)| Hit::at(pos));
         };
-        match spec.source_rank() {
-            None => index
-                .wild
-                .iter()
-                .map(|key| key.3)
-                .find(|&pos| spec.matches(self.slot(pos))),
-            Some(src) => index
-                .by_src
-                .range((src, 0)..=(src, u64::MAX))
-                .map(|&(_, pos)| pos)
-                .find(|&pos| spec.matches(self.slot(pos))),
+        match (spec, spec.source_rank()) {
+            (MatchSpec::User(_, tag), None) => {
+                index.find_wild(&self.store, self.base, *tag).map(Hit::at)
+            }
+            (_, Some(src)) => index.find_exact(&self.store, self.base, src, spec),
+            (MatchSpec::Internal(..), None) => unreachable!("internal receives name their source"),
         }
     }
 
     /// Number of pending envelopes a wildcard `spec` could match.
     fn wildcard_candidates(&self, spec: &MatchSpec) -> usize {
         match (self.index.as_deref(), spec) {
-            (Some(index), MatchSpec::User(_, TagSel::Any)) => index.wild.len(),
+            (Some(index), MatchSpec::User(_, TagSel::Any)) => index.user_live,
             (Some(index), MatchSpec::User(_, TagSel::Tag(t))) => {
-                index.tags.get(t).copied().unwrap_or(0)
+                index.tags.get(t).map_or(0, |tag| tag.live)
             }
             _ => self
                 .live_slots()
@@ -1019,8 +1229,8 @@ impl Mailbox {
     /// times are broken by `(src, seq)` — a pure function of the program
     /// rather than of arrival order, so every backend (thread, event,
     /// proc) resolves the tie identically.
-    pub fn try_match(&mut self, spec: &MatchSpec, progress: &Progress) -> Option<Envelope> {
-        let pos = if is_wildcard(spec) {
+    pub fn try_match(&mut self, spec: &MatchSpec) -> Option<Envelope> {
+        let hit = if is_wildcard(spec) {
             let candidates = self.wildcard_candidates(spec);
             if candidates == 0 {
                 return None;
@@ -1039,23 +1249,32 @@ impl Mailbox {
                     .filter(|(_, env)| spec.matches(env))
                     .nth(pick)
                     .expect("candidate count is exact");
-                pos
+                Hit::at(pos)
             } else {
                 self.find(spec).expect("nonempty candidate set")
             }
         } else {
-            let pos = self.find(spec)?;
+            let hit = self.find(spec)?;
             self.last_candidates = 1;
-            pos
+            hit
         };
-        progress.bump();
-        Some(self.take(pos))
+        Some(self.take(hit))
     }
 
     /// Non-blocking peek: the status of the earliest satisfying user
     /// envelope, if one is already here (the analogue of `MPI_Iprobe`).
-    pub fn peek_matching(&self, spec: &MatchSpec) -> Option<Status> {
-        self.find(spec).map(|pos| Status::of(self.slot(pos)))
+    /// Takes `&mut self` because an indexed lookup prunes stale wildcard
+    /// keys on the way.
+    pub fn peek_matching(&mut self, spec: &MatchSpec) -> Option<Status> {
+        self.find(spec).map(|hit| Status::of(self.slot(hit.pos)))
+    }
+}
+
+/// Drop `env`'s rendezvous acknowledgement, if it has one, so its blocked
+/// sender sees the channel close; push the sender's rank onto `senders`.
+pub(crate) fn release_ack(env: &mut Envelope, senders: &mut Vec<usize>) {
+    if env.ack.take().is_some() {
+        senders.push(env.src);
     }
 }
 
@@ -1085,42 +1304,39 @@ mod tests {
     #[test]
     fn messages_match_in_arrival_order() {
         let (tx, rx) = channel();
-        let progress = Progress::new(1);
         let mut mb = Mailbox::new();
         tx.send(env(0, 1, 10)).expect("open channel");
         tx.send(env(0, 1, 20)).expect("open channel");
         mb.pull(&rx);
         let spec = MatchSpec::User(SourceSel::Rank(0), TagSel::Tag(1));
-        let first = mb.try_match(&spec, &progress).expect("message pending");
+        let first = mb.try_match(&spec).expect("message pending");
         assert_eq!(crate::datatype::decode_vec::<i32>(&first.payload), vec![10]);
-        let second = mb.try_match(&spec, &progress).expect("message pending");
+        let second = mb.try_match(&spec).expect("message pending");
         assert_eq!(
             crate::datatype::decode_vec::<i32>(&second.payload),
             vec![20]
         );
-        assert!(mb.try_match(&spec, &progress).is_none());
+        assert!(mb.try_match(&spec).is_none());
     }
 
     #[test]
     fn non_matching_messages_stay_queued() {
         let (tx, rx) = channel();
-        let progress = Progress::new(1);
         let mut mb = Mailbox::new();
         tx.send(env(0, 5, 1)).expect("open channel");
         tx.send(env(1, 7, 2)).expect("open channel");
         mb.pull(&rx);
         let spec = MatchSpec::User(SourceSel::Rank(1), TagSel::Any);
-        let got = mb.try_match(&spec, &progress).expect("src-1 message");
+        let got = mb.try_match(&spec).expect("src-1 message");
         assert_eq!(got.src, 1);
         // The src-0 message is still there for later.
         let spec0 = MatchSpec::User(SourceSel::Any, TagSel::Tag(5));
-        assert!(mb.try_match(&spec0, &progress).is_some());
+        assert!(mb.try_match(&spec0).is_some());
     }
 
     #[test]
     fn wildcard_breaks_send_time_ties_by_src_then_seq() {
         let (tx, rx) = channel();
-        let progress = Progress::new(1);
         let mut mb = Mailbox::new();
         // Equal send times: the pick must not depend on arrival order
         // (src 2 arrives first) — the (src, seq) tie-break chooses src 1
@@ -1129,14 +1345,13 @@ mod tests {
         tx.send(env(1, 9, 2)).expect("open channel");
         mb.pull(&rx);
         let spec = MatchSpec::User(SourceSel::Any, TagSel::Any);
-        assert_eq!(mb.try_match(&spec, &progress).expect("pending").src, 1);
-        assert_eq!(mb.try_match(&spec, &progress).expect("pending").src, 2);
+        assert_eq!(mb.try_match(&spec).expect("pending").src, 1);
+        assert_eq!(mb.try_match(&spec).expect("pending").src, 2);
     }
 
     #[test]
     fn wildcard_prefers_sim_earliest_send_over_arrival_order() {
         let (tx, rx) = channel();
-        let progress = Progress::new(1);
         let mut mb = Mailbox::new();
         let mut late = env(1, 9, 1);
         late.send_time = 5.0;
@@ -1145,7 +1360,7 @@ mod tests {
         mb.pull(&rx);
         let spec = MatchSpec::User(SourceSel::Any, TagSel::Any);
         // send_time dominates the (src, seq) tie-break.
-        assert_eq!(mb.try_match(&spec, &progress).expect("pending").src, 2);
+        assert_eq!(mb.try_match(&spec).expect("pending").src, 2);
     }
 
     #[test]
@@ -1197,16 +1412,15 @@ mod tests {
     #[test]
     fn wildcard_match_counts_candidates() {
         let (tx, rx) = channel();
-        let progress = Progress::new(1);
         let mut mb = Mailbox::new();
         tx.send(env(1, 9, 1)).expect("open channel");
         tx.send(env(2, 9, 2)).expect("open channel");
         tx.send(env(3, 9, 3)).expect("open channel");
         mb.pull(&rx);
         let spec = MatchSpec::User(SourceSel::Any, TagSel::Any);
-        mb.try_match(&spec, &progress).expect("pending");
+        mb.try_match(&spec).expect("pending");
         assert_eq!(mb.last_candidates(), 3);
-        mb.try_match(&spec, &progress).expect("pending");
+        mb.try_match(&spec).expect("pending");
         assert_eq!(mb.last_candidates(), 2);
     }
 
@@ -1214,7 +1428,6 @@ mod tests {
     fn perturbed_delivery_is_deterministic_per_seed_and_legal() {
         let run = |seed: u64| -> Vec<usize> {
             let (tx, rx) = channel();
-            let progress = Progress::new(1);
             let mut mb = Mailbox::new();
             mb.set_perturb(seed);
             for src in 0..4 {
@@ -1223,7 +1436,7 @@ mod tests {
             mb.pull(&rx);
             let spec = MatchSpec::User(SourceSel::Any, TagSel::Any);
             (0..4)
-                .map(|_| mb.try_match(&spec, &progress).expect("pending").src)
+                .map(|_| mb.try_match(&spec).expect("pending").src)
                 .collect()
         };
         let a = run(12345);
@@ -1238,7 +1451,6 @@ mod tests {
     #[test]
     fn dedup_filters_second_copy_of_same_sequence_number() {
         let (tx, rx) = channel();
-        let progress = Progress::new(1);
         let mut mb = Mailbox::new();
         mb.enable_dedup();
         let mut first = env(0, 1, 10);
@@ -1252,10 +1464,10 @@ mod tests {
         tx.send(other).expect("open channel");
         mb.pull(&rx);
         let spec = MatchSpec::User(SourceSel::Rank(0), TagSel::Tag(1));
-        assert!(mb.try_match(&spec, &progress).is_some());
-        let second = mb.try_match(&spec, &progress).expect("distinct message");
+        assert!(mb.try_match(&spec).is_some());
+        let second = mb.try_match(&spec).expect("distinct message");
         assert_eq!(second.seq, 8, "duplicate filtered, distinct seq kept");
-        assert!(mb.try_match(&spec, &progress).is_none());
+        assert!(mb.try_match(&spec).is_none());
     }
 
     /// One blocking agreement, through the wait core.
@@ -1570,7 +1782,6 @@ mod tests {
             use rand::{Rng, SeedableRng};
             let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
             let (tx, rx) = channel();
-            let progress = Progress::new(1);
             let world = TestWorld::new(1);
             world.progress().poisoned.store(true, Ordering::SeqCst);
             let mut stopped = world.comm(0);
@@ -1642,7 +1853,7 @@ mod tests {
                             std::mem::swap(stopped.mailbox_mut(), &mut mb);
                             assert_eq!(got.ok(), want, "{spec:?}");
                         }
-                        _ => match_both(&mut mb, &mut reference, &spec, &progress),
+                        _ => match_both(&mut mb, &mut reference, &spec),
                     }
                     assert_eq!(
                         mb.modes.as_ref().and_then(|m| m.perturb),
@@ -1651,6 +1862,7 @@ mod tests {
                     );
                     assert_eq!(mb.live, reference.pending.len());
                     assert!(mb.index.is_some() || mb.live <= INDEX_DEPTH);
+                    assert_index_consistent(&mb);
                     deepest = deepest.max(mb.live);
                 }
             }
@@ -1660,7 +1872,7 @@ mod tests {
             // of the rest by exact source, so drain_all meets tombstones.
             let any = MatchSpec::User(SourceSel::Any, TagSel::Any);
             for _ in 0..reference.pending.len() / 2 {
-                match_both(&mut mb, &mut reference, &any, &progress);
+                match_both(&mut mb, &mut reference, &any);
             }
             let mut i = 0;
             while i < reference.pending.len() {
@@ -1669,7 +1881,7 @@ mod tests {
                     MsgClass::Internal(tag) => MatchSpec::Internal(env.src, tag),
                     MsgClass::User(tag) => MatchSpec::User(SourceSel::Rank(env.src), TagSel::Tag(tag)),
                 };
-                match_both(&mut mb, &mut reference, &spec, &progress);
+                match_both(&mut mb, &mut reference, &spec);
                 i += 1;
             }
             let left: Vec<_> = mb.drain_all().iter().map(key).collect();
@@ -1680,22 +1892,172 @@ mod tests {
     }
 
     /// One `try_match` on both matchers: same envelope, same candidates.
-    fn match_both(
-        mb: &mut Mailbox,
-        reference: &mut LinearMailbox,
-        spec: &MatchSpec,
-        progress: &Progress,
-    ) {
-        let got = mb.try_match(spec, progress);
+    fn match_both(mb: &mut Mailbox, reference: &mut LinearMailbox, spec: &MatchSpec) {
+        let got = mb.try_match(spec);
         let want = reference.try_match(spec);
         assert_eq!(got.as_ref().map(key), want.as_ref().map(key), "{spec:?}");
         assert_eq!(mb.last_candidates(), reference.last_candidates);
     }
 
+    /// Check the index against the store: each source chain walks that
+    /// source's live envelopes in arrival order, each tag's live count is
+    /// exact and its heap holds every one of them, and a heap's stale keys
+    /// never outnumber its live ones.
+    fn assert_index_consistent(mb: &Mailbox) {
+        let Some(index) = mb.index.as_deref() else {
+            return;
+        };
+        assert_eq!(index.next.len(), mb.store.len(), "links parallel the store");
+        let mut by_src: BTreeMap<usize, Vec<u64>> = BTreeMap::new();
+        let mut by_tag: BTreeMap<u32, Vec<WildKey>> = BTreeMap::new();
+        for (pos, env) in mb.live_slots() {
+            by_src.entry(env.src).or_default().push(pos);
+            if let MsgClass::User(tag) = env.class {
+                by_tag.entry(tag).or_default().push(wild_key(pos, env));
+            }
+        }
+        assert_eq!(index.chains.len(), by_src.len());
+        for (src, want) in &by_src {
+            let (oldest, newest) = index.chains[src];
+            let mut walked = Vec::new();
+            let mut pos = oldest;
+            while pos != NIL {
+                walked.push(pos);
+                pos = index.next[(pos - mb.base) as usize];
+            }
+            assert_eq!(&walked, want, "chain of source {src}");
+            assert_eq!(Some(&newest), want.last());
+        }
+        assert_eq!(index.tags.len(), by_tag.len());
+        assert_eq!(
+            index.user_live,
+            by_tag.values().map(Vec::len).sum::<usize>()
+        );
+        for (tag, keys) in &by_tag {
+            let heap = &index.tags[tag];
+            assert_eq!(heap.live, keys.len(), "live count of tag {tag}");
+            let held: BTreeSet<WildKey> = heap.heap.iter().map(|Reverse(k)| *k).collect();
+            assert!(
+                keys.iter().all(|k| held.contains(k)),
+                "tag {tag}'s heap holds its live keys"
+            );
+            assert!(
+                heap.heap.len() <= 2 * heap.live,
+                "tag {tag}: stale keys bounded by live ones"
+            );
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(if cfg!(miri) { 2 } else { 64 }))]
+        /// The indexed cases the random walk above reaches only by chance,
+        /// driven on purpose and checked against the reference and the
+        /// index's own invariants after every step: an arrival number
+        /// reused by a new (sometimes identical) envelope after a trailing
+        /// match, wildcard receives over four tags, exact receives that
+        /// skip earlier same-source envelopes (a mid-chain unlink), and a
+        /// peek followed by the receive it announces.
+        #[test]
+        fn indexed_matching_reuses_arrivals_and_unlinks_mid_chain(
+            seed in proptest::prelude::any::<u64>()
+        ) {
+            use rand::{Rng, SeedableRng};
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let (tx, rx) = channel();
+            let mut mb = Mailbox::new();
+            let mut reference = LinearMailbox {
+                pending: VecDeque::new(),
+                perturb: None,
+                last_candidates: 0,
+                dedup: None,
+            };
+            // Sources 0..3 carry long mixed-tag chains; source 3 sends only
+            // the envelopes a reuse step matches at once.
+            const REUSE_SRC: usize = 3;
+            let mut next_seq = [0u64; 4];
+            let mut fresh = |rng: &mut rand::rngs::StdRng, src: usize, user: bool| -> Desc {
+                next_seq[src] += 1;
+                let class = if user {
+                    MsgClass::User(rng.gen_range(0..4))
+                } else {
+                    MsgClass::Internal(rng.gen_range(0..2))
+                };
+                (src, class, rng.gen_range(0..4) as f64 * 0.5, next_seq[src])
+            };
+            let deliver = |mb: &mut Mailbox, reference: &mut LinearMailbox, d: Desc| {
+                tx.send(make(d)).expect("open channel");
+                reference.admit(make(d));
+                mb.pull(&rx);
+            };
+            let (mut reused, mut mid_chain, mut peeked, mut tags) = (0, 0, 0, 0);
+            for _ in 0..400 {
+                let depth = reference.pending.len();
+                let op = if depth < 2 * INDEX_DEPTH { 0 } else { rng.gen_range(0..6) };
+                match op {
+                    0 => {
+                        let (src, user) = (rng.gen_range(0..REUSE_SRC), rng.gen_range(0..5) > 0);
+                        let d = fresh(&mut rng, src, user);
+                        deliver(&mut mb, &mut reference, d);
+                    }
+                    1 => {
+                        // Match the newest arrival, then admit into its
+                        // freed trailing slot: half the time an identical
+                        // copy, whose wildcard key equals the stale one.
+                        let d = fresh(&mut rng, REUSE_SRC, true);
+                        deliver(&mut mb, &mut reference, d);
+                        let end = mb.base + mb.store.len() as u64;
+                        let MsgClass::User(tag) = d.1 else { unreachable!("user class") };
+                        let spec = MatchSpec::User(SourceSel::Rank(REUSE_SRC), TagSel::Tag(tag));
+                        match_both(&mut mb, &mut reference, &spec);
+                        let again = if rng.gen::<bool>() { d } else { fresh(&mut rng, 0, true) };
+                        deliver(&mut mb, &mut reference, again);
+                        if mb.index.is_some() && mb.base + mb.store.len() as u64 == end {
+                            reused += 1;
+                        }
+                    }
+                    2 => {
+                        tags = tags.max(mb.index.as_ref().map_or(0, |i| i.tags.len()));
+                        let tag = if rng.gen::<bool>() { TagSel::Any } else { TagSel::Tag(rng.gen_range(0..4)) };
+                        match_both(&mut mb, &mut reference, &MatchSpec::User(SourceSel::Any, tag));
+                    }
+                    3 => {
+                        // Aim at a pending envelope by source and class.
+                        let i = rng.gen_range(0..depth);
+                        let env = &reference.pending[i];
+                        let skips = reference.pending.iter().take(i).any(|e| e.src == env.src);
+                        if skips && mb.index.is_some() {
+                            mid_chain += 1;
+                        }
+                        let spec = match env.class {
+                            MsgClass::Internal(tag) => MatchSpec::Internal(env.src, tag),
+                            MsgClass::User(tag) => MatchSpec::User(SourceSel::Rank(env.src), TagSel::Tag(tag)),
+                        };
+                        match_both(&mut mb, &mut reference, &spec);
+                    }
+                    _ => {
+                        let spec = match random_spec(&mut rng, &reference.pending) {
+                            MatchSpec::Internal(src, _) => MatchSpec::User(SourceSel::Rank(src), TagSel::Any),
+                            user => user,
+                        };
+                        let want = reference.peek_idx(&spec).map(|i| Status::of(&reference.pending[i]));
+                        assert_eq!(mb.peek_matching(&spec), want, "{spec:?}");
+                        peeked += usize::from(want.is_some());
+                        match_both(&mut mb, &mut reference, &spec);
+                    }
+                }
+                assert_eq!(mb.live, reference.pending.len());
+                assert_index_consistent(&mb);
+            }
+            assert!(reused > 0, "an arrival number was reused while indexed");
+            assert!(mid_chain > 0, "an exact match skipped same-source envelopes");
+            assert!(peeked > 0, "a peek found the envelope its receive took");
+            assert!(tags >= 3, "wildcards ran over three or more tags");
+        }
+    }
+
     #[test]
     fn drained_deep_mailbox_releases_index_and_store() {
         let (tx, rx) = channel();
-        let progress = Progress::new(1);
         let mut mb = Mailbox::new();
         let depth = 4 * INDEX_DEPTH as u64;
         for seq in 0..depth {
@@ -1709,7 +2071,7 @@ mod tests {
         assert!(mb.store.capacity() >= depth as usize);
         for seq in 0..depth {
             let src = MatchSpec::User(SourceSel::Rank(seq as usize % 7), TagSel::Any);
-            assert_eq!(mb.try_match(&src, &progress).expect("pending").seq, seq);
+            assert_eq!(mb.try_match(&src).expect("pending").seq, seq);
         }
         assert!(mb.index.is_none(), "index dropped on drain");
         assert_eq!(mb.store.capacity(), 0, "store buffer released on drain");

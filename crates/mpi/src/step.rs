@@ -130,6 +130,21 @@ pub struct StepComm<'c, 'w: 'c> {
     pub(crate) wait: Waiter,
 }
 
+impl Drop for StepComm<'_, '_> {
+    /// An event rank's body is over once its communicator goes: release
+    /// the rendezvous senders still waiting on it, as a thread rank's
+    /// closed inbox does, and have the engine wake them.
+    fn drop(&mut self) {
+        if let Waiter::Event(ctx) = &self.wait {
+            // Never panic here: this also runs while a panicking rank
+            // unwinds, and the hints are not borrowed across a poll.
+            if let Ok(mut hints) = ctx.hints.try_borrow_mut() {
+                self.comm.release_acks(&mut hints.wake);
+            }
+        }
+    }
+}
+
 impl<'c, 'w: 'c> StepComm<'c, 'w> {
     /// Blocking-mode constructor: the futures complete on their first
     /// poll (see [`block_on`]).

@@ -404,6 +404,12 @@ enum StuckWait {
     /// Rank 2 crashes and ranks 0 and 1 agree on it. Rank 1 then agrees
     /// again, alone, while rank 0 waits for a message from it.
     AgreeAfterCrash,
+    /// Rank 0's rendezvous send waits for rank 1, which returns without
+    /// receiving it.
+    RendezvousToFinished,
+    /// Rank 1 posts a send to rank 0 and returns; rank 0 receives it and
+    /// then makes a rendezvous send to the finished rank 1.
+    RendezvousAfterFinish,
 }
 
 impl StuckWait {
@@ -427,6 +433,7 @@ impl StuckWait {
             StuckWait::UnreceivedRendezvous => vec![(0, "send(rendezvous)"), (1, "recv")],
             StuckWait::UnansweredProbe => vec![(0, "probe"), (1, "recv")],
             StuckWait::AgreeAfterCrash => vec![(0, "recv"), (1, "agree")],
+            StuckWait::RendezvousToFinished | StuckWait::RendezvousAfterFinish => Vec::new(),
         }
     }
 }
@@ -458,6 +465,18 @@ impl StepProgram<()> for StuckWait {
                     Err(Error::RankFailed { rank: 2, .. }) => {}
                     other => panic!("rank 2 must crash, got {other:?}"),
                 },
+                (StuckWait::RendezvousToFinished, 0) => {
+                    sc.send(&[0u8; 64], 1, 9).await?;
+                }
+                (StuckWait::RendezvousAfterFinish, 0) => {
+                    sc.recv::<u8, _, _>(1, 3).await?;
+                    sc.send(&[0u8; 64], 1, 9).await?;
+                }
+                (StuckWait::RendezvousAfterFinish, _) => {
+                    // Not waited on, so rank 1 is done before rank 0 sends.
+                    let _unwaited = sc.isend(&[1u8], 0, 3)?;
+                }
+                (StuckWait::RendezvousToFinished, _) => {}
                 (StuckWait::AgreeAfterCrash, _) => {
                     assert_eq!(sc.agree().await?, vec![(2, 0.0)]);
                     if rank == 0 {
@@ -479,6 +498,8 @@ fn every_wait_aborts_alike_on_thread_and_event() {
         StuckWait::UnreceivedRendezvous,
         StuckWait::UnansweredProbe,
         StuckWait::AgreeAfterCrash,
+        StuckWait::RendezvousToFinished,
+        StuckWait::RendezvousAfterFinish,
     ] {
         let thread = World::run(stuck.config(), |comm| drive(comm, |sc| stuck.build(sc)))
             .expect_err("the wait cannot complete on threads");
@@ -498,6 +519,14 @@ fn every_wait_aborts_alike_on_thread_and_event() {
                 let blocked: Vec<_> = info.blocked.iter().map(|op| (op.rank, op.op)).collect();
                 assert_eq!(blocked, stuck.blocked(), "{stuck:?}");
             }
+            // The receiver is gone: its closed inbox releases the sender.
+            Error::WorldShutDown => assert!(
+                matches!(
+                    stuck,
+                    StuckWait::RendezvousToFinished | StuckWait::RendezvousAfterFinish
+                ),
+                "{stuck:?} shut down instead"
+            ),
             other => panic!("{stuck:?}: unexpected {other:?}"),
         }
     }

@@ -125,3 +125,23 @@ fn distribution_sort_schedule_is_pinned() {
         [0xc2fbdf464310634b, 0x88a04d85225348e5],
     );
 }
+
+/// Module 3 at 48 ranks: its bucket exchange leaves 47 envelopes pending
+/// in every mailbox, past the matching index's depth threshold (32), so
+/// this cell pins indexed matching where the 24-rank cell above only
+/// ever scans. Recorded before the index lost its B-trees.
+#[test]
+fn deep_mailbox_distribution_sort_schedule_is_pinned() {
+    let program = DistributionSortProgram {
+        n_per_rank: 64,
+        dist: InputDist::Exponential,
+        strategy: BucketStrategy::Histogram { bins: 16 },
+        seed: 11,
+    };
+    check(
+        "module3-48",
+        &program,
+        48,
+        [0xdd241fbd9b1392db, 0x17f59860f2a1d265],
+    );
+}
