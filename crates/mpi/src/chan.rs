@@ -1,4 +1,4 @@
-//! Event-driven channels for mailboxes and rendezvous acknowledgements.
+//! Event-driven channels for rank inboxes.
 //!
 //! The progress engine used to spin in 1 ms `recv_timeout` loops: every
 //! blocked primitive woke a thousand times a second just to re-check the
@@ -16,8 +16,7 @@
 //!   lock, so the wakeup cannot be lost);
 //! * dropping the last sender notifies a parked receiver too, turning an
 //!   abandoned wait into [`WaitError::Disconnected`] rather than a hang;
-//!   with no receiver parked (every rendezvous ack on the event engine)
-//!   the drop costs no futex syscall either.
+//!   with no receiver parked the drop costs no futex syscall either.
 //!
 //! A long backstop timeout ([`BACKSTOP`]) bounds the damage of any missed
 //! wakeup to tens of milliseconds; it is a safety net, never the wakeup
@@ -28,9 +27,7 @@
 //! returns once a message is queued and leaves the taking to the caller
 //! (the wait core, `wait.rs`). Message delivery uses these channels
 //! on the thread and proc backends only; the event engine delivers
-//! through its own single-threaded queues (`event.rs`). It still uses a
-//! channel for each rendezvous ack, which its ranks only `try_recv`,
-//! never block on.
+//! through its own single-threaded queues (`event.rs`).
 
 use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, Weak};
@@ -158,9 +155,8 @@ impl<T: Send + 'static> Drop for Receiver<T> {
     fn drop(&mut self) {
         let mut state = self.0.lock();
         state.receiver_alive = false;
-        // Drop queued messages now: an undelivered rendezvous envelope
-        // holds its sender's ack channel, and releasing it here unblocks
-        // (with Disconnected) a sender waiting on a rank that exited.
+        // Drop queued messages now rather than with the last sender:
+        // nobody will take them.
         state.queue.clear();
     }
 }

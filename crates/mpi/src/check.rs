@@ -295,8 +295,11 @@ impl PendingOp {
     ) -> Self {
         let (op, site) = match spec {
             // Internal receives belong to a collective: name the user's
-            // collective call instead of the runtime's internals.
-            MatchSpec::Internal(..) => coll_site.unwrap_or(("collective", CallSite::here())),
+            // collective call instead of the runtime's internals. (Ack
+            // waits register as sends, never through here.)
+            MatchSpec::Internal(..) | MatchSpec::Ack(..) => {
+                coll_site.unwrap_or(("collective", CallSite::here()))
+            }
             MatchSpec::User(..) => user.unwrap_or(("recv", CallSite::here())),
         };
         PendingOp {
@@ -321,7 +324,7 @@ impl PendingOp {
                 };
                 (waiting_on, format!("{src_s}, {tag_s}"))
             }
-            PendingOn::Recv(MatchSpec::Internal(src, _)) => {
+            PendingOn::Recv(MatchSpec::Internal(src, _) | MatchSpec::Ack(src, _)) => {
                 (WaitTarget::Rank(src), format!("from rank {src}"))
             }
             PendingOn::Send { dest, tag } => {
@@ -540,7 +543,9 @@ mod tests {
         fallback: CallSite,
     ) -> BlockedOp {
         let (op, site) = match spec {
-            MatchSpec::Internal(..) => coll_site.unwrap_or(("collective", fallback)),
+            MatchSpec::Internal(..) | MatchSpec::Ack(..) => {
+                coll_site.unwrap_or(("collective", fallback))
+            }
             MatchSpec::User(..) => user.unwrap_or(("recv", fallback)),
         };
         let (waiting_on, detail) = match spec {
@@ -559,7 +564,9 @@ mod tests {
                 };
                 (waiting_on, format!("{src_s}, {tag_s}"))
             }
-            MatchSpec::Internal(src, _) => (WaitTarget::Rank(*src), format!("from rank {src}")),
+            MatchSpec::Internal(src, _) | MatchSpec::Ack(src, _) => {
+                (WaitTarget::Rank(*src), format!("from rank {src}"))
+            }
         };
         BlockedOp {
             rank,

@@ -5,10 +5,10 @@
 //! rank is a compiler-generated state machine plus a few bytes of wait
 //! state ([`WaitCell`]); a single binary heap of runnable ranks drives
 //! them. The engine does O(events) work — a rank is polled only when
-//! seeded, woken by a delivery, released from a rendezvous, or broadcast
-//! to on failure/poison — never O(ranks) polling per step. That is what
-//! scales Modules 2/3/6 to 10^5–10^6 virtual ranks in one process (see
-//! `docs/scheduler.md` and `mpi_scale --ranks N`).
+//! seeded, woken by a delivery (a rendezvous acknowledgement is one), or
+//! broadcast to on failure/poison — never O(ranks) polling per step.
+//! That is what scales Modules 2/3/6 to 10^5–10^6 virtual ranks in one
+//! process (see `docs/scheduler.md` and `mpi_scale --ranks N`).
 //!
 //! Determinism: the resume order is a pure function of `(program, size,
 //! seed)`. The heap orders by `(simulated park time, sequence key,
@@ -37,7 +37,7 @@ use crate::check::{CheckEvent, DeadlockInfo};
 use crate::comm::Comm;
 use crate::envelope::Envelope;
 use crate::error::{Error, Result};
-use crate::mailbox::{release_ack, Mailbox};
+use crate::mailbox::Mailbox;
 use crate::step::{RankStep, StepComm, StepFuture, StepProgram};
 use crate::transport::Link;
 use crate::wait::{EventCtx, Hints, WaitCell};
@@ -114,15 +114,6 @@ impl EventMesh {
             std::mem::take(&mut *inbox)
         };
         mailbox.admit(batch);
-    }
-
-    /// Release the rendezvous senders of rank `rank`'s queued envelopes,
-    /// pushing their ranks onto `senders` (see
-    /// [`Mailbox::release_acks`]).
-    pub(crate) fn release_acks(&self, rank: usize, senders: &mut Vec<usize>) {
-        for env in self.inboxes[rank].borrow_mut().iter_mut() {
-            release_ack(env, senders);
-        }
     }
 }
 
@@ -362,8 +353,8 @@ where
 
         // Wake processing, in a fixed order so the schedule is a pure
         // function of the seed: failure/poison broadcasts, message
-        // deliveries, receive-completion hints (rendezvous releases),
-        // then agreement-state changes.
+        // deliveries (rendezvous acknowledgements among them), then
+        // agreement-state changes.
         let epoch = progress.failure_epoch();
         let mut agree_progress = finished;
         if epoch != last_epoch || (progress.is_poisoned() && !woke_after_poison) {
@@ -375,20 +366,15 @@ where
             agree_waiting.clear();
             agree_progress = false;
         }
+        // A rendezvous send to a rank that already finished needs no
+        // answer: its sender sees the rank done in its ack wait.
         for dst in mesh.dirty.borrow_mut().drain(..) {
-            if futures[dst].is_none() {
-                // Sent to a finished rank: release a rendezvous sender.
-                mesh.release_acks(dst, &mut hints.borrow_mut().wake);
-            }
             wake_rank(&cells, &mut heap, &mut counter, seed, dst);
         }
-        // The hint lists are drained where they are, keeping their
-        // buffers for the next poll.
+        // The hint list is drained where it is, keeping its buffer for
+        // the next poll.
         let entered = {
             let mut h = hints.borrow_mut();
-            for src in h.wake.drain(..) {
-                wake_rank(&cells, &mut heap, &mut counter, seed, src);
-            }
             agree_waiting.append(&mut h.agree_parked);
             std::mem::replace(&mut h.agree_entered, false)
         };
@@ -423,7 +409,7 @@ mod tests {
             payload: bytes::Bytes::copy_from_slice(&[seq as u8]),
             send_time: 0.0,
             seq,
-            ack: None,
+            rendezvous: false,
         }
     }
 

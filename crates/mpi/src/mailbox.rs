@@ -58,9 +58,9 @@ pub struct Progress {
     /// instead of a deadlock — the world was killed from outside, not
     /// stuck.
     cancelled: Mutex<Option<String>>,
-    /// Wake handles of every channel a rank may block on (mailboxes,
-    /// rendezvous acks). [`Progress::poison`] wakes them all so blocked
-    /// primitives observe the flag immediately.
+    /// Wake handles of every channel a rank may block on (its inbox).
+    /// [`Progress::poison`] wakes them all so blocked primitives observe
+    /// the flag immediately.
     wakers: Mutex<Vec<Weak<dyn Wake>>>,
     /// Completion signal: notified by [`Progress::mark_done`] and by
     /// [`Progress::poison`], waited on by the watchdog (to exit promptly)
@@ -182,16 +182,12 @@ impl Progress {
         self.poisoned.load(Ordering::Relaxed)
     }
 
-    /// Register a channel to be woken when the world is poisoned. Weak
-    /// handles of finished channels are pruned once the registry grows.
+    /// Register a channel to be woken when the world is poisoned.
     pub fn register_waker(&self, waker: Weak<dyn Wake>) {
-        let mut wakers = self.wakers.lock().unwrap_or_else(PoisonError::into_inner);
-        // Rendezvous acks register one short-lived channel per send; prune
-        // the dead ones occasionally so the registry stays O(live).
-        if wakers.len() >= 64 && wakers.len() >= 2 * self.size {
-            wakers.retain(|w| w.strong_count() > 0);
-        }
-        wakers.push(waker);
+        self.wakers
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .push(waker);
     }
 
     /// Poison the world with the watchdog's explanation and wake every
@@ -713,6 +709,8 @@ const INDEX_DEPTH: usize = 32;
 // A tombstone costs nothing: `Option<Envelope>` uses the envelope's niche,
 // which also lets an arrival batch's buffer become the store in place.
 const _: () = assert!(std::mem::size_of::<Option<Envelope>>() == std::mem::size_of::<Envelope>());
+// Deep mailboxes hold about 10^6 envelopes in a 1024-rank Module 3 run.
+const _: () = assert!(std::mem::size_of::<Envelope>() <= 96);
 
 /// One rank's receive side. It holds no inbox of its own: the rank's
 /// communicator admits arrivals ([`Mailbox::admit`], [`Mailbox::pull`])
@@ -749,7 +747,9 @@ struct Modes {
     /// `(src, seq)` pairs already admitted, when the fault plan may
     /// duplicate messages. A duplicated envelope reuses its original's
     /// sequence number, so the second copy is filtered here; channels are
-    /// FIFO per sender, so the genuine copy always lands first.
+    /// FIFO per sender, so the genuine copy always lands first. An
+    /// acknowledgement carries the acknowledged envelope's sequence
+    /// number, not its sender's, so acknowledgements bypass the filter.
     dedup: Option<HashSet<(usize, u64)>>,
 }
 
@@ -1039,7 +1039,7 @@ impl Mailbox {
     /// twice (once in the inbox, once here).
     pub(crate) fn admit(&mut self, mut batch: Vec<Envelope>) {
         if let Some(seen) = self.modes.as_mut().and_then(|m| m.dedup.as_mut()) {
-            batch.retain(|env| seen.insert((env.src, env.seq)));
+            batch.retain(|env| env.class == MsgClass::Ack || seen.insert((env.src, env.seq)));
         }
         if self.store.is_empty() {
             self.live = batch.len();
@@ -1160,13 +1160,9 @@ impl Mailbox {
             .collect()
     }
 
-    /// Release the rendezvous senders of every pending envelope, pushing
-    /// each sender's rank onto `senders`: the owning rank has finished and
-    /// will never receive them. The envelopes stay for the leak check.
-    pub(crate) fn release_acks(&mut self, senders: &mut Vec<usize>) {
-        for env in self.store.iter_mut().flatten() {
-            release_ack(env, senders);
-        }
+    /// The pending envelopes, in arrival order.
+    pub(crate) fn pending(&self) -> impl Iterator<Item = &Envelope> + '_ {
+        self.store.iter().flatten()
     }
 
     /// Move everything currently sitting in a channel inbox into the
@@ -1199,7 +1195,7 @@ impl Mailbox {
                 index.find_wild(&self.store, self.base, *tag).map(Hit::at)
             }
             (_, Some(src)) => index.find_exact(&self.store, self.base, src, spec),
-            (MatchSpec::Internal(..), None) => unreachable!("internal receives name their source"),
+            (_, None) => unreachable!("internal receives and ack waits name their source"),
         }
     }
 
@@ -1270,14 +1266,6 @@ impl Mailbox {
     }
 }
 
-/// Drop `env`'s rendezvous acknowledgement, if it has one, so its blocked
-/// sender sees the channel close; push the sender's rank onto `senders`.
-pub(crate) fn release_ack(env: &mut Envelope, senders: &mut Vec<usize>) {
-    if env.ack.take().is_some() {
-        senders.push(env.src);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1297,7 +1285,7 @@ mod tests {
             payload: encode_slice(&[val]),
             send_time: 0.0,
             seq: 0,
-            ack: None,
+            rendezvous: false,
         }
     }
 
@@ -1462,12 +1450,19 @@ mod tests {
         tx.send(first).expect("open channel");
         tx.send(dup).expect("open channel");
         tx.send(other).expect("open channel");
+        // Rank 0's answer to this rank's envelope 7 reuses that number.
+        tx.send(Envelope::ack(0, 7, Some(0.5)))
+            .expect("open channel");
         mb.pull(&rx);
         let spec = MatchSpec::User(SourceSel::Rank(0), TagSel::Tag(1));
         assert!(mb.try_match(&spec).is_some());
         let second = mb.try_match(&spec).expect("distinct message");
         assert_eq!(second.seq, 8, "duplicate filtered, distinct seq kept");
         assert!(mb.try_match(&spec).is_none());
+        let ack = mb
+            .try_match(&MatchSpec::Ack(0, 7))
+            .expect("acks bypass dedup");
+        assert_eq!(ack.matched_at(), Some(0.5));
     }
 
     /// One blocking agreement, through the wait core.
@@ -1658,7 +1653,7 @@ mod tests {
     impl LinearMailbox {
         fn admit(&mut self, env: Envelope) {
             if let Some(seen) = &mut self.dedup {
-                if !seen.insert((env.src, env.seq)) {
+                if env.class != MsgClass::Ack && !seen.insert((env.src, env.seq)) {
                     return;
                 }
             }
@@ -1733,7 +1728,7 @@ mod tests {
             payload: encode_slice(&[seq]),
             send_time,
             seq,
-            ack: None,
+            rendezvous: false,
         }
     }
 
@@ -1748,6 +1743,7 @@ mod tests {
         let aimed = (!pending.is_empty() && rng.gen::<bool>())
             .then(|| &pending[rng.gen_range(0..pending.len())]);
         let (src, class) = match aimed {
+            Some(env) if env.class == MsgClass::Ack => return MatchSpec::Ack(env.src, env.seq),
             Some(env) => (env.src, env.class),
             None if rng.gen_range(0..4) == 0 => {
                 (rng.gen_range(0..6), MsgClass::Internal(rng.gen_range(0..3)))
@@ -1755,6 +1751,7 @@ mod tests {
             None => (rng.gen_range(0..6), MsgClass::User(rng.gen_range(0..3))),
         };
         match class {
+            MsgClass::Ack => unreachable!("only aimed specs wait for acks"),
             MsgClass::Internal(tag) => MatchSpec::Internal(src, tag),
             MsgClass::User(tag) => MatchSpec::User(
                 if rng.gen::<bool>() {
@@ -1821,10 +1818,10 @@ mod tests {
                             sent[rng.gen_range(0..sent.len())]
                         } else {
                             let src = rng.gen_range(0..6);
-                            let class = if rng.gen_range(0..4) == 0 {
-                                MsgClass::Internal(rng.gen_range(0..3))
-                            } else {
-                                MsgClass::User(rng.gen_range(0..3))
+                            let class = match rng.gen_range(0..8) {
+                                0 | 1 => MsgClass::Internal(rng.gen_range(0..3)),
+                                2 => MsgClass::Ack,
+                                _ => MsgClass::User(rng.gen_range(0..3)),
                             };
                             next_seq[src] += 1;
                             (src, class, rng.gen_range(0..4) as f64 * 0.5, next_seq[src])
@@ -1837,7 +1834,7 @@ mod tests {
                     }
                     mb.pull(&rx);
                     let spec = random_spec(&mut rng, &reference.pending);
-                    let user = !matches!(spec, MatchSpec::Internal(..));
+                    let user = matches!(spec, MatchSpec::User(..));
                     match rng.gen_range(0..4) {
                         2 if user => {
                             let want = reference.peek_idx(&spec).map(|i| Status::of(&reference.pending[i]));
@@ -1878,6 +1875,7 @@ mod tests {
             while i < reference.pending.len() {
                 let env = &reference.pending[i];
                 let spec = match env.class {
+                    MsgClass::Ack => MatchSpec::Ack(env.src, env.seq),
                     MsgClass::Internal(tag) => MatchSpec::Internal(env.src, tag),
                     MsgClass::User(tag) => MatchSpec::User(SourceSel::Rank(env.src), TagSel::Tag(tag)),
                 };
@@ -2029,6 +2027,7 @@ mod tests {
                             mid_chain += 1;
                         }
                         let spec = match env.class {
+                            MsgClass::Ack => MatchSpec::Ack(env.src, env.seq),
                             MsgClass::Internal(tag) => MatchSpec::Internal(env.src, tag),
                             MsgClass::User(tag) => MatchSpec::User(SourceSel::Rank(env.src), TagSel::Tag(tag)),
                         };
@@ -2036,7 +2035,9 @@ mod tests {
                     }
                     _ => {
                         let spec = match random_spec(&mut rng, &reference.pending) {
-                            MatchSpec::Internal(src, _) => MatchSpec::User(SourceSel::Rank(src), TagSel::Any),
+                            MatchSpec::Internal(src, _) | MatchSpec::Ack(src, _) => {
+                                MatchSpec::User(SourceSel::Rank(src), TagSel::Any)
+                            }
                             user => user,
                         };
                         let want = reference.peek_idx(&spec).map(|i| Status::of(&reference.pending[i]));

@@ -131,16 +131,13 @@ pub struct StepComm<'c, 'w: 'c> {
 }
 
 impl Drop for StepComm<'_, '_> {
-    /// An event rank's body is over once its communicator goes: release
-    /// the rendezvous senders still waiting on it, as a thread rank's
-    /// closed inbox does, and have the engine wake them.
+    /// An event rank's body is over once its communicator goes: refuse
+    /// the rendezvous envelopes still pending here, as a finished thread
+    /// rank does. This also runs while a panicking rank unwinds; the
+    /// engine's queues are never borrowed across a poll.
     fn drop(&mut self) {
-        if let Waiter::Event(ctx) = &self.wait {
-            // Never panic here: this also runs while a panicking rank
-            // unwinds, and the hints are not borrowed across a poll.
-            if let Ok(mut hints) = ctx.hints.try_borrow_mut() {
-                self.comm.release_acks(&mut hints.wake);
-            }
+        if let Waiter::Event(_) = self.wait {
+            self.comm.refuse_rendezvous();
         }
     }
 }
@@ -530,10 +527,10 @@ impl<'c, 'w: 'c> StepComm<'c, 'w> {
         let ack = self
             .comm
             .transport_send(data, dest, MsgClass::User(tag), synchronous, site)?;
-        if let Some(ack) = ack {
+        if let Some(seq) = ack {
             let what = "send(rendezvous)";
             self.wait
-                .ack(self.comm, &ack, dest, tag, what, &site)
+                .ack(self.comm, seq, dest, tag, what, &site)
                 .await?;
         }
         Ok(())
@@ -553,12 +550,12 @@ impl<'c, 'w: 'c> StepComm<'c, 'w> {
             ));
         }
         self.comm.record(Primitive::Ssend);
-        let ack = self
+        let seq = self
             .comm
             .transport_send(data, dest, MsgClass::User(tag), true, site)?
-            .expect("synchronous send has an ack channel");
+            .expect("a synchronous send is acknowledged");
         self.wait
-            .ack(self.comm, &ack, dest, tag, "ssend", &site)
+            .ack(self.comm, seq, dest, tag, "ssend", &site)
             .await
     }
 
@@ -639,10 +636,10 @@ impl<'c, 'w: 'c> StepComm<'c, 'w> {
 
     pub(crate) async fn wait_send_at(&mut self, req: SendRequest, site: CallSite) -> Result<()> {
         self.comm.record(Primitive::Wait);
-        if let Some(ack) = req.ack {
+        if let Some(seq) = req.ack {
             let (dest, tag) = (req.dest, req.tag);
             self.wait
-                .ack(self.comm, &ack, dest, tag, "wait_send", &site)
+                .ack(self.comm, seq, dest, tag, "wait_send", &site)
                 .await?;
         }
         if let Some(id) = req.id {

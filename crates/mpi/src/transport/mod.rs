@@ -23,16 +23,16 @@
 //!
 //! * **send** — [`Outbox::send`] delivers one [`Envelope`] toward a
 //!   destination rank, failing (with the envelope dropped) when the
-//!   destination can no longer receive;
+//!   destination can no longer receive. A rendezvous acknowledgement is
+//!   an envelope too, so data and acks share this one path;
 //! * **receive** — matching stays in [`Mailbox`](crate::mailbox::Mailbox),
 //!   which the rank's communicator feeds from its inbox ([`Link`]); a
 //!   transport only has to feed that inbox;
 //! * **wait** — a blocked rank waits only in the wait core (`wait.rs`):
-//!   on the thread and proc backends it parks on its channel inbox or a
-//!   rendezvous ack channel, on the event engine it yields to the
-//!   engine. Channels are registered with [`Progress::register_waker`]
-//!   before any rank runs, so poison and failure broadcasts reach parked
-//!   ranks immediately;
+//!   on the thread and proc backends it parks on its channel inbox, on
+//!   the event engine it yields to the engine. The inboxes are registered
+//!   with [`Progress::register_waker`] before any rank runs, so poison and
+//!   failure broadcasts reach parked ranks immediately;
 //! * **teardown** — the in-process backends have nothing to drain
 //!   (dropping the outboxes closes the channels); the proc backend
 //!   flushes and closes its socket mesh once every rank reported;
@@ -51,8 +51,8 @@ use crate::mailbox::{Mailbox, Progress};
 
 /// Delivery failure: the destination rank can no longer receive (its
 /// closure finished, the world is tearing down, or its process died). The
-/// envelope is dropped — eager traffic to a crashed peer is
-/// fire-and-forget, exactly like a real network.
+/// envelope is dropped — eager traffic to a gone peer is fire-and-forget,
+/// exactly like a real network.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SendFailed;
 
@@ -170,7 +170,7 @@ mod tests {
             payload: bytes::Bytes::copy_from_slice(&[1, 2, 3]),
             send_time: 0.0,
             seq: 0,
-            ack: None,
+            rendezvous: false,
         }
     }
 

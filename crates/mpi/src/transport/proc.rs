@@ -16,9 +16,9 @@
 //! peer has bound), and accepts from every higher rank; a `Hello` frame
 //! identifies the connecting side. Per peer, a dedicated writer thread
 //! drains a frame queue onto the socket — senders never block on peer
-//! sockets — and a reader thread dispatches incoming frames: envelopes to
-//! the local mailbox, acks to the pending-rendezvous table, and progress
-//! mirrors ([`Frame::Done`], [`Frame::Failed`], [`Frame::AgreeEnter`])
+//! sockets — and a reader thread dispatches incoming frames: envelopes
+//! (rendezvous acknowledgements among them) to the local inbox, and
+//! progress mirrors ([`Frame::Done`], [`Frame::Failed`], [`Frame::AgreeEnter`])
 //! into the local [`Progress`] via the same entry points the fault layer
 //! already uses. Peer death is typed: a socket EOF from a process that
 //! never reported its result is `Progress::mark_failed`, so survivors
@@ -34,7 +34,7 @@
 use crate::chan;
 use crate::check::CheckEvent;
 use crate::comm::{Comm, RankReport};
-use crate::envelope::{AckHandle, Envelope};
+use crate::envelope::Envelope;
 use crate::error::{Error, Result};
 use crate::mailbox::{Progress, ProgressNotifier};
 use crate::stats::CommStats;
@@ -42,7 +42,7 @@ use crate::transport::wire::{read_frame, write_frame, Frame, RankResult, RankVal
 use crate::transport::{Link, Outbox, Outboxes, SendFailed};
 use crate::world::{fold_outcomes, RunOutput, WorldConfig, WorldSetup};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::io::{self, BufReader, BufWriter, Read, Write as _};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
@@ -160,10 +160,6 @@ fn proc_identity(size: usize) -> (usize, PathBuf) {
 struct Shared {
     /// Frame queue to each peer (`None` at the local rank's own index).
     peer_tx: Vec<Option<chan::Sender<Frame>>>,
-    /// Pending rendezvous acks by envelope sequence number: registered by
-    /// [`ProcOutbox::send`] before the frame leaves, released by the
-    /// peer's [`Frame::Ack`].
-    acks: Mutex<HashMap<u64, chan::Sender<f64>>>,
     /// Every rank's final report, local and remote.
     results: Mutex<BTreeMap<usize, RankResult>>,
     results_cv: Condvar,
@@ -235,9 +231,7 @@ impl ProgressNotifier for ProcNotifier {
 }
 
 /// Outbox toward one remote rank: frames the envelope onto that peer's
-/// queue, registering the rendezvous ack (when one is attached) under the
-/// envelope's sequence number first so the peer's ack can never race the
-/// registration.
+/// queue.
 struct ProcOutbox {
     dst: usize,
     shared: Arc<Shared>,
@@ -245,34 +239,16 @@ struct ProcOutbox {
 }
 
 impl Outbox for ProcOutbox {
-    fn send(&self, mut env: Envelope) -> std::result::Result<(), SendFailed> {
-        // A finished rank's in-process mailbox is dropped with its
-        // thread; mirror that here so eager sends to a completed peer
-        // fail the same way on every backend.
+    fn send(&self, env: Envelope) -> std::result::Result<(), SendFailed> {
+        // A peer known to be finished receives nothing more, as a
+        // finished in-process rank's closed inbox does: the envelope is
+        // dropped here instead of on the far side of the socket.
         if self.progress.is_done(self.dst) {
             return Err(SendFailed);
         }
         let Some(tx) = self.shared.peer_tx[self.dst].as_ref() else {
             return Err(SendFailed);
         };
-        let seq = env.seq;
-        let ack = match env.ack.take() {
-            Some(AckHandle::Local(ack_tx)) => {
-                self.shared
-                    .acks
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .insert(seq, ack_tx);
-                env.ack = Some(AckHandle::Remote(Arc::new(|_| {})));
-                true
-            }
-            Some(remote @ AckHandle::Remote(_)) => {
-                env.ack = Some(remote);
-                true
-            }
-            None => false,
-        };
-        let frame = Frame::from_envelope(&env);
         if frame_trace() {
             eprintln!(
                 "[pdc-mpi proc] out dst={} src={} class={:?} seq={} len={}",
@@ -283,17 +259,7 @@ impl Outbox for ProcOutbox {
                 env.payload.len()
             );
         }
-        if tx.send(frame).is_err() {
-            if ack {
-                self.shared
-                    .acks
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .remove(&seq);
-            }
-            return Err(SendFailed);
-        }
-        Ok(())
+        tx.send(Frame::Env(env)).map_err(|_| SendFailed)
     }
 }
 
@@ -472,7 +438,6 @@ impl ProcTransport {
                 .iter()
                 .map(|c| c.as_ref().map(|(tx, _)| tx.clone()))
                 .collect(),
-            acks: Mutex::new(HashMap::new()),
             results: Mutex::new(BTreeMap::new()),
             results_cv: Condvar::new(),
         });
@@ -521,7 +486,8 @@ impl ProcTransport {
                 let shared = Arc::clone(&shared);
                 let progress = Arc::clone(progress);
                 let inbox_tx = inbox_tx.clone();
-                let ack_back = shared.peer_tx[peer].clone().expect("live peer queue");
+                let back = shared.peer_tx[peer].clone().expect("live peer queue");
+                let me = self.rank;
                 std::thread::Builder::new()
                     .name(format!("pdcproc-w{}-from{}", self.world, peer))
                     .spawn(move || {
@@ -545,46 +511,23 @@ impl ProcTransport {
                                 eprintln!("[pdc-mpi proc] in peer={peer} frame={frame:?}");
                             }
                             match frame {
-                                Frame::Env {
-                                    needs_ack,
-                                    src,
-                                    class,
-                                    type_name,
-                                    type_size,
-                                    send_time,
-                                    seq,
-                                    payload,
-                                } => {
-                                    let ack = needs_ack.then(|| {
-                                        let tx = ack_back.clone();
-                                        AckHandle::Remote(Arc::new(move |at| {
-                                            let _ = tx.send(Frame::Ack { seq, at });
-                                        }))
-                                    });
-                                    let env = Envelope {
-                                        src,
-                                        class,
-                                        type_name,
-                                        type_size,
-                                        payload,
-                                        send_time,
-                                        seq,
-                                        ack,
-                                    };
+                                Frame::Env(env) => {
+                                    let (rendezvous, seq) = (env.rendezvous, env.seq);
                                     // The local mailbox may already be
                                     // gone during teardown; late eager
                                     // traffic is dropped like on a real
                                     // network.
                                     let _ = inbox_tx.send(env);
-                                }
-                                Frame::Ack { seq, at } => {
-                                    let tx = shared
-                                        .acks
-                                        .lock()
-                                        .unwrap_or_else(PoisonError::into_inner)
-                                        .remove(&seq);
-                                    if let Some(tx) = tx {
-                                        let _ = tx.send(at);
+                                    // The local rank refuses the
+                                    // rendezvous envelopes it holds once
+                                    // it is done. One landing after that
+                                    // is refused here: its sender may have
+                                    // looked for this rank's `Done` frame
+                                    // before it arrived, and nothing else
+                                    // would answer.
+                                    if rendezvous && progress.is_done(me) {
+                                        let refusal = Envelope::ack(me, seq, None);
+                                        let _ = back.send(Frame::Env(refusal));
                                     }
                                 }
                                 Frame::Done { rank } => progress.mark_done(rank),

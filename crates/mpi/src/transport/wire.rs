@@ -2,10 +2,11 @@
 //!
 //! Every frame on a peer socket is `u32` little-endian body length,
 //! one type byte, then the body. Data frames ([`Frame::Env`]) carry a
-//! manually encoded envelope whose payload bytes are exactly the
-//! `POD_LE` encoding from [`crate::datatype`] — the same bytes an
-//! in-process rank would have seen, so payloads are bit-identical
-//! across backends. Control frames (results, failure notices,
+//! manually encoded envelope — data or a rendezvous acknowledgement —
+//! whose payload bytes are exactly the `POD_LE` encoding from
+//! [`crate::datatype`]: the same bytes an in-process rank would have
+//! seen, so payloads are bit-identical across backends. Control frames
+//! (results, failure notices,
 //! agreement entries) are small and rare; their bodies are
 //! `serde_json` for robustness over hand-rolled layouts.
 
@@ -75,27 +76,7 @@ pub(crate) enum Frame {
     /// Connection preamble: the connecting process's rank.
     Hello { rank: usize },
     /// A message envelope in flight (the data plane).
-    Env {
-        /// The sender blocks on an ack for this envelope (rendezvous).
-        needs_ack: bool,
-        /// Sending rank.
-        src: usize,
-        /// User tag or internal collective tag.
-        class: MsgClass,
-        /// Element type name.
-        type_name: &'static str,
-        /// Element size in bytes.
-        type_size: usize,
-        /// Sender's simulated clock at send time.
-        send_time: f64,
-        /// Per-sender sequence number.
-        seq: u64,
-        /// `POD_LE` payload bytes.
-        payload: Bytes,
-    },
-    /// Rendezvous acknowledgement for the sender's envelope `seq`,
-    /// carrying the receiver's clock at match time.
-    Ack { seq: u64, at: f64 },
+    Env(Envelope),
     /// `rank` finished its closure (mirrors `Progress::mark_done`).
     Done { rank: usize },
     /// `rank` crashed at simulated time `at` (mirrors
@@ -110,7 +91,6 @@ pub(crate) enum Frame {
 
 const TY_HELLO: u8 = 0;
 const TY_ENV: u8 = 1;
-const TY_ACK: u8 = 2;
 const TY_DONE: u8 = 3;
 const TY_FAILED: u8 = 4;
 const TY_AGREE: u8 = 5;
@@ -119,6 +99,7 @@ const TY_RESULT: u8 = 6;
 /// Envelope class discriminants inside a [`Frame::Env`] body.
 const CLASS_USER: u8 = 0;
 const CLASS_INTERNAL: u8 = 1;
+const CLASS_ACK: u8 = 2;
 
 // --- primitive field encoding: everything little-endian ---
 
@@ -216,28 +197,10 @@ fn from_json<T: serde::Deserialize>(body: &[u8]) -> io::Result<T> {
 }
 
 impl Frame {
-    /// Build the data-plane frame for an envelope. The ack path does not
-    /// cross the wire — the sender keeps its ack channel locally, keyed
-    /// by `seq`; the receiver's side is reconstructed as an
-    /// [`AckHandle::Remote`](crate::envelope::AckHandle) callback.
-    pub(crate) fn from_envelope(env: &Envelope) -> Frame {
-        Frame::Env {
-            needs_ack: env.ack.is_some(),
-            src: env.src,
-            class: env.class,
-            type_name: env.type_name,
-            type_size: env.type_size,
-            send_time: env.send_time,
-            seq: env.seq,
-            payload: env.payload.clone(),
-        }
-    }
-
     fn type_byte(&self) -> u8 {
         match self {
             Frame::Hello { .. } => TY_HELLO,
-            Frame::Env { .. } => TY_ENV,
-            Frame::Ack { .. } => TY_ACK,
+            Frame::Env(_) => TY_ENV,
             Frame::Done { .. } => TY_DONE,
             Frame::Failed { .. } => TY_FAILED,
             Frame::AgreeEnter { .. } => TY_AGREE,
@@ -249,37 +212,25 @@ impl Frame {
         let mut buf = Vec::new();
         match self {
             Frame::Hello { rank } => put_u64(&mut buf, *rank as u64),
-            Frame::Env {
-                needs_ack,
-                src,
-                class,
-                type_name,
-                type_size,
-                send_time,
-                seq,
-                payload,
-            } => {
-                buf.push(u8::from(*needs_ack));
-                put_u64(&mut buf, *src as u64);
-                match class {
+            Frame::Env(env) => {
+                buf.push(u8::from(env.rendezvous));
+                put_u64(&mut buf, env.src as u64);
+                match env.class {
                     MsgClass::User(tag) => {
                         buf.push(CLASS_USER);
-                        put_u32(&mut buf, *tag);
+                        put_u32(&mut buf, tag);
                     }
                     MsgClass::Internal(tag) => {
                         buf.push(CLASS_INTERNAL);
-                        put_u64(&mut buf, *tag);
+                        put_u64(&mut buf, tag);
                     }
+                    MsgClass::Ack => buf.push(CLASS_ACK),
                 }
-                put_str(&mut buf, type_name);
-                put_u64(&mut buf, *type_size as u64);
-                put_f64(&mut buf, *send_time);
-                put_u64(&mut buf, *seq);
-                put_bytes(&mut buf, payload);
-            }
-            Frame::Ack { seq, at } => {
-                put_u64(&mut buf, *seq);
-                put_f64(&mut buf, *at);
+                put_str(&mut buf, env.type_name);
+                put_u64(&mut buf, env.type_size as u64);
+                put_f64(&mut buf, env.send_time);
+                put_u64(&mut buf, env.seq);
+                put_bytes(&mut buf, &env.payload);
             }
             Frame::Done { rank } => put_u64(&mut buf, *rank as u64),
             Frame::Failed { rank, at } => {
@@ -302,11 +253,12 @@ impl Frame {
                 rank: c.u64()? as usize,
             },
             TY_ENV => {
-                let needs_ack = c.u8()? != 0;
+                let rendezvous = c.u8()? != 0;
                 let src = c.u64()? as usize;
                 let class = match c.u8()? {
                     CLASS_USER => MsgClass::User(c.u32()?),
                     CLASS_INTERNAL => MsgClass::Internal(c.u64()?),
+                    CLASS_ACK => MsgClass::Ack,
                     _ => return Err(bad("unknown envelope class")),
                 };
                 let type_name = intern(c.str()?);
@@ -314,21 +266,17 @@ impl Frame {
                 let send_time = c.f64()?;
                 let seq = c.u64()?;
                 let payload = Bytes::copy_from_slice(c.bytes()?);
-                Frame::Env {
-                    needs_ack,
+                Frame::Env(Envelope {
                     src,
                     class,
                     type_name,
                     type_size,
+                    payload,
                     send_time,
                     seq,
-                    payload,
-                }
+                    rendezvous,
+                })
             }
-            TY_ACK => Frame::Ack {
-                seq: c.u64()?,
-                at: c.f64()?,
-            },
             TY_DONE => Frame::Done {
                 rank: c.u64()? as usize,
             },
@@ -438,54 +386,54 @@ mod tests {
         assert_eq!(intern("i32"), "i32");
     }
 
+    fn round_trip_env(env: Envelope) -> Envelope {
+        match round_trip(&Frame::Env(env)) {
+            Frame::Env(back) => back,
+            other => panic!("wrong frame: {other:?}"),
+        }
+    }
+
     #[test]
     fn envelope_frames_round_trip_bit_identically() {
         let payload = crate::datatype::encode_slice(&[1.5f64, -2.25, 0.0]);
-        let frame = Frame::Env {
-            needs_ack: true,
+        let back = round_trip_env(Envelope {
             src: 3,
             class: MsgClass::Internal(0xDEAD_BEEF_0001),
             type_name: intern("f64"),
             type_size: 8,
+            payload: payload.clone(),
             send_time: 0.125,
             seq: 42,
-            payload: payload.clone(),
-        };
-        match round_trip(&frame) {
-            Frame::Env {
-                needs_ack,
-                src,
-                class,
-                type_name,
-                type_size,
-                send_time,
-                seq,
-                payload: back,
-            } => {
-                assert!(needs_ack);
-                assert_eq!(src, 3);
-                assert_eq!(class, MsgClass::Internal(0xDEAD_BEEF_0001));
-                assert_eq!(type_name, "f64");
-                assert_eq!(type_size, 8);
-                assert_eq!(send_time, 0.125);
-                assert_eq!(seq, 42);
-                assert_eq!(back, payload, "POD_LE payload bytes survive the wire");
-            }
-            other => panic!("wrong frame: {other:?}"),
-        }
+            rendezvous: true,
+        });
+        assert!(back.rendezvous);
+        assert_eq!(back.src, 3);
+        assert_eq!(back.class, MsgClass::Internal(0xDEAD_BEEF_0001));
+        assert_eq!(back.type_name, "f64");
+        assert_eq!(back.type_size, 8);
+        assert_eq!(back.send_time, 0.125);
+        assert_eq!(back.seq, 42);
+        assert_eq!(
+            back.payload, payload,
+            "POD_LE payload bytes survive the wire"
+        );
+    }
+
+    #[test]
+    fn ack_frames_round_trip_with_their_match_time_or_refusal() {
+        let back = round_trip_env(Envelope::ack(2, 9, Some(1.5)));
+        assert_eq!((back.src, back.class, back.seq), (2, MsgClass::Ack, 9));
+        assert!(!back.rendezvous);
+        assert_eq!(back.matched_at(), Some(1.5));
+        let refusal = round_trip_env(Envelope::ack(2, 10, None));
+        assert_eq!((refusal.class, refusal.seq), (MsgClass::Ack, 10));
+        assert_eq!(refusal.matched_at(), None);
     }
 
     #[test]
     fn control_frames_round_trip() {
         match round_trip(&Frame::Hello { rank: 7 }) {
             Frame::Hello { rank } => assert_eq!(rank, 7),
-            other => panic!("wrong frame: {other:?}"),
-        }
-        match round_trip(&Frame::Ack { seq: 9, at: 1.5 }) {
-            Frame::Ack { seq, at } => {
-                assert_eq!(seq, 9);
-                assert_eq!(at, 1.5);
-            }
             other => panic!("wrong frame: {other:?}"),
         }
         match round_trip(&Frame::Failed { rank: 2, at: 0.75 }) {
@@ -537,5 +485,92 @@ mod tests {
         write_frame(&mut buf, &Frame::Done { rank: 0 }).expect("encode");
         let mut truncated = &buf[..buf.len() - 2];
         assert!(read_frame(&mut truncated).is_err(), "mid-frame EOF errors");
+    }
+
+    /// Characters that steer arbitrary bodies into the JSON decoder of
+    /// result frames.
+    const JSON_BYTES: &[u8] = b"{}[]\":,0123456789.-eE truefalsnul\\";
+
+    /// The input a fuzz case feeds the reader. `shape` 0: the raw bytes.
+    /// 1: one frame of type `ty` with the raw bytes as its body and a
+    /// correct length (JSON-flavoured half the time). 2: the same with an
+    /// arbitrary length prefix, up to and past [`MAX_FRAME`]. 3: a valid
+    /// envelope frame of any class with one byte overwritten and its tail
+    /// cut at an arbitrary point.
+    fn fuzz_input(shape: u32, raw: &[u8], ty: u8, len: u32, at: usize) -> Vec<u8> {
+        let framed = |len: u32, body: &[u8]| {
+            let mut bytes = len.to_le_bytes().to_vec();
+            bytes.push(ty);
+            bytes.extend_from_slice(body);
+            bytes
+        };
+        match shape {
+            0 => raw.to_vec(),
+            1 => {
+                let body: Vec<u8> = if at.is_multiple_of(2) {
+                    raw.iter()
+                        .map(|&b| JSON_BYTES[b as usize % JSON_BYTES.len()])
+                        .collect()
+                } else {
+                    raw.to_vec()
+                };
+                framed(body.len() as u32 + 1, &body)
+            }
+            2 => framed(len, raw),
+            _ => {
+                let class = match at % 3 {
+                    0 => MsgClass::User(len),
+                    1 => MsgClass::Internal(u64::from(len) << 20),
+                    _ => MsgClass::Ack,
+                };
+                let env = Envelope {
+                    src: at,
+                    class,
+                    type_name: "u8",
+                    type_size: 1,
+                    payload: Bytes::copy_from_slice(raw),
+                    send_time: 0.5,
+                    seq: u64::from(len),
+                    rendezvous: at.is_multiple_of(2),
+                };
+                let mut bytes = Vec::new();
+                write_frame(&mut bytes, &Frame::Env(env)).expect("encode");
+                let i = at % bytes.len();
+                bytes[i] = raw.first().copied().unwrap_or(ty);
+                bytes.truncate(bytes.len() - (len as usize % 4) * (i % 3));
+                bytes
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(if cfg!(miri) { 4 } else { 2048 }))]
+        /// Bytes from a peer process are untrusted: whatever arrives, the
+        /// reader returns a frame, a clean EOF, or an error, without a
+        /// panic, and never asks for a buffer sized by a length prefix
+        /// instead of by the bytes that came.
+        #[test]
+        fn arbitrary_bytes_decode_to_a_frame_eof_or_error(
+            shape in 0u32..4,
+            raw in proptest::collection::vec(0u32..256, 0..96),
+            ty in 0u32..8,
+            len in proptest::prelude::any::<u32>(),
+            at in 0usize..1024
+        ) {
+            let raw: Vec<u8> = raw.into_iter().map(|b| b as u8).collect();
+            let input = fuzz_input(shape, &raw, ty as u8, len, at);
+            let mut reader = Recording { data: &input, largest_read: 0 };
+            let outcome = read_frame(&mut reader);
+            proptest::prop_assert!(
+                reader.largest_read <= 64 * 1024,
+                "read into a {} byte buffer for {} bytes of input",
+                reader.largest_read,
+                input.len()
+            );
+            if let Ok(Some(frame)) = outcome {
+                // Whatever decoded re-encodes.
+                write_frame(&mut Vec::new(), &frame).expect("a decoded frame encodes");
+            }
+        }
     }
 }

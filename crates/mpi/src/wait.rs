@@ -8,7 +8,7 @@
 //! | wait              | completes when                                      | a blocking rank parks on | stops on |
 //! |-------------------|-----------------------------------------------------|--------------------------|----------|
 //! | [`Waiter::recv`]  | a message matching the spec is in the mailbox       | its channel inbox        | poison, a failed source, an unacknowledged failure |
-//! | [`Waiter::ack`]   | the rendezvous partner started the matching receive | the send's ack channel   | poison, a failed destination, an unacknowledged failure |
+//! | [`Waiter::ack`]   | the rendezvous partner's ack of the send arrived    | its channel inbox        | as `recv` from the destination; a refusal or a finished destination ends it with `WorldShutDown` |
 //! | [`Waiter::probe`] | a matching user message is in the mailbox (kept)    | its channel inbox        | as `recv` |
 //! | [`Waiter::agree`] | every rank entered the agreement, failed, or finished | the agreement condvar  | poison |
 //!
@@ -35,12 +35,14 @@
 //!   discrete-event engine, which re-polls it after a wake. Its channels
 //!   never close.
 //!
-//! The event engine also takes wake hints a blocking rank does not need,
-//! since its channels and condvar wake their own waiters: a completed
-//! receive may release a rendezvous sender, and entering an agreement is
-//! a progress change for the ranks parked in it.
+//! An acknowledgement is an envelope like any other, so a rendezvous
+//! sender is woken by its arrival on every backend. The event engine
+//! also takes wake hints for agreements, which a blocking rank's condvar
+//! does not need: an agreement resolves on progress state, not on a
+//! message, and entering one is a progress change for the ranks parked
+//! in it.
 
-use crate::chan::{Receiver, TryRecvError, WaitError};
+use crate::chan::WaitError;
 use crate::check::{CallSite, PendingOn, PendingOp};
 use crate::comm::Comm;
 use crate::envelope::{Envelope, MatchSpec, Status};
@@ -77,14 +79,11 @@ impl WaitCell {
     }
 }
 
-/// Wake hints the waits push for the engine: completing a receive
-/// releases a rendezvous sender (`wake`); parking in `agree` registers
-/// for the progress-change requeue list; entering `agree` is itself a
-/// progress change other agree-waiters must observe.
+/// Wake hints the waits push for the engine: parking in `agree`
+/// registers for the progress-change requeue list; entering `agree` is
+/// itself a progress change other agree-waiters must observe.
 #[derive(Default)]
 pub(crate) struct Hints {
-    /// Ranks to requeue because an action just unblocked them.
-    pub wake: Vec<usize>,
     /// Ranks parked in `agree`, requeued on any progress change.
     pub agree_parked: Vec<usize>,
     /// Set when a rank entered an agreement generation this poll.
@@ -107,35 +106,31 @@ pub(crate) enum Waiter {
 
 /// What a wait parks on, which also fixes what stops it early.
 #[derive(Clone, Copy)]
-enum ParkOn<'a> {
+enum ParkOn {
     /// The rank's channel inbox: a receive or probe from `from` (`None`
-    /// for any source), reported to the event engine as `step`.
+    /// for any source), or a rendezvous send's ack from `from`, reported
+    /// to the event engine as `step`.
     Inbox { from: Option<usize>, step: RankStep },
-    /// The ack channel of a rendezvous send to `dst`.
-    Ack { ack: &'a Receiver<f64>, dst: usize },
     /// The resolution of agreement generation `gen`.
     Agree(u64),
 }
 
-impl ParkOn<'_> {
+impl ParkOn {
     /// The blocking point an event rank parked here reports.
     fn step(self) -> RankStep {
         match self {
             ParkOn::Inbox { step, .. } => step,
-            ParkOn::Ack { .. } => RankStep::RendezvousAck,
             ParkOn::Agree(_) => RankStep::Agree,
         }
     }
 
-    /// The awaited peer of a wait that failures stop: a receive or probe
-    /// stops on poison, its source's failure, or a failure this rank has
-    /// not acknowledged, and a rendezvous send likewise with its
-    /// destination. `None` for an agreement, which only poison stops:
-    /// agreeing is how a rank acknowledges failures.
+    /// The awaited peer of a wait that failures stop: a receive, probe
+    /// or ack wait stops on poison, its peer's failure, or a failure this
+    /// rank has not acknowledged. `None` for an agreement, which only
+    /// poison stops: agreeing is how a rank acknowledges failures.
     fn peer(self) -> Option<Option<usize>> {
         match self {
             ParkOn::Inbox { from, .. } => Some(from),
-            ParkOn::Ack { dst, .. } => Some(Some(dst)),
             ParkOn::Agree(_) => None,
         }
     }
@@ -156,9 +151,9 @@ impl ParkOn<'_> {
         }
     }
 
-    /// The error of a wait whose channel closed with nothing to take: the
-    /// failure or deadlock behind the close when there is one, else the
-    /// world is shutting down.
+    /// The error of a wait whose channel closed with nothing to take, or
+    /// whose rendezvous partner refused the send: the failure or deadlock
+    /// behind it when there is one, else the world is shutting down.
     fn closed_error(self, comm: &Comm<'_>) -> Error {
         if self.stopped(comm) {
             self.stop_error(comm)
@@ -202,7 +197,7 @@ impl Waiter {
     ) -> impl Future<Output = Result<Envelope>> + use<'a, 'w> {
         let step = match spec {
             MatchSpec::User(..) => RankStep::Recv,
-            MatchSpec::Internal(..) => RankStep::Collective,
+            MatchSpec::Internal(..) | MatchSpec::Ack(..) => RankStep::Collective,
         };
         let on = ParkOn::Inbox {
             from: spec.source_rank(),
@@ -212,31 +207,28 @@ impl Waiter {
             comm,
             on,
             move |c| c.pending_recv(spec, user.copied()),
-            move |c| {
-                let env = c.try_transport_recv(spec)?;
-                if let (Some(env), Waiter::Event(ctx)) = (&env, self) {
-                    // The match may release a rendezvous sender.
-                    ctx.hints.borrow_mut().wake.push(env.src);
-                }
-                Ok(env)
-            },
+            move |c| c.try_transport_recv(spec),
         )
     }
 
-    /// Wait for the rendezvous partner of a send to `dst` with `tag` to
-    /// start the matching receive, advancing the clock to the acknowledged
-    /// time. `what` and `site` name the blocked call for the wait-for
-    /// graph.
+    /// Wait for `dst`'s ack of this rank's rendezvous envelope `seq`
+    /// (a send with `tag`), advancing the clock to the acknowledged match
+    /// time. A refusal, or a partner that finished without answering,
+    /// ends the wait with the closed-inbox error. `what` and `site` name
+    /// the blocked call for the wait-for graph.
     pub(crate) fn ack<'a, 'w>(
         &'a self,
         comm: &'a mut Comm<'w>,
-        ack: &'a Receiver<f64>,
+        seq: u64,
         dst: usize,
         tag: u32,
         what: &'static str,
         site: &'a CallSite,
     ) -> impl Future<Output = Result<()>> + use<'a, 'w> {
-        let on = ParkOn::Ack { ack, dst };
+        let on = ParkOn::Inbox {
+            from: Some(dst),
+            step: RankStep::RendezvousAck,
+        };
         self.wait_for(
             comm,
             on,
@@ -246,15 +238,20 @@ impl Waiter {
                 site: *site,
                 on: PendingOn::Send { dest: dst, tag },
             },
-            move |c| match ack.try_recv() {
-                Ok(t) => {
-                    c.finish_ack(t, dst);
-                    Ok(Some(()))
+            move |c| {
+                // A finished partner answered everything it ever will
+                // before it was marked done, so look once more after
+                // seeing it done, and only then give up.
+                let finished = c.progress().is_done(dst);
+                match c.take_ack(dst, seq) {
+                    Some(Some(t)) => {
+                        c.finish_ack(t, dst);
+                        Ok(Some(()))
+                    }
+                    None if !finished => Ok(None),
+                    // Refused, or the partner finished without answering.
+                    _ => Err(on.closed_error(c)),
                 }
-                Err(TryRecvError::Empty) => Ok(None),
-                // A partner that exited dropped the envelope, and with it
-                // the ack sender.
-                Err(TryRecvError::Disconnected) => Err(ParkOn::Ack { ack, dst }.closed_error(c)),
             },
         )
     }
@@ -317,7 +314,7 @@ impl Waiter {
     fn wait_for<'a, 'w, R, O, A>(
         &'a self,
         comm: &'a mut Comm<'w>,
-        on: ParkOn<'a>,
+        on: ParkOn,
         op: O,
         mut attempt: A,
     ) -> impl Future<Output = Result<R>> + use<'a, 'w, R, O, A>
@@ -348,13 +345,12 @@ impl Waiter {
 
     /// Park the rank on `on` until woken, stopped, or the channel closed —
     /// the only step of a wait that differs between backends.
-    fn park(&self, comm: &Comm<'_>, on: ParkOn<'_>) -> Park {
+    fn park(&self, comm: &Comm<'_>, on: ParkOn) -> Park {
         let ctx = match self {
             Waiter::Blocking => {
                 let stopped = || on.stopped(comm);
                 return Park::Over(match on {
                     ParkOn::Inbox { .. } => comm.inbox().wait_or_stop(stopped),
-                    ParkOn::Ack { ack, .. } => ack.wait_or_stop(stopped),
                     ParkOn::Agree(gen) => comm.progress().agree_wait(gen, stopped),
                 });
             }
@@ -383,7 +379,7 @@ impl Waiter {
 pub(crate) struct TestWorld {
     setup: crate::world::WorldSetup,
     pub outboxes: crate::transport::Outboxes,
-    inboxes: std::sync::Mutex<Vec<Option<Receiver<Envelope>>>>,
+    inboxes: std::sync::Mutex<Vec<Option<crate::chan::Receiver<Envelope>>>>,
 }
 
 #[cfg(test)]
@@ -411,7 +407,11 @@ impl TestWorld {
     }
 
     /// Rank `rank`'s communicator over `inbox` instead of its own.
-    pub(crate) fn comm_with(&self, rank: usize, inbox: Receiver<Envelope>) -> Comm<'_> {
+    pub(crate) fn comm_with(
+        &self,
+        rank: usize,
+        inbox: crate::chan::Receiver<Envelope>,
+    ) -> Comm<'_> {
         let link = crate::transport::Link::Chan {
             outboxes: &self.outboxes,
             inbox,
@@ -439,7 +439,7 @@ mod tests {
             payload: crate::datatype::encode_slice(&[val]),
             send_time: 0.0,
             seq: 0,
-            ack: None,
+            rendezvous: false,
         }
     }
 
@@ -455,9 +455,9 @@ mod tests {
         block_on(Waiter::Blocking.probe(comm, &spec, &CallSite::here()))
     }
 
-    fn ack(comm: &mut Comm<'_>, ack: &Receiver<f64>) -> Result<()> {
+    fn ack(comm: &mut Comm<'_>, seq: u64) -> Result<()> {
         let site = CallSite::here();
-        block_on(Waiter::Blocking.ack(comm, ack, 1, 0, "ssend", &site))
+        block_on(Waiter::Blocking.ack(comm, seq, 1, 0, "ssend", &site))
     }
 
     /// An event wake, not the channel's 50 ms backstop.
@@ -585,21 +585,32 @@ mod tests {
     }
 
     #[test]
-    fn ack_wait_completes_on_release_and_fails_on_a_dropped_partner() {
+    fn ack_wait_completes_on_its_ack_and_fails_on_a_refusal_or_a_finished_partner() {
         let w = TestWorld::new(2);
         let mut comm = w.comm(0);
-        let (tx, rx) = channel::<f64>();
         std::thread::scope(|s| {
-            s.spawn(move || {
+            s.spawn(|| {
                 std::thread::sleep(Duration::from_millis(10));
-                tx.send(2.5).expect("ack open");
+                // Another send's ack first: it must not end the wait.
+                w.outboxes[0]
+                    .send(Envelope::ack(1, 4, Some(9.0)))
+                    .expect("inbox open");
+                w.outboxes[0]
+                    .send(Envelope::ack(1, 3, Some(2.5)))
+                    .expect("inbox open");
             });
-            ack(&mut comm, &rx).expect("released");
+            ack(&mut comm, 3).expect("acknowledged");
         });
         assert_eq!(comm.sim_time(), 2.5, "the clock advances to the match");
-        // The partner's envelope, and with it the ack sender, is gone.
-        let (tx, rx) = channel::<f64>();
-        drop(tx);
-        assert_eq!(ack(&mut comm, &rx), Err(Error::WorldShutDown));
+        w.outboxes[0]
+            .send(Envelope::ack(1, 5, None))
+            .expect("inbox open");
+        assert_eq!(ack(&mut comm, 5), Err(Error::WorldShutDown), "refused");
+        // Rank 1 finished without answering envelope 6.
+        w.progress().mark_done(1);
+        assert_eq!(ack(&mut comm, 6), Err(Error::WorldShutDown), "finished");
+        // An ack sent before the partner finished still completes the send.
+        ack(&mut comm, 4).expect("answered before rank 1 finished");
+        assert_eq!(comm.sim_time(), 9.0);
     }
 }

@@ -687,13 +687,18 @@ impl WorldSetup {
 impl WorldSetup {
     /// Run `f` as rank `rank` of a blocking backend (thread or proc): build
     /// its communicator over `link`, contain a panic as
-    /// [`Error::RankPanicked`], mark the rank done, and hand back its
-    /// result with its report. With checking on, the rank first waits for
-    /// every rank to finish, so all in-flight sends have landed before the
-    /// finalize-time leak check drains its mailbox (blocked ranks are
+    /// [`Error::RankPanicked`], mark the rank done, refuse the rendezvous
+    /// envelopes it holds, and hand back its result with its report. The
+    /// refusals come after the mark: a rendezvous envelope that arrives
+    /// later is not refused here, and its sender, checking for a finished
+    /// partner after sending, sees this rank done instead (on the proc
+    /// backend, where that news travels as a frame, the reader thread
+    /// refuses such an envelope). With checking on, the rank then waits
+    /// for every rank to finish, so all in-flight sends have landed before
+    /// the finalize-time leak check drains its mailbox (blocked ranks are
     /// released by the watchdog's poison, so this terminates even on
-    /// deadlocked runs; on the proc backend, peers' `Done` frames feed
-    /// the same count).
+    /// deadlocked runs; on the proc backend, peers' `Done` frames feed the
+    /// same count).
     pub(crate) fn run_rank<T>(
         &self,
         rank: usize,
@@ -706,6 +711,7 @@ impl WorldSetup {
             Err(_) => Err(Error::RankPanicked(rank)),
         };
         self.progress.mark_done(rank);
+        comm.refuse_rendezvous();
         if self.check.is_on() {
             self.progress.wait_all_done();
         }

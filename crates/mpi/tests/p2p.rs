@@ -170,6 +170,49 @@ fn test_recv_polls_without_blocking() {
 }
 
 #[test]
+fn test_recv_completes_like_a_blocking_recv() {
+    use pdc_mpi::trace::SpanKind;
+    // Rank 0 computes, then makes a rendezvous send; rank 1 takes it
+    // with a blocking recv, or by polling test_recv.
+    let run = |poll: bool| {
+        let cfg = WorldConfig::new(2).with_eager_threshold(0).with_tracing();
+        World::run(cfg, |comm| {
+            if comm.rank() == 0 {
+                comm.charge_flops(1e6);
+                comm.send(&[1.5f64, 2.5], 1, 7)?;
+            } else if poll {
+                let mut req = comm.irecv::<f64>(0, 7)?;
+                loop {
+                    match comm.test_recv(req)? {
+                        Ok(_) => break,
+                        Err(r) => req = r,
+                    }
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+            } else {
+                comm.recv::<f64>(0, 7)?;
+            }
+            Ok(comm.sim_time())
+        })
+        .expect("runs")
+    };
+    let (blocking, polled) = (run(false), run(true));
+    let recvs = |out: &pdc_mpi::world::RunOutput<f64>| -> Vec<(f64, f64)> {
+        let spans = out.traces[1].iter().filter(|s| s.kind == SpanKind::Recv);
+        spans.map(|s| (s.start, s.end)).collect()
+    };
+    assert_eq!(recvs(&polled).len(), 1, "one Recv span");
+    assert_eq!(recvs(&polled), recvs(&blocking));
+    assert_eq!(
+        polled.stats[1].sim_comm_time.to_bits(),
+        blocking.stats[1].sim_comm_time.to_bits()
+    );
+    assert!(polled.stats[1].sim_comm_time > 0.0, "the receiver waited");
+    // The rendezvous sender is released at the same match time.
+    assert_eq!(polled.values, blocking.values);
+}
+
+#[test]
 fn sendrecv_ring_shift_never_deadlocks() {
     // Even with rendezvous forced for ordinary sends, sendrecv must make
     // progress (its send side is buffered).

@@ -28,7 +28,8 @@
 //! Every kind of wait — a receive, a rendezvous send's ack, a probe and
 //! an agreement — ends in the same error on threads as on the event
 //! engine when it cannot complete: a crashed peer's `RankFailed`, or the
-//! same deadlock analysis.
+//! same deadlock analysis. An eager send to a rank that already returned
+//! succeeds on both, as fire-and-forget traffic to a gone peer.
 //!
 //! The crate-level `event_conformance` suite covers more sizes and
 //! programs.
@@ -519,7 +520,8 @@ fn every_wait_aborts_alike_on_thread_and_event() {
                 let blocked: Vec<_> = info.blocked.iter().map(|op| (op.rank, op.op)).collect();
                 assert_eq!(blocked, stuck.blocked(), "{stuck:?}");
             }
-            // The receiver is gone: its closed inbox releases the sender.
+            // The receiver is gone: it refused the envelope, or the sender
+            // saw it finished.
             Error::WorldShutDown => assert!(
                 matches!(
                     stuck,
@@ -530,4 +532,35 @@ fn every_wait_aborts_alike_on_thread_and_event() {
             other => panic!("{stuck:?}: unexpected {other:?}"),
         }
     }
+}
+
+/// Rank 1 sends rank 0 one message and returns. Rank 0 receives it, waits
+/// for rank 1's thread to exit, and sends rank 1 a small message that
+/// nobody will receive.
+struct EagerToFinished;
+
+impl StepProgram<()> for EagerToFinished {
+    fn build<'c, 'w: 'c>(&'c self, mut sc: StepComm<'c, 'w>) -> StepFuture<'c, Result<()>> {
+        Box::pin(async move {
+            if sc.rank() == 0 {
+                sc.recv::<u8, _, _>(1, 0).await?;
+                // On the event engine rank 1 finished before this resume.
+                std::thread::sleep(Duration::from_millis(50));
+                sc.send(&[7u8; 4], 1, 1).await?;
+            } else {
+                sc.send(&[1u8], 0, 0).await?;
+            }
+            Ok(())
+        })
+    }
+}
+
+#[test]
+fn an_eager_send_to_a_finished_rank_succeeds_on_thread_and_event() {
+    World::run(WorldConfig::new(2), |comm| {
+        drive(comm, |sc| EagerToFinished.build(sc))
+    })
+    .expect("fire-and-forget on threads");
+    World::run_event(WorldConfig::new(2), &EagerToFinished)
+        .expect("fire-and-forget on the event engine");
 }

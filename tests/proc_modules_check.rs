@@ -7,6 +7,11 @@
 //! the analyzed report must come back with zero violations — exactly the
 //! bar the thread backend clears in `tests/checker.rs`.
 //!
+//! Rendezvous sends then run the way they do on the in-process backends:
+//! a matched `ssend` completes, a rendezvous send to a rank that returned
+//! without receiving it ends in `WorldShutDown` within seconds instead of
+//! hanging, and an eager send to such a rank succeeds.
+//!
 //! `harness = false`: rank processes re-execute this binary (SPMD), so
 //! every `run_proc` call must happen in deterministic program order,
 //! which libtest's parallel test threads would break. All worlds use
@@ -22,7 +27,8 @@ use pdc_modules::module5::{kmeans_rank, CommOption};
 use pdc_modules::module6::{sequential_stencil, stencil_rank, HaloVariant};
 use pdc_modules::module7::{local_scores, top_k, top_k_rank, TopKStrategy};
 use pdc_modules::module8::{self_join_rank, sequential_self_join, JoinMethod};
-use pdc_mpi::{is_proc_child, CheckMode, Comm, Op, Result, World, WorldConfig};
+use pdc_mpi::{is_proc_child, CheckMode, Comm, Error, Op, Result, World, WorldConfig};
+use std::time::{Duration, Instant};
 
 const SIZE: usize = 4;
 
@@ -135,7 +141,87 @@ fn main() {
     });
     assert_eq!(values[0].0, expected);
 
+    rendezvous_cases();
+
     if !is_proc_child() {
         println!("proc modules check: all eight modules run clean on real OS processes");
     }
+}
+
+/// Run `f` on the proc backend with every user send of more than
+/// `eager_threshold` bytes rendezvous, and return the world's outcome,
+/// which must arrive within seconds.
+fn run_timed(
+    what: &str,
+    eager_threshold: usize,
+    f: impl Fn(&mut Comm) -> Result<()> + Send + Sync,
+) -> Result<()> {
+    let started = Instant::now();
+    let cfg = WorldConfig::new(SIZE).with_eager_threshold(eager_threshold);
+    let result = World::run_proc(cfg, |comm| f(comm).map(|()| true)).map(|_| ());
+    assert!(
+        started.elapsed() < Duration::from_secs(20),
+        "{what} took {:?}",
+        started.elapsed()
+    );
+    if !is_proc_child() {
+        eprintln!("[proc-check] {what}: {result:?}");
+    }
+    result
+}
+
+fn rendezvous_cases() {
+    // Even ranks ssend to the next odd rank, which receives.
+    let values = check_proc("matched ssend", |comm| {
+        let rank = comm.rank();
+        if rank % 2 == 0 {
+            comm.ssend(&[rank as u64; 64], rank + 1, 4)?;
+            Ok(0)
+        } else {
+            let (got, _) = comm.recv::<u64>(rank - 1, 4)?;
+            Ok(got.iter().sum::<u64>())
+        }
+    });
+    assert_eq!(values, vec![0, 0, 0, 64 * 2]);
+
+    // Rank 1 returns without receiving rank 0's rendezvous send.
+    let result = run_timed("rendezvous to a finished rank", 0, |comm| {
+        if comm.rank() == 0 {
+            comm.send(&[0u8; 64], 1, 9)?;
+        }
+        Ok(())
+    });
+    assert_eq!(result, Err(Error::WorldShutDown));
+
+    // Rank 1 posts a send to rank 0 and returns; rank 0 receives it and
+    // then makes a rendezvous send to the finished rank 1.
+    let result = run_timed("rendezvous after the receiver finished", 0, |comm| {
+        match comm.rank() {
+            0 => {
+                comm.recv::<u8>(1, 3)?;
+                comm.send(&[0u8; 64], 1, 9)?;
+            }
+            1 => {
+                let _unwaited = comm.isend(&[1u8], 0, 3)?;
+            }
+            _ => {}
+        }
+        Ok(())
+    });
+    assert_eq!(result, Err(Error::WorldShutDown));
+
+    // The same, eager: fire-and-forget to a gone peer.
+    let result = run_timed("eager send to a finished rank", 64, |comm| {
+        match comm.rank() {
+            0 => {
+                comm.recv::<u8>(1, 3)?;
+                std::thread::sleep(Duration::from_millis(50));
+                comm.send(&[7u8; 4], 1, 9)?;
+            }
+            1 => comm.send(&[1u8], 0, 3)?,
+            _ => {}
+        }
+        Ok(())
+    });
+    assert_eq!(result, Ok(()));
 }

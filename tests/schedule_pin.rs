@@ -10,8 +10,12 @@
 //! (`EventMemStats.events`), and the world's message and byte counts.
 //! Changes that only make waiting cheaper must leave every hash alone.
 //!
-//! The hashes were recorded before the wait state became plain data.
-//! After an intentional change to the schedule, rerun with
+//! The Module 2 and Module 6 hashes were recorded before the wait state
+//! became plain data. The Module 3 hashes were re-recorded when
+//! rendezvous acknowledgements became envelopes: the engine stopped
+//! resuming the sender of every matched envelope, which moved the resume
+//! order and count while the clock, values and traffic stayed bit for
+//! bit. After an intentional change to the schedule, rerun with
 //! `cargo test --test schedule_pin -- --nocapture` and copy the printed
 //! hashes here.
 
@@ -122,14 +126,14 @@ fn distribution_sort_schedule_is_pinned() {
         "module3",
         &program,
         24,
-        [0xc2fbdf464310634b, 0x88a04d85225348e5],
+        [0xcc1f9a9a3a25440d, 0x10efa812032fe917],
     );
 }
 
 /// Module 3 at 48 ranks: its bucket exchange leaves 47 envelopes pending
 /// in every mailbox, past the matching index's depth threshold (32), so
 /// this cell pins indexed matching where the 24-rank cell above only
-/// ever scans. Recorded before the index lost its B-trees.
+/// ever scans.
 #[test]
 fn deep_mailbox_distribution_sort_schedule_is_pinned() {
     let program = DistributionSortProgram {
@@ -142,6 +146,6 @@ fn deep_mailbox_distribution_sort_schedule_is_pinned() {
         "module3-48",
         &program,
         48,
-        [0xdd241fbd9b1392db, 0x17f59860f2a1d265],
+        [0xdb3d24c150aa4a92, 0x1b853958b6b27985],
     );
 }
