@@ -60,7 +60,7 @@
 //! composites (chunked/hierarchical allreduce) allocate two bases, one
 //! per phase.
 
-use crate::check::CallSite;
+use crate::check::{CallSite, CheckEvent};
 use crate::comm::Comm;
 use crate::datatype::{decode_extend, decode_vec, encode_slice, Datatype};
 use crate::envelope::{Envelope, MatchSpec};
@@ -196,19 +196,17 @@ impl<'s> Scope<'s> {
         type_name: &'static str,
         site: CallSite,
     ) {
-        match &self.sub {
-            None => comm.record_coll(self.name, root, op, count, type_name, site),
-            Some(sub) => comm.record_sub_coll(
-                self.name,
-                sub.ctx(),
-                sub.members(),
-                root,
-                op,
-                count,
-                type_name,
-                site,
-            ),
-        }
+        let sub = self.sub.as_deref();
+        comm.record_coll(self.name, sub.is_none(), site, || CheckEvent::Collective {
+            name: self.name,
+            ctx: sub.map_or(0, SubComm::ctx),
+            members: sub.map(|sub| sub.members().to_vec()),
+            root,
+            op,
+            count,
+            type_name,
+            site,
+        });
     }
 
     fn validate_root(&self, comm: &Comm, root: usize) -> Result<()> {

@@ -61,9 +61,9 @@ pub struct EventMemStats {
     pub ranks: usize,
     /// Total bytes of compiler-generated rank state machines.
     pub future_bytes: usize,
-    /// Total bytes of communicator state (`size_of::<Comm>()` per rank;
-    /// excludes heap-allocated mailbox contents, which are workload
-    /// dependent).
+    /// Total bytes of communicator state: `size_of::<Comm>()` per rank,
+    /// and no heap, since a communicator allocates nothing at set-up
+    /// (what its mailbox holds later is workload dependent).
     pub comm_bytes: usize,
     /// Total bytes of engine wait state (wait cells).
     pub cell_bytes: usize,
@@ -227,7 +227,7 @@ where
     let mesh = EventMesh::new(size);
     let started = Instant::now();
     let mut comms: Vec<Comm> = (0..size)
-        .map(|rank| setup.comm(rank, Link::Event(&mesh)))
+        .map(|rank| Comm::new(&setup, rank, Link::Event(&mesh)))
         .collect();
 
     let cells: Vec<Rc<RefCell<WaitCell>>> = (0..size).map(|_| WaitCell::new()).collect();
@@ -387,7 +387,9 @@ where
 
     drop(futures);
 
-    let outcomes = outcomes.into_iter().zip(comms).map(|(outcome, comm)| {
+    // Communicators first: `fold_outcomes` collects the statistics into
+    // their buffer, in place.
+    let outcomes = comms.into_iter().zip(outcomes).map(|(comm, outcome)| {
         let outcome = outcome.expect("every rank produced an outcome");
         (outcome, comm.into_report())
     });

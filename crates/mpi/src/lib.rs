@@ -64,6 +64,7 @@ pub mod error;
 pub mod event;
 pub mod fault;
 pub mod mailbox;
+pub(crate) mod observe;
 pub mod reduce;
 pub mod stats;
 pub mod step;

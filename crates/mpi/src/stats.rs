@@ -1,11 +1,14 @@
 //! Per-rank communication instrumentation.
 //!
 //! Every public primitive invocation is counted; collectives additionally
-//! account the point-to-point traffic they generate. The counters feed two
+//! account the point-to-point traffic they generate. The transport folds
+//! each completed operation in once, as an [`Obs`]. The counters feed two
 //! reproduction artifacts: **Table II** (which MPI primitives each module
 //! uses) via [`CommStats::used_primitives`], and the communication-volume
 //! reasoning of Modules 3 and 5 via the byte counters.
 
+use crate::observe::Obs;
+use crate::trace::SpanKind;
 use crate::tune::CollAlgo;
 
 /// Every user-facing primitive the runtime exposes, named after its MPI
@@ -104,14 +107,18 @@ impl Primitive {
             Primitive::CommSplit => "MPI_Comm_split",
         }
     }
-
-    fn index(self) -> usize {
-        Self::ALL
-            .iter()
-            .position(|&p| p == self)
-            .expect("ALL is exhaustive")
-    }
 }
+
+// `CommStats` indexes its call counters by discriminant, which is the
+// position in `ALL` only while `ALL` lists the variants in declaration
+// order.
+const _: () = {
+    let mut i = 0;
+    while i < Primitive::ALL.len() {
+        assert!(Primitive::ALL[i] as usize == i);
+        i += 1;
+    }
+};
 
 /// Cumulative transfer volume split by transport protocol. Eager sends
 /// are buffered and complete immediately; rendezvous sends (payload above
@@ -156,10 +163,11 @@ pub struct AlgoVolume {
     pub bytes: u64,
 }
 
-/// Snapshot of one rank's communication activity.
+/// Snapshot of one rank's communication activity: plain data, no heap.
 #[derive(Debug, Clone, Default, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct CommStats {
-    calls: Vec<u64>,
+    /// Invocations per primitive, indexed by discriminant.
+    calls: [u64; Primitive::ALL.len()],
     protocol: ProtocolVolume,
     /// Per-algorithm collective traffic, indexed by [`CollAlgo::index`].
     algo_volume: [AlgoVolume; 3],
@@ -182,23 +190,17 @@ pub struct CommStats {
 impl CommStats {
     /// Fresh, all-zero statistics.
     pub fn new() -> Self {
-        Self {
-            calls: vec![0; Primitive::ALL.len()],
-            ..Self::default()
-        }
+        Self::default()
     }
 
     /// Record one invocation of `p`.
     pub fn record_call(&mut self, p: Primitive) {
-        if self.calls.is_empty() {
-            self.calls = vec![0; Primitive::ALL.len()];
-        }
-        self.calls[p.index()] += 1;
+        self.calls[p as usize] += 1;
     }
 
     /// Number of times `p` was invoked.
     pub fn calls(&self, p: Primitive) -> u64 {
-        self.calls.get(p.index()).copied().unwrap_or(0)
+        self.calls[p as usize]
     }
 
     /// Cumulative sent volume split eager vs rendezvous. pdc-prof reads
@@ -207,16 +209,37 @@ impl CommStats {
         self.protocol
     }
 
-    /// Account one physical transmission of `bytes` under the given
-    /// protocol (called by the transport for every enqueued copy,
-    /// including retransmissions).
-    pub(crate) fn record_transmission(&mut self, bytes: usize, synchronous: bool) {
-        if synchronous {
-            self.protocol.rendezvous_msgs += 1;
-            self.protocol.rendezvous_bytes += bytes as u64;
-        } else {
-            self.protocol.eager_msgs += 1;
-            self.protocol.eager_bytes += bytes as u64;
+    /// Fold one completed operation in. A send counts each of its
+    /// physical copies (retransmissions included) and its collective
+    /// traffic once.
+    #[inline]
+    pub(crate) fn fold(&mut self, obs: &Obs) {
+        let span = &obs.span;
+        if span.kind == SpanKind::Compute {
+            self.sim_compute_time += obs.charged;
+            return;
+        }
+        self.sim_comm_time += obs.charged;
+        let bytes = span.bytes as u64;
+        if span.kind == SpanKind::Recv {
+            self.msgs_received += 1;
+            self.bytes_received += bytes;
+        } else if !span.rdv_wait {
+            let copies = u64::from(obs.attempts);
+            self.msgs_sent += copies;
+            self.bytes_sent += copies * bytes;
+            if obs.synchronous {
+                self.protocol.rendezvous_msgs += copies;
+                self.protocol.rendezvous_bytes += copies * bytes;
+            } else {
+                self.protocol.eager_msgs += copies;
+                self.protocol.eager_bytes += copies * bytes;
+            }
+            if let Some(algo) = span.algo {
+                let v = &mut self.algo_volume[algo.index()];
+                v.msgs += 1;
+                v.bytes += bytes;
+            }
         }
     }
 
@@ -228,13 +251,6 @@ impl CommStats {
     /// Count one collective invocation that resolved to `algo`.
     pub(crate) fn record_algo_call(&mut self, algo: CollAlgo) {
         self.algo_volume[algo.index()].calls += 1;
-    }
-
-    /// Attribute one collective-internal message of `bytes` to `algo`.
-    pub(crate) fn record_algo_traffic(&mut self, algo: CollAlgo, bytes: usize) {
-        let v = &mut self.algo_volume[algo.index()];
-        v.msgs += 1;
-        v.bytes += bytes as u64;
     }
 
     /// The set of primitives invoked at least once, in display order.
@@ -249,11 +265,8 @@ impl CommStats {
     /// Merge another rank's statistics into this one (for world-level
     /// aggregation).
     pub fn merge(&mut self, other: &CommStats) {
-        if self.calls.is_empty() {
-            self.calls = vec![0; Primitive::ALL.len()];
-        }
-        for (i, c) in other.calls.iter().enumerate() {
-            self.calls[i] += c;
+        for (mine, theirs) in self.calls.iter_mut().zip(&other.calls) {
+            *mine += theirs;
         }
         self.protocol.eager_msgs += other.protocol.eager_msgs;
         self.protocol.eager_bytes += other.protocol.eager_bytes;
@@ -287,6 +300,19 @@ impl CommStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// One send of `bytes` in `attempts` physical copies.
+    fn send(bytes: usize, synchronous: bool, attempts: u32, algo: Option<CollAlgo>) -> Obs {
+        let span = crate::trace::Span {
+            algo,
+            ..crate::trace::Span::basic(SpanKind::Send, 0.0, 1.0, 1, bytes)
+        };
+        Obs {
+            synchronous,
+            attempts,
+            ..Obs::new(span, 1.0)
+        }
+    }
 
     #[test]
     fn counters_start_zero_and_accumulate() {
@@ -324,10 +350,10 @@ mod tests {
     #[test]
     fn protocol_volume_accumulates_and_merges() {
         let mut a = CommStats::new();
-        a.record_transmission(100, false);
-        a.record_transmission(4096, true);
+        a.fold(&send(100, false, 1, None));
+        a.fold(&send(4096, true, 1, None));
         let mut b = CommStats::new();
-        b.record_transmission(50, false);
+        b.fold(&send(50, false, 1, None));
         a.merge(&b);
         let v = a.protocol_volume();
         assert_eq!(v.eager_msgs, 2);
@@ -342,17 +368,40 @@ mod tests {
     fn algo_volume_accumulates_and_merges() {
         let mut a = CommStats::new();
         a.record_algo_call(CollAlgo::Chunked);
-        a.record_algo_traffic(CollAlgo::Chunked, 1024);
-        a.record_algo_traffic(CollAlgo::Chunked, 1024);
+        a.fold(&send(1024, false, 1, Some(CollAlgo::Chunked)));
+        a.fold(&send(1024, false, 1, Some(CollAlgo::Chunked)));
         let mut b = CommStats::new();
         b.record_algo_call(CollAlgo::Chunked);
-        b.record_algo_traffic(CollAlgo::Chunked, 8);
+        b.fold(&send(8, false, 1, Some(CollAlgo::Chunked)));
         b.record_algo_call(CollAlgo::Flat);
         a.merge(&b);
         let c = a.algo_volume(CollAlgo::Chunked);
         assert_eq!((c.calls, c.msgs, c.bytes), (2, 3, 2056));
         assert_eq!(a.algo_volume(CollAlgo::Flat).calls, 1);
         assert_eq!(a.algo_volume(CollAlgo::Hierarchical), AlgoVolume::default());
+    }
+
+    #[test]
+    fn a_retransmitted_send_counts_every_copy_and_its_algorithm_traffic_once() {
+        let mut s = CommStats::new();
+        s.fold(&send(64, true, 3, Some(CollAlgo::Flat)));
+        assert_eq!((s.msgs_sent, s.bytes_sent), (3, 192));
+        let v = s.protocol_volume();
+        assert_eq!((v.rendezvous_msgs, v.rendezvous_bytes), (3, 192));
+        let a = s.algo_volume(CollAlgo::Flat);
+        assert_eq!((a.msgs, a.bytes), (1, 64));
+        assert_eq!(s.sim_comm_time, 1.0);
+    }
+
+    #[test]
+    fn calls_serialize_as_one_counter_per_primitive() {
+        let mut s = CommStats::new();
+        s.record_call(Primitive::CommSplit);
+        let json = serde_json::to_string(&s).unwrap();
+        let zeros = vec!["0"; Primitive::ALL.len() - 1].join(",");
+        assert!(json.contains(&format!("[{zeros},1]")), "{json}");
+        let back: CommStats = serde_json::from_str(&json).unwrap();
+        assert_eq!(back, s);
     }
 
     #[test]

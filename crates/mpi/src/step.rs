@@ -32,7 +32,7 @@
 //! (`tests/event_conformance.rs`) pins results, sim clocks, `CommStats`,
 //! and checker logs byte-identical across backends.
 
-use crate::check::{CallSite, CheckEvent};
+use crate::check::CallSite;
 use crate::coll::{self, Scope};
 use crate::comm::{Comm, RecvRequest, SendRequest};
 use crate::datatype::{decode_into, Datatype};
@@ -568,9 +568,7 @@ impl<'c, 'w: 'c> StepComm<'c, 'w> {
         user: (&'static str, CallSite),
     ) -> Result<Envelope> {
         let env = self.wait.recv(self.comm, &spec, Some(&user)).await?;
-        let candidates = self.comm.last_candidates();
-        self.comm
-            .record_user_recv::<T>(&env, &spec, candidates, user.1);
+        self.comm.record_user_recv::<T>(&env, &spec, user.1);
         Ok(env)
     }
 
@@ -642,9 +640,7 @@ impl<'c, 'w: 'c> StepComm<'c, 'w> {
                 .ack(self.comm, seq, dest, tag, "wait_send", &site)
                 .await?;
         }
-        if let Some(id) = req.id {
-            self.comm.record_event(CheckEvent::RequestCompleted { id });
-        }
+        self.comm.request_completed(req.id);
         Ok(())
     }
 
@@ -668,9 +664,7 @@ impl<'c, 'w: 'c> StepComm<'c, 'w> {
         self.comm.record(Primitive::Wait);
         let (spec, id) = req.into_spec();
         let env = self.recv_user::<T>(spec, ("wait_recv", site)).await?;
-        if let Some(id) = id {
-            self.comm.record_event(CheckEvent::RequestCompleted { id });
-        }
+        self.comm.request_completed(id);
         self.comm.decode_user_payload(&env)
     }
 

@@ -37,7 +37,6 @@ use crate::comm::{Comm, RankReport};
 use crate::envelope::Envelope;
 use crate::error::{Error, Result};
 use crate::mailbox::{Progress, ProgressNotifier};
-use crate::stats::CommStats;
 use crate::transport::wire::{read_frame, write_frame, Frame, RankResult, RankValue};
 use crate::transport::{Link, Outbox, Outboxes, SendFailed};
 use crate::world::{fold_outcomes, RunOutput, WorldConfig, WorldSetup};
@@ -369,7 +368,7 @@ impl ProcTransport {
     /// Broadcast the local rank's result and remember it locally.
     fn publish_result(&self, res: RankResult) {
         let shared = self.shared();
-        shared.broadcast(Frame::Result(res.clone()));
+        shared.broadcast(Frame::Result(Box::new(res.clone())));
         shared.store_result(res);
     }
 
@@ -538,7 +537,7 @@ impl ProcTransport {
                                 Frame::AgreeEnter { rank, generation } => {
                                     progress.remote_agree_enter(rank, generation);
                                 }
-                                Frame::Result(res) => shared.store_result(res),
+                                Frame::Result(res) => shared.store_result(*res),
                                 Frame::Hello { .. } => {} // handshake only
                             }
                         }
@@ -645,15 +644,11 @@ where
     transport.publish_result(RankResult {
         rank,
         value,
-        stats: report.stats,
-        clock: report.clock,
-        check_log: report.check_log,
+        report,
     });
     transport.await_results(progress);
     transport.finalize();
 
-    // Traces, phases, and collective spans do not cross the wire: every
-    // rank's come back empty.
     let mut results = transport.take_results();
     let outcomes = (0..cfg.size).map(|r| {
         let res = results.remove(&r).unwrap_or_else(|| RankResult {
@@ -664,9 +659,7 @@ where
                 rank: r,
                 at: progress.failed_at(r).unwrap_or(0.0),
             }),
-            stats: CommStats::new(),
-            clock: 0.0,
-            check_log: Vec::new(),
+            report: RankReport::default(),
         });
         let value = match res.value {
             RankValue::Ok(v) => {
@@ -674,15 +667,7 @@ where
             }
             RankValue::Err(e) => Err(e),
         };
-        let report = RankReport {
-            stats: res.stats,
-            clock: res.clock,
-            trace: Vec::new(),
-            check_log: res.check_log,
-            phases: Vec::new(),
-            colls: Vec::new(),
-        };
-        (value, report)
+        (value, res.report)
     });
     fold_outcomes(outcomes, started, Vec::new())
 }

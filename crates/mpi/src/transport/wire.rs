@@ -10,12 +10,11 @@
 //! agreement entries) are small and rare; their bodies are
 //! `serde_json` for robustness over hand-rolled layouts.
 
-use crate::check::CheckEvent;
+use crate::comm::RankReport;
 use crate::envelope::{Envelope, MsgClass};
 use crate::error::Error;
-use crate::stats::CommStats;
 use bytes::Bytes;
-use std::collections::HashMap;
+use std::collections::HashSet;
 use std::io::{self, Read, Write};
 use std::sync::{Mutex, OnceLock, PoisonError};
 
@@ -23,23 +22,34 @@ use std::sync::{Mutex, OnceLock, PoisonError};
 /// prefixes, far above any legitimate module payload.
 const MAX_FRAME: u32 = 1 << 30;
 
-/// Intern a string, returning a `&'static str` that lives for the rest
-/// of the process. The runtime's type names, op names, and call sites
-/// are `&'static str` in-process; a deserialized copy from a peer
-/// process has no static backing, so it is leaked once per *distinct*
-/// string — a bounded set (type names, source files) in practice.
-pub(crate) fn intern(s: &str) -> &'static str {
-    static CACHE: OnceLock<Mutex<HashMap<String, &'static str>>> = OnceLock::new();
-    let mut cache = CACHE
-        .get_or_init(|| Mutex::new(HashMap::new()))
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner);
-    if let Some(&interned) = cache.get(s) {
-        return interned;
+/// Longest type name an envelope frame may carry. Every built-in
+/// [`Datatype`](crate::Datatype) name is at most 64 bytes.
+const MAX_TYPE_NAME: usize = 256;
+/// Distinct type names one process interns before it refuses new ones.
+const MAX_TYPE_NAMES: usize = 4096;
+
+/// Intern a decoded type name in the process-wide cache (see
+/// [`intern_in`]).
+fn intern(s: &str) -> io::Result<&'static str> {
+    static CACHE: OnceLock<Mutex<HashSet<&'static str>>> = OnceLock::new();
+    let cache = CACHE.get_or_init(Mutex::default);
+    intern_in(&mut cache.lock().unwrap_or_else(PoisonError::into_inner), s)
+}
+
+/// Intern `s` in `cache`. A type name from a peer process has no static
+/// backing, so it is leaked once per *distinct* string; the bounds on
+/// name length and count keep a corrupt or hostile stream of new names
+/// from growing the process without limit.
+fn intern_in(cache: &mut HashSet<&'static str>, s: &str) -> io::Result<&'static str> {
+    if let Some(&name) = cache.get(s) {
+        return Ok(name);
     }
-    let leaked: &'static str = Box::leak(s.to_owned().into_boxed_str());
-    cache.insert(s.to_owned(), leaked);
-    leaked
+    if s.len() > MAX_TYPE_NAME || cache.len() >= MAX_TYPE_NAMES {
+        return Err(bad("type name past the intern cache's bounds"));
+    }
+    let name: &'static str = Box::leak(s.into());
+    cache.insert(name);
+    Ok(name)
 }
 
 /// A rank closure's outcome as it crosses the wire. `std::Result` has no
@@ -62,12 +72,9 @@ pub(crate) struct RankResult {
     pub rank: usize,
     /// The closure's return value or error.
     pub value: RankValue,
-    /// The rank's communication statistics.
-    pub stats: CommStats,
-    /// The rank's final simulated clock, seconds.
-    pub clock: f64,
-    /// The rank's checker event log (empty unless checking was on).
-    pub check_log: Vec<CheckEvent>,
+    /// The rank's statistics, final simulated clock and everything its
+    /// observer recorded: trace, phases, collective spans and check log.
+    pub report: RankReport,
 }
 
 /// One frame on a peer socket.
@@ -85,8 +92,8 @@ pub(crate) enum Frame {
     /// `rank` entered agreement generation `generation` (mirrors
     /// `Progress::agree_enter`).
     AgreeEnter { rank: usize, generation: u64 },
-    /// `rank`'s final report (value, stats, checker log).
-    Result(RankResult),
+    /// `rank`'s final report (value, stats, clock, observations).
+    Result(Box<RankResult>),
 }
 
 const TY_HELLO: u8 = 0;
@@ -241,7 +248,7 @@ impl Frame {
                 put_u64(&mut buf, *rank as u64);
                 put_u64(&mut buf, *generation);
             }
-            Frame::Result(res) => buf = json_body(res),
+            Frame::Result(res) => buf = json_body(&**res),
         }
         buf
     }
@@ -261,7 +268,7 @@ impl Frame {
                     CLASS_ACK => MsgClass::Ack,
                     _ => return Err(bad("unknown envelope class")),
                 };
-                let type_name = intern(c.str()?);
+                let type_name = intern(c.str()?)?;
                 let type_size = c.u64()? as usize;
                 let send_time = c.f64()?;
                 let seq = c.u64()?;
@@ -288,7 +295,7 @@ impl Frame {
                 rank: c.u64()? as usize,
                 generation: c.u64()?,
             },
-            TY_RESULT => Frame::Result(from_json(body)?),
+            TY_RESULT => Frame::Result(Box::new(from_json(body)?)),
             _ => return Err(bad("unknown frame type")),
         })
     }
@@ -380,10 +387,32 @@ mod tests {
 
     #[test]
     fn interning_is_stable_and_pointer_equal() {
-        let a = intern("f64");
-        let b = intern("f64");
+        let a = intern("f64").unwrap();
+        let b = intern("f64").unwrap();
         assert!(std::ptr::eq(a, b), "same string interns to same pointer");
-        assert_eq!(intern("i32"), "i32");
+        assert_eq!(intern("i32").unwrap(), "i32");
+    }
+
+    #[test]
+    fn the_intern_cache_stops_growing_at_its_cap() {
+        let mut cache = HashSet::new();
+        let long = "x".repeat(MAX_TYPE_NAME + 1);
+        assert!(
+            intern_in(&mut cache, &long).is_err(),
+            "an over-long name is refused"
+        );
+        for i in 0..MAX_TYPE_NAMES {
+            intern_in(&mut cache, &format!("t{i}")).expect("under the cap");
+        }
+        let err = intern_in(&mut cache, "one-too-many").expect_err("the cache is full");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert_eq!(cache.len(), MAX_TYPE_NAMES);
+        assert_eq!(
+            intern_in(&mut cache, "t7").unwrap(),
+            "t7",
+            "known names still resolve"
+        );
+        assert_eq!(cache.len(), MAX_TYPE_NAMES);
     }
 
     fn round_trip_env(env: Envelope) -> Envelope {
@@ -399,7 +428,7 @@ mod tests {
         let back = round_trip_env(Envelope {
             src: 3,
             class: MsgClass::Internal(0xDEAD_BEEF_0001),
-            type_name: intern("f64"),
+            type_name: "f64",
             type_size: 8,
             payload: payload.clone(),
             send_time: 0.125,
@@ -456,22 +485,55 @@ mod tests {
     }
 
     #[test]
-    fn result_frames_carry_errors_and_stats() {
+    fn result_frames_carry_errors_stats_and_observations() {
+        use crate::check::{CallSite, CheckEvent};
+        use crate::trace::{CollSpan, PhaseSpan, Span, SpanKind};
+        let mut report = RankReport {
+            clock: 3.25,
+            ..RankReport::default()
+        };
+        report.stats.record_call(crate::Primitive::Bcast);
+        let observed = &mut report.observed;
+        observed.trace.push(Span {
+            seq: Some(7),
+            sent_at: Some(0.1 + 0.2),
+            ..Span::basic(SpanKind::Recv, 1e-7, 2.5e-6, 3, 40)
+        });
+        observed.phases.push(PhaseSpan {
+            name: "exchange".into(),
+            start: 0.0,
+            end: 1.0 / 3.0,
+        });
+        observed.colls.push(CollSpan {
+            name: "bcast".into(),
+            seq: 0,
+            enter: 0.0,
+            algo: Some(crate::CollAlgo::Hierarchical),
+        });
+        observed.check_log.push(CheckEvent::RequestCreated {
+            id: 0,
+            kind: "isend",
+            site: CallSite::here(),
+        });
         let res = RankResult {
             rank: 1,
             value: RankValue::Err(Error::RankFailed { rank: 2, at: 0.5 }),
-            stats: CommStats::new(),
-            clock: 3.25,
-            check_log: Vec::new(),
+            report: report.clone(),
         };
-        match round_trip(&Frame::Result(res)) {
+        match round_trip(&Frame::Result(Box::new(res))) {
             Frame::Result(back) => {
                 assert_eq!(back.rank, 1);
                 assert_eq!(
                     back.value,
                     RankValue::Err(Error::RankFailed { rank: 2, at: 0.5 })
                 );
-                assert_eq!(back.clock, 3.25);
+                assert_eq!(back.report.clock, 3.25);
+                assert_eq!(back.report.stats, report.stats);
+                let (got, sent) = (&back.report.observed, &report.observed);
+                assert_eq!(got.trace, sent.trace, "spans cross bit for bit");
+                assert_eq!(got.phases, sent.phases);
+                assert_eq!(got.colls, sent.colls);
+                assert_eq!(got.check_log, sent.check_log);
             }
             other => panic!("wrong frame: {other:?}"),
         }
@@ -496,7 +558,8 @@ mod tests {
     /// correct length (JSON-flavoured half the time). 2: the same with an
     /// arbitrary length prefix, up to and past [`MAX_FRAME`]. 3: a valid
     /// envelope frame of any class with one byte overwritten and its tail
-    /// cut at an arbitrary point.
+    /// cut at an arbitrary point. 4: a well-formed envelope frame whose
+    /// type name is longer than the intern cache accepts.
     fn fuzz_input(shape: u32, raw: &[u8], ty: u8, len: u32, at: usize) -> Vec<u8> {
         let framed = |len: u32, body: &[u8]| {
             let mut bytes = len.to_le_bytes().to_vec();
@@ -517,7 +580,7 @@ mod tests {
                 framed(body.len() as u32 + 1, &body)
             }
             2 => framed(len, raw),
-            _ => {
+            3 => {
                 let class = match at % 3 {
                     0 => MsgClass::User(len),
                     1 => MsgClass::Internal(u64::from(len) << 20),
@@ -540,6 +603,21 @@ mod tests {
                 bytes.truncate(bytes.len() - (len as usize % 4) * (i % 3));
                 bytes
             }
+            _ => {
+                let mut body = vec![u8::from(at.is_multiple_of(2))];
+                put_u64(&mut body, at as u64);
+                body.push(CLASS_USER);
+                put_u32(&mut body, len);
+                put_str(&mut body, &"x".repeat(MAX_TYPE_NAME + 1 + at % 64));
+                put_u64(&mut body, 1);
+                put_f64(&mut body, 0.5);
+                put_u64(&mut body, u64::from(len));
+                put_bytes(&mut body, raw);
+                let mut bytes = (body.len() as u32 + 1).to_le_bytes().to_vec();
+                bytes.push(TY_ENV);
+                bytes.extend_from_slice(&body);
+                bytes
+            }
         }
     }
 
@@ -551,7 +629,7 @@ mod tests {
         /// instead of by the bytes that came.
         #[test]
         fn arbitrary_bytes_decode_to_a_frame_eof_or_error(
-            shape in 0u32..4,
+            shape in 0u32..5,
             raw in proptest::collection::vec(0u32..256, 0..96),
             ty in 0u32..8,
             len in proptest::prelude::any::<u32>(),
@@ -567,7 +645,9 @@ mod tests {
                 reader.largest_read,
                 input.len()
             );
-            if let Ok(Some(frame)) = outcome {
+            if shape == 4 {
+                proptest::prop_assert!(outcome.is_err(), "an over-long type name decodes");
+            } else if let Ok(Some(frame)) = outcome {
                 // Whatever decoded re-encodes.
                 write_frame(&mut Vec::new(), &frame).expect("a decoded frame encodes");
             }

@@ -416,7 +416,7 @@ impl TestWorld {
             outboxes: &self.outboxes,
             inbox,
         };
-        self.setup.comm(rank, link)
+        Comm::new(&self.setup, rank, link)
     }
 }
 

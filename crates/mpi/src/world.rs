@@ -536,14 +536,13 @@ impl World {
     /// values cross process boundaries, hence the `Serialize +
     /// DeserializeOwned` bound.
     ///
-    /// Differences from the in-process backends, both documented in
+    /// One difference from the in-process backends, documented in
     /// `docs/backends.md`: `cfg.watchdog` is ignored (no process can
     /// observe global progress, so wall-clock deadlock detection is
     /// impossible — a stuck world fails a hard internal deadline
-    /// instead), and per-rank traces/phases/colls are not collected
-    /// across the wire ([`RunOutput::traces`] et al. come back empty).
-    /// Fault injection, the checker, statistics, and the simulated clock
-    /// all work unchanged.
+    /// instead). Fault injection, the checker, tracing, statistics, and
+    /// the simulated clock all work unchanged: every rank's report,
+    /// trace included, crosses the wire in its result frame.
     ///
     /// # Panics
     /// Panics if worlds of different sizes are launched from one binary,
@@ -598,19 +597,9 @@ impl World {
                 .into_iter()
                 .enumerate()
                 .map(|(rank, handle)| {
-                    handle.join().unwrap_or_else(|_| {
-                        (
-                            Err(Error::RankPanicked(rank)),
-                            RankReport {
-                                stats: CommStats::new(),
-                                clock: 0.0,
-                                trace: Vec::new(),
-                                check_log: Vec::new(),
-                                phases: Vec::new(),
-                                colls: Vec::new(),
-                            },
-                        )
-                    })
+                    handle
+                        .join()
+                        .unwrap_or_else(|_| (Err(Error::RankPanicked(rank)), RankReport::default()))
                 })
                 .collect()
         });
@@ -635,11 +624,11 @@ impl World {
 pub(crate) struct WorldSetup {
     pub progress: Arc<Progress>,
     pub check: CheckMode,
-    cost: Arc<CostModel>,
-    faults: Option<ActiveFaults>,
-    tuning: Option<Arc<WorldTuning>>,
-    eager_threshold: usize,
-    tracing: bool,
+    pub cost: Arc<CostModel>,
+    pub faults: Option<ActiveFaults>,
+    pub tuning: Option<Arc<WorldTuning>>,
+    pub eager_threshold: usize,
+    pub tracing: bool,
 }
 
 impl WorldSetup {
@@ -668,23 +657,6 @@ impl WorldSetup {
         }
     }
 
-    /// Rank `rank`'s communicator, sending and receiving over `link`.
-    pub(crate) fn comm<'w>(&'w self, rank: usize, link: Link<'w>) -> Comm<'w> {
-        Comm::new(
-            rank,
-            link,
-            &self.progress,
-            Arc::clone(&self.cost),
-            self.eager_threshold,
-            self.tracing,
-            self.check,
-            self.faults.clone(),
-            self.tuning.clone(),
-        )
-    }
-}
-
-impl WorldSetup {
     /// Run `f` as rank `rank` of a blocking backend (thread or proc): build
     /// its communicator over `link`, contain a panic as
     /// [`Error::RankPanicked`], mark the rank done, refuse the rendezvous
@@ -705,7 +677,7 @@ impl WorldSetup {
         link: Link<'_>,
         f: impl FnOnce(&mut Comm) -> Result<T>,
     ) -> (Result<T>, RankReport) {
-        let mut comm = self.comm(rank, link);
+        let mut comm = Comm::new(self, rank, link);
         let value = match catch_unwind(AssertUnwindSafe(|| f(&mut comm))) {
             Ok(result) => result,
             Err(_) => Err(Error::RankPanicked(rank)),
@@ -732,7 +704,6 @@ pub(crate) fn fold_outcomes<T>(
 ) -> (Result<RunOutput<T>>, Vec<Vec<CheckEvent>>) {
     let size = outcomes.len();
     let mut values = Vec::with_capacity(size);
-    let mut stats = Vec::with_capacity(size);
     let mut traces = Vec::with_capacity(size);
     let mut events = Vec::with_capacity(size);
     let mut phases = Vec::with_capacity(size);
@@ -740,25 +711,31 @@ pub(crate) fn fold_outcomes<T>(
     let mut sim_time = 0.0f64;
     let mut first_error: Option<Error> = None;
     let mut deadlock: Option<DeadlockInfo> = None;
-    for (value, report) in outcomes {
-        sim_time = sim_time.max(report.clock);
-        stats.push(report.stats);
-        traces.push(report.trace);
-        events.push(report.check_log);
-        phases.push(report.phases);
-        colls.push(report.colls);
-        match value {
-            Ok(v) => values.push(v),
-            Err(Error::Deadlock(info)) => {
-                if deadlock.as_ref().is_none_or(|d| d.is_empty()) {
-                    deadlock = Some(info);
+    // Collected, not pushed: when `outcomes` drains a vector (the event
+    // engine's communicators), the statistics reuse its buffer in place
+    // instead of allocating a second per-rank array at peak memory.
+    let mut stats: Vec<CommStats> = outcomes
+        .map(|(value, report)| {
+            sim_time = sim_time.max(report.clock);
+            traces.push(report.observed.trace);
+            events.push(report.observed.check_log);
+            phases.push(report.observed.phases);
+            colls.push(report.observed.colls);
+            match value {
+                Ok(v) => values.push(v),
+                Err(Error::Deadlock(info)) => {
+                    if deadlock.as_ref().is_none_or(|d| d.is_empty()) {
+                        deadlock = Some(info);
+                    }
+                }
+                Err(e) => {
+                    first_error.get_or_insert(e);
                 }
             }
-            Err(e) => {
-                first_error.get_or_insert(e);
-            }
-        }
-    }
+            report.stats
+        })
+        .collect();
+    stats.shrink_to_fit();
     if let Some(e) = first_error {
         return (Err(e), events);
     }
@@ -786,14 +763,7 @@ mod tests {
     use crate::check::{BlockedOp, CallSite, WaitTarget};
 
     fn report() -> RankReport {
-        RankReport {
-            stats: CommStats::new(),
-            clock: 0.0,
-            trace: Vec::new(),
-            check_log: Vec::new(),
-            phases: Vec::new(),
-            colls: Vec::new(),
-        }
+        RankReport::default()
     }
 
     fn analysis() -> DeadlockInfo {

@@ -1,4 +1,5 @@
-//! Allocation budget of the event engine's message path.
+//! Allocation budgets of the event engine: its message path and its
+//! per-rank set-up.
 //!
 //! Module 3's bucket exchange leaves one pending envelope per peer in
 //! every mailbox, so each message crosses the deep-mailbox matching
@@ -12,7 +13,7 @@
 //! rank on the calling thread, so other tests' threads cannot disturb it.
 
 use pdc_modules::module3::{BucketStrategy, DistributionSortProgram, InputDist};
-use pdc_mpi::{World, WorldConfig};
+use pdc_mpi::{Result, StepComm, StepFuture, StepProgram, World, WorldConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -84,5 +85,34 @@ fn distribution_sort_allocates_under_a_quarter_per_message() {
     assert!(
         per_msg < BUDGET,
         "{allocs} allocations for {msgs} messages is {per_msg:.3} per message, over {BUDGET}"
+    );
+}
+
+/// A rank body that returns at once.
+struct Idle;
+
+impl StepProgram<()> for Idle {
+    fn build<'c, 'w: 'c>(&'c self, _sc: StepComm<'c, 'w>) -> StepFuture<'c, Result<()>> {
+        Box::pin(async { Ok(()) })
+    }
+}
+
+/// Heap allocations per rank an idle world may make: the rank's state
+/// machine and its wait cell, plus the engine's per-world vectors spread
+/// over the ranks. The communicator itself allocates nothing.
+const SETUP_BUDGET: f64 = 2.2;
+
+#[test]
+fn an_idle_rank_allocates_only_its_future_and_wait_cell() {
+    let ranks = 4096;
+    let cfg = WorldConfig::new(ranks).without_tuning();
+    let before = ALLOCS.with(Cell::get);
+    World::run_event(cfg, &Idle).expect("the idle world runs");
+    let allocs = ALLOCS.with(Cell::get) - before;
+    let per_rank = allocs as f64 / ranks as f64;
+    println!("{allocs} allocations for {ranks} idle ranks: {per_rank:.3} per rank");
+    assert!(
+        per_rank <= SETUP_BUDGET,
+        "{allocs} allocations for {ranks} idle ranks is {per_rank:.3} per rank, over {SETUP_BUDGET}"
     );
 }

@@ -7,6 +7,9 @@
 //! the analyzed report must come back with zero violations — exactly the
 //! bar the thread backend clears in `tests/checker.rs`.
 //!
+//! A traced world observes on real processes what it observes on threads:
+//! each rank's trace, phases and collective spans cross the wire whole.
+//!
 //! Rendezvous sends then run the way they do on the in-process backends:
 //! a matched `ssend` completes, a rendezvous send to a rank that returned
 //! without receiving it ends in `WorldShutDown` within seconds instead of
@@ -27,6 +30,7 @@ use pdc_modules::module5::{kmeans_rank, CommOption};
 use pdc_modules::module6::{sequential_stencil, stencil_rank, HaloVariant};
 use pdc_modules::module7::{local_scores, top_k, top_k_rank, TopKStrategy};
 use pdc_modules::module8::{self_join_rank, sequential_self_join, JoinMethod};
+use pdc_mpi::trace::to_chrome_json;
 use pdc_mpi::{is_proc_child, CheckMode, Comm, Error, Op, Result, World, WorldConfig};
 use std::time::{Duration, Instant};
 
@@ -141,10 +145,35 @@ fn main() {
     });
     assert_eq!(values[0].0, expected);
 
+    traced_world_matches_threads();
     rendezvous_cases();
 
     if !is_proc_child() {
         println!("proc modules check: all eight modules run clean on real OS processes");
+    }
+}
+
+/// Module 2 traced on processes and on threads. It has no wildcard
+/// receive, so both backends observe the same run: the same Chrome trace,
+/// phases and collective spans.
+fn traced_world_matches_threads() {
+    let points = uniform_points(120, 2, 0.0, 100.0, 3);
+    let body = |comm: &mut Comm| distance_matrix_rank(comm, &points, Access::RowWise);
+    let cfg = WorldConfig::new(SIZE).with_tracing();
+    let procs = World::run_proc(cfg.clone(), body).expect("module 2 runs on processes");
+    let threads = World::run(cfg, body).expect("module 2 runs on threads");
+    assert!(
+        procs.traces.iter().all(|t| !t.is_empty()),
+        "every rank's trace crossed the wire"
+    );
+    assert_eq!(
+        to_chrome_json(&procs.traces),
+        to_chrome_json(&threads.traces)
+    );
+    assert_eq!(procs.phases, threads.phases);
+    assert_eq!(procs.colls, threads.colls);
+    if !is_proc_child() {
+        eprintln!("[proc-check] traced module 2: same trace as threads");
     }
 }
 
