@@ -27,7 +27,7 @@ pub fn analyze<T>(outcome: &pdc_mpi::Result<RunOutput<T>>, logs: &[Vec<CheckEven
             severity: Severity::Error,
             ranks,
             message: if info.is_empty() {
-                "the watchdog observed no progress but captured no blocked operations".into()
+                "the world deadlocked but captured no blocked operations".into()
             } else {
                 info.render().trim_end().to_string()
             },

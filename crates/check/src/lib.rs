@@ -10,7 +10,7 @@
 //!   the same sequence of collectives with compatible roots, operators,
 //!   contribution counts, and element types; mismatches are reported as a
 //!   per-rank call-site diff ([`FindingKind::CollectiveMismatch`]);
-//! * **deadlock explanation** — a deadlocked run carries the watchdog's
+//! * **deadlock explanation** — a deadlocked run carries the runtime's
 //!   wait-for graph and cycle ([`FindingKind::Deadlock`]);
 //! * **message races** — `ANY_SOURCE`/`ANY_TAG` receives whose match was
 //!   order-dependent (more than one candidate in flight), optionally

@@ -11,7 +11,7 @@ pub enum FindingKind {
     /// Ranks disagreed on the sequence of collective operations (name,
     /// root, operator, contribution count, or element type).
     CollectiveMismatch,
-    /// The run deadlocked; the finding carries the watchdog's wait-for
+    /// The run deadlocked; the finding carries the runtime's wait-for
     /// analysis.
     Deadlock,
     /// A wildcard receive had more than one matching message in flight:

@@ -4,10 +4,9 @@
 
 use pdc_check::{check_world, check_world_confirm, FindingKind, Severity};
 use pdc_mpi::{Op, WorldConfig, ANY_SOURCE, ANY_TAG};
-use std::time::Duration;
 
 fn cfg(size: usize) -> WorldConfig {
-    WorldConfig::new(size).with_watchdog(Some(Duration::from_millis(30)))
+    WorldConfig::new(size)
 }
 
 #[test]

@@ -260,7 +260,6 @@ pub async fn random_comm_step(
 mod tests {
     use super::*;
     use pdc_mpi::Error;
-    use std::time::Duration;
 
     #[test]
     fn ping_pong_reports_positive_latency() {
@@ -295,15 +294,13 @@ mod tests {
     #[test]
     fn naive_ring_deadlocks_under_rendezvous() {
         // The module's core lesson, as an executable fact.
-        let cfg = WorldConfig::new(4)
-            .with_eager_threshold(0)
-            .with_watchdog(Some(Duration::from_millis(20)));
+        let cfg = WorldConfig::new(4).with_eager_threshold(0);
         let err = World::run(cfg, |comm| ring_step(comm, RingVariant::NaiveBlocking))
             .expect_err("must deadlock");
         let Error::Deadlock(info) = err else {
             panic!("expected a deadlock, got {err}");
         };
-        // The watchdog explains the hang: all four ranks blocked in the
+        // The runtime explains the hang: all four ranks blocked in the
         // rendezvous send, forming a wait-for cycle around the ring.
         assert_eq!(info.blocked.len(), 4, "{}", info.render());
         assert_eq!(info.cycle.len(), 4, "{}", info.render());

@@ -2,7 +2,7 @@
 //!
 //! The progress engine used to spin in 1 ms `recv_timeout` loops: every
 //! blocked primitive woke a thousand times a second just to re-check the
-//! watchdog's poison flag, and on a loaded host (or a single-core CI
+//! world's poison flag, and on a loaded host (or a single-core CI
 //! container) those wakeups steal cycles from the rank that could actually
 //! run. This channel replaces polling with condvar wakeups:
 //!
@@ -10,17 +10,21 @@
 //!   parked on the condvar — the receiver observes the message one wakeup
 //!   later, not one poll tick later, and a receiver that is not waiting
 //!   costs the sender no futex syscall;
-//! * the watchdog, having poisoned the world, calls [`Wake::wake_all`] on
-//!   every registered channel so blocked primitives observe the poison
-//!   flag *immediately* (the flag itself is re-checked under the queue
-//!   lock, so the wakeup cannot be lost);
+//! * whoever poisons the world or marks a rank failed calls
+//!   [`Wake::wake_all`] on every registered channel, so blocked primitives
+//!   observe the stop condition *immediately* (it is re-checked under the
+//!   queue lock, so the wakeup cannot be lost);
 //! * dropping the last sender notifies a parked receiver too, turning an
 //!   abandoned wait into [`WaitError::Disconnected`] rather than a hang;
 //!   with no receiver parked the drop costs no futex syscall either.
 //!
+//! On a thread world a receiver parked with nothing to take leaves the
+//! world's [`Movers`] count, and each of these wakes puts it back under
+//! the queue lock before notifying.
+//!
 //! A long backstop timeout ([`BACKSTOP`]) bounds the damage of any missed
 //! wakeup to tens of milliseconds; it is a safety net, never the wakeup
-//! path.
+//! path, and a wake by it changes nothing in the count.
 //!
 //! Every operation acts on the channel at once: a send pushes, a sender
 //! drop decrements, a receive pops. A blocked wait takes nothing: it
@@ -30,22 +34,56 @@
 //! through its own single-threaded queues (`event.rs`).
 
 use std::collections::VecDeque;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, Weak};
 use std::time::Duration;
 
 /// Safety-net re-check period for blocked waits. Orders of magnitude
 /// longer than any expected wait; the condvar signal is the real wakeup.
-const BACKSTOP: Duration = Duration::from_millis(50);
+pub(crate) const BACKSTOP: Duration = Duration::from_millis(50);
 
 /// Scheduler-yield iterations before a blocked wait parks on the
 /// condvar. Covers the common "reply is one context switch away" case.
 const SPIN_YIELDS: usize = 3;
 
-/// Something that can wake every thread blocked on it (the watchdog calls
-/// this through [`crate::mailbox::Progress`] after poisoning the world).
+/// Something that can wake every thread blocked on it
+/// ([`crate::mailbox::Progress`] calls this after poisoning the world or
+/// marking a rank failed).
 pub trait Wake: Send + Sync {
     /// Wake all blocked waiters so they re-check their stop condition.
     fn wake_all(&self);
+}
+
+/// A thread world's count of ranks that can still move, from the world
+/// size. A rank leaves it when it parks with nothing to take, or when it
+/// finishes; whatever wakes a parked rank puts it back, under the lock the
+/// park checked, first. Zero with a rank unfinished is a deadlock. Every
+/// update is an `AcqRel` read-modify-write of the one counter, so the rank
+/// that empties it has acquired every earlier leave, and with it each
+/// parked rank's registered blocked operation.
+#[derive(Debug)]
+pub(crate) struct Movers(AtomicUsize);
+
+impl Movers {
+    pub(crate) fn new(size: usize) -> Self {
+        Movers(AtomicUsize::new(size))
+    }
+
+    /// Put `n` parked ranks back in the count.
+    pub(crate) fn enter(&self, n: usize) {
+        self.0.fetch_add(n, Ordering::AcqRel);
+    }
+
+    /// Take one rank out of the count; true when it was the last that
+    /// could move.
+    pub(crate) fn leave(&self) -> bool {
+        self.0.fetch_sub(1, Ordering::AcqRel) == 1
+    }
+
+    #[cfg(test)]
+    pub(crate) fn count(&self) -> usize {
+        self.0.load(Ordering::Acquire)
+    }
 }
 
 #[derive(Debug)]
@@ -55,11 +93,27 @@ struct State<T: Send + 'static> {
     receiver_alive: bool,
     /// Receivers parked on the condvar; a send notifies only when nonzero.
     parked: usize,
+    /// The receiver parked and left the world's [`Movers`] count; whoever
+    /// wakes it puts it back.
+    out: bool,
+}
+
+impl<T: Send + 'static> State<T> {
+    /// A wake reached a parked receiver: put it back in the count.
+    fn recount(&mut self, movers: Option<&Movers>) {
+        if std::mem::take(&mut self.out) {
+            if let Some(m) = movers {
+                m.enter(1);
+            }
+        }
+    }
 }
 
 struct Inner<T: Send + 'static> {
     state: Mutex<State<T>>,
     cv: Condvar,
+    /// The world's count of ranks that can move; `None` off thread worlds.
+    movers: Option<Arc<Movers>>,
 }
 
 impl<T: Send + 'static> std::fmt::Debug for Inner<T> {
@@ -81,7 +135,8 @@ impl<T: Send + 'static> Wake for Inner<T> {
         // Taking the queue lock orders this notify after any in-progress
         // "check stop flag, then wait" sequence, so the wakeup is never
         // lost.
-        let _guard = self.lock();
+        let mut state = self.lock();
+        state.recount(self.movers.as_deref());
         self.cv.notify_all();
     }
 }
@@ -102,6 +157,9 @@ pub enum WaitError {
     Disconnected,
     /// The stop condition became true before a message arrived.
     Stopped,
+    /// Parking would take the world's [`Movers`] count to zero: a
+    /// deadlock, which the (still counted) waiter declares.
+    Stalled,
 }
 
 /// Error returned by [`Sender::send`] when the receiver is gone.
@@ -127,6 +185,7 @@ impl<T: Send + 'static> Drop for Sender<T> {
             // Turn an abandoned wait into Disconnected. A receiver that
             // is not parked sees `senders == 0` under the lock before it
             // would park, so it needs no wakeup.
+            state.recount(self.0.movers.as_deref());
             self.0.cv.notify_all();
         }
     }
@@ -141,6 +200,7 @@ impl<T: Send + 'static> Sender<T> {
         }
         state.queue.push_back(value);
         if state.parked > 0 {
+            state.recount(self.0.movers.as_deref());
             self.0.cv.notify_one();
         }
         Ok(())
@@ -203,10 +263,20 @@ impl<T: Send + 'static> Receiver<T> {
             }
             std::thread::yield_now();
         }
+        let movers = self.0.movers.as_deref();
         let mut state = self.0.lock();
         loop {
             if let Some(done) = ready(&state, &stop) {
+                // Only a backstop wake finds the receiver still out.
+                state.recount(movers);
                 return done;
+            }
+            if let Some(m) = movers.filter(|_| !state.out) {
+                if m.leave() {
+                    m.enter(1);
+                    return Err(WaitError::Stalled);
+                }
+                state.out = true;
             }
             state.parked += 1;
             (state, _) = self
@@ -248,14 +318,23 @@ fn ready<T: Send + 'static>(
 
 /// Create an unbounded event-driven channel.
 pub fn channel<T: Send + 'static>() -> (Sender<T>, Receiver<T>) {
+    counted_channel(None)
+}
+
+/// [`channel`] whose parked receiver is out of `movers`, if given.
+pub(crate) fn counted_channel<T: Send + 'static>(
+    movers: Option<Arc<Movers>>,
+) -> (Sender<T>, Receiver<T>) {
     let inner = Arc::new(Inner {
         state: Mutex::new(State {
             queue: VecDeque::new(),
             senders: 1,
             receiver_alive: true,
             parked: 0,
+            out: false,
         }),
         cv: Condvar::new(),
+        movers,
     });
     (Sender(Arc::clone(&inner)), Receiver(inner))
 }
@@ -355,5 +434,37 @@ mod tests {
         wakes.sort();
         let median = wakes[wakes.len() / 2];
         assert!(median < BACKSTOP / 5, "median wake {median:?}");
+    }
+
+    #[test]
+    fn a_parked_receiver_is_out_of_the_count_until_a_send_wakes_it() {
+        let movers = Arc::new(Movers::new(2));
+        let (tx, rx) = counted_channel(Some(Arc::clone(&movers)));
+        std::thread::scope(|s| {
+            let sender = s.spawn(|| {
+                while movers.count() == 2 {
+                    std::thread::yield_now();
+                }
+                // Past a backstop wake, which changes nothing.
+                std::thread::sleep(BACKSTOP * 2);
+                assert_eq!(movers.count(), 1, "the parked receiver stays out");
+                tx.send(5).expect("receiver alive");
+            });
+            assert_eq!(rx.wait_or_stop(|| false), Ok(()));
+            sender.join().expect("sender thread");
+        });
+        assert_eq!(rx.try_recv(), Ok(5));
+        assert_eq!(movers.count(), 2, "the send put the receiver back");
+    }
+
+    #[test]
+    fn the_park_that_empties_the_count_is_stalled_and_back_in_it() {
+        let movers = Arc::new(Movers::new(1));
+        let (_tx, rx) = counted_channel::<u8>(Some(Arc::clone(&movers)));
+        assert_eq!(rx.wait_or_stop(|| false), Err(WaitError::Stalled));
+        assert_eq!(movers.count(), 1);
+        // A stop that holds ends the wait before it parks.
+        assert_eq!(rx.wait_or_stop(|| true), Err(WaitError::Stopped));
+        assert_eq!(movers.count(), 1);
     }
 }

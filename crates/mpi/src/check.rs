@@ -14,8 +14,8 @@
 //! * [`BlockedOp`] and [`DeadlockInfo`] describe *why* a world
 //!   deadlocked: every blocked primitive registers what it is waiting
 //!   for (as plain data, rendered to text only when a deadlock is being
-//!   explained), and the watchdog assembles those registrations into a
-//!   wait-for graph with cycle detection before poisoning the world.
+//!   explained), and the deadlock's detector assembles those registrations
+//!   into a wait-for graph with cycle detection before poisoning the world.
 //!
 //! The analyses themselves (collective matching, race and leak
 //! detection) live in the `pdc-check` crate, which consumes the logs via
@@ -230,8 +230,8 @@ impl fmt::Display for WaitTarget {
     }
 }
 
-/// A blocked primitive, registered with the shared progress state so the
-/// watchdog can explain a deadlock instead of merely timing it out.
+/// A blocked primitive, registered with the shared progress state so a
+/// deadlock can be explained instead of merely reported.
 #[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct BlockedOp {
     /// The blocked rank.
@@ -342,12 +342,12 @@ impl PendingOp {
     }
 }
 
-/// The watchdog's explanation of a deadlock: which ranks were blocked in
-/// which calls, and the wait-for cycle if one exists.
+/// The explanation of a deadlock: which ranks were blocked in which
+/// calls, and the wait-for cycle if one exists.
 #[derive(Debug, Clone, PartialEq, Eq, Default, serde::Serialize, serde::Deserialize)]
 pub struct DeadlockInfo {
-    /// Every operation that was blocked when the watchdog fired, in rank
-    /// order.
+    /// Every operation that was blocked when the deadlock was detected,
+    /// in rank order.
     pub blocked: Vec<BlockedOp>,
     /// World ranks forming a wait-for cycle, in dependency order (rank
     /// `cycle[i]` waits on rank `cycle[i+1]`, and the last waits on the
@@ -357,7 +357,7 @@ pub struct DeadlockInfo {
 }
 
 impl DeadlockInfo {
-    /// Does this carry any explanation beyond "the watchdog fired"?
+    /// Does this carry any explanation beyond "the world deadlocked"?
     pub fn is_empty(&self) -> bool {
         self.blocked.is_empty() && self.cycle.is_empty()
     }

@@ -463,9 +463,9 @@ impl<'w> Comm<'w> {
         // Fault plan: decide this transmission's fate. Drops retransmit
         // under the retry policy — each retransmission pays an ack-timeout
         // backoff plus the sender-side injection cost again — or, without a
-        // policy, silently vanish (the receiver's hang is then the
-        // watchdog's to explain). Duplicates enqueue a second copy with the
-        // same sequence number; delays push the departure time back.
+        // policy, silently vanish (the receiver's hang is then reported as
+        // a deadlock). Duplicates enqueue a second copy with the same
+        // sequence number; delays push the departure time back.
         let mut duplicate = false;
         let mut extra_delay = 0.0;
         let mut vanished = false;
@@ -550,7 +550,6 @@ impl<'w> Comm<'w> {
             // sender learns the outcome in its ack wait.
             return Ok(ack);
         }
-        self.note_progress();
         if let Some(dup) = dup_payload {
             let copy = Envelope {
                 src: self.rank,
@@ -563,7 +562,6 @@ impl<'w> Comm<'w> {
                 rendezvous: false,
             };
             let _ = self.link.send(dst, copy);
-            self.note_progress();
         }
         Ok(ack)
     }
@@ -1183,8 +1181,8 @@ impl<'w> Comm<'w> {
     /// [`Error::RankFailed`](crate::Error::RankFailed) afterwards.
     ///
     /// # Errors
-    /// Returns the watchdog's deadlock explanation if the world is torn
-    /// down while waiting (e.g. some survivor never calls `agree`).
+    /// Returns the deadlock's explanation if the world is torn down while
+    /// waiting (e.g. some survivor never calls `agree`).
     #[track_caller]
     #[must_use = "communication can fail; check the Result"]
     pub fn agree(&mut self) -> Result<Vec<(usize, f64)>> {
@@ -1221,18 +1219,7 @@ impl<'w> Comm<'w> {
     /// one is here.
     fn match_now(&mut self, spec: &MatchSpec) -> Option<Envelope> {
         self.link.collect(self.rank, &mut self.mailbox);
-        let env = self.mailbox.try_match(spec)?;
-        self.note_progress();
-        Some(env)
-    }
-
-    /// Count an envelope's movement for the deadlock watchdog. Only
-    /// thread and proc ranks have one; the event engine detects deadlock
-    /// exactly, so its ranks skip the shared atomic.
-    fn note_progress(&self) {
-        if let Link::Chan { .. } = self.link {
-            self.progress.bump();
-        }
+        self.mailbox.try_match(spec)
     }
 
     /// This rank's body has finished: admit every arrival and refuse each

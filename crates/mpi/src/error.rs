@@ -7,14 +7,14 @@ use std::fmt;
 ///
 /// MPI reports errors through return codes; we use `Result` throughout. The
 /// interesting variants for the pedagogic modules are [`Error::Deadlock`]
-/// (Module 1's blocking-ring lesson, detected by the watchdog) and
+/// (Module 1's blocking-ring lesson, detected the instant no rank can move) and
 /// [`Error::TypeMismatch`] / [`Error::Truncated`] (classic student bugs the
 /// runtime turns into actionable diagnostics instead of garbage data).
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub enum Error {
-    /// The watchdog observed every rank blocked with no progress: the
-    /// program has deadlocked (e.g. all ranks in a blocking ring `send`).
-    /// Carries the watchdog's explanation — which calls were blocked on
+    /// No rank can move and some rank is unfinished: the program has
+    /// deadlocked (e.g. all ranks in a blocking ring `send`). Carries the
+    /// explanation — which calls were blocked on
     /// which peers, and the wait-for cycle — when one was assembled (an
     /// empty [`DeadlockInfo`] renders just the headline).
     Deadlock(DeadlockInfo),
@@ -22,7 +22,7 @@ pub enum Error {
     /// [`FaultPlan`](crate::FaultPlan)). Returned by the failed rank
     /// itself at its crash point, and — ULFM-style — by any operation on
     /// a surviving rank that depends on the dead one, instead of hanging
-    /// until the watchdog fires. Survivors can acknowledge the failure
+    /// until the world deadlocks. Survivors can acknowledge the failure
     /// with [`Comm::agree`](crate::Comm::agree) and continue among
     /// themselves (see [`Comm::shrink`](crate::Comm::shrink)).
     RankFailed {

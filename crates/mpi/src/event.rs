@@ -30,10 +30,10 @@
 //! Deadlock is detected exactly, with no wall-clock sampling: an empty
 //! heap with unfinished ranks means nobody can ever run again, so the
 //! engine snapshots the blocked-operation table, poisons the world with
-//! the same [`DeadlockInfo`] analysis the thread backend's watchdog
+//! the same [`DeadlockInfo`](crate::DeadlockInfo) analysis a thread world
 //! builds, and wakes everyone to report it.
 
-use crate::check::{CheckEvent, DeadlockInfo};
+use crate::check::CheckEvent;
 use crate::comm::Comm;
 use crate::envelope::Envelope;
 use crate::error::{Error, Result};
@@ -162,8 +162,8 @@ impl World {
     /// The scheduling seed is taken from
     /// [`WorldConfig::virtual_ranks`](crate::WorldConfig) /
     /// [`with_sched_seed`](crate::WorldConfig::with_sched_seed) when set;
-    /// a plain config runs in program order (seed 0). The engine ignores
-    /// `cfg.watchdog`: it detects deadlock exactly.
+    /// a plain config runs in program order (seed 0). The engine detects
+    /// deadlock exactly, when its heap is empty.
     ///
     /// Collective tuning tables ([`WorldConfig::tuning`]) are honoured
     /// exactly as on the other backends: every backend runs the same
@@ -173,7 +173,7 @@ impl World {
     ///
     /// # Errors
     /// Anything a rank body returns, plus [`Error::Deadlock`] with the
-    /// same analysis the thread backend's watchdog produces.
+    /// same analysis the thread backend produces.
     pub fn run_event<T, P>(cfg: WorldConfig, program: &P) -> Result<RunOutput<T>>
     where
         P: StepProgram<T> + ?Sized,
@@ -219,7 +219,7 @@ fn run_event_inner<T, P>(
 where
     P: StepProgram<T> + ?Sized,
 {
-    let setup = WorldSetup::new(&cfg);
+    let setup = WorldSetup::new(&cfg, false);
     let size = cfg.size;
     let progress = &setup.progress;
     let seed = cfg.sched_seed;
@@ -286,15 +286,8 @@ where
             // deadlock, or the world is already poisoned and some ranks
             // still have not observed it.
             if !woke_after_poison {
-                if !progress.is_poisoned() {
-                    // Snapshot what every rank is blocked on, find a wait
-                    // cycle, poison — the watchdog's analysis, exactly.
-                    let blocked = progress.blocked_snapshot();
-                    progress.poison(DeadlockInfo {
-                        cycle: DeadlockInfo::find_cycle(&blocked),
-                        blocked,
-                    });
-                }
+                // The thread backend's analysis, exactly.
+                progress.declare_deadlock();
                 woke_after_poison = true;
                 for rank in 0..size {
                     wake_rank(&cells, &mut heap, &mut counter, seed, rank);

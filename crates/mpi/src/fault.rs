@@ -13,11 +13,11 @@
 //!   or after its scheduled simulated time, and every *other* rank that
 //!   subsequently depends on it observes a typed
 //!   [`Error::RankFailed`](crate::Error::RankFailed) instead of hanging
-//!   until the watchdog fires (ULFM-style error propagation);
+//!   until the world deadlocks (ULFM-style error propagation);
 //! * with a [`RetryPolicy`], dropped messages are retransmitted after a
 //!   simulated timeout with exponential backoff, charging the retry cost
 //!   to the sender's clock; without one, a dropped message silently
-//!   vanishes and the resulting hang is the watchdog's to explain.
+//!   vanishes and the resulting hang is reported as a deadlock.
 //!
 //! Plans are serialisable, so a failing scenario can be saved and
 //! replayed bit-identically. See `docs/faults.md` for the full model and

@@ -16,8 +16,8 @@
 //!   [`Comm::allgather`], [`Comm::reduce`], [`Comm::allreduce`],
 //!   [`Comm::alltoall`], [`Comm::alltoallv`];
 //! * eager vs rendezvous protocols (so blocking-send deadlock is real and
-//!   demonstrable) with a watchdog that detects deadlock and reports it as
-//!   an error instead of hanging the test suite;
+//!   demonstrable) with exact deadlock detection that reports it as an
+//!   error instead of hanging the test suite;
 //! * per-rank instrumentation ([`CommStats`]) counting calls, messages,
 //!   and bytes — the data behind the paper's Table II;
 //! * a simulated clock driven by [`pdc_cluster::CostModel`] so scaling

@@ -1,5 +1,5 @@
-//! Per-rank mailboxes, message matching, and the deadlock watchdog's shared
-//! progress state.
+//! Per-rank mailboxes, message matching, and the shared progress state
+//! that detects deadlock.
 //!
 //! Each rank owns a [`Mailbox`]: the pending queue of messages that
 //! arrived but have not matched a receive yet (MPI's "unexpected message
@@ -9,16 +9,16 @@
 //! messages from the same (source, tag) pair are matched in send order;
 //! wildcards take the earliest-arrived match.
 //!
-//! [`Progress`] is the shared state the watchdog samples to detect
-//! deadlock: if every live rank is blocked and no envelope has moved since
-//! the previous sample, the program cannot progress and the world is
-//! poisoned — every blocked primitive then returns [`Error::Deadlock`].
-//! Blocked primitives do not poll for poison: the watchdog wakes every
-//! registered channel ([`Progress::register_waker`]) immediately after
-//! setting the flag, so a poisoned world unblocks in microseconds, not
-//! at the next poll tick.
+//! [`Progress`] is the state the ranks of a world share. On a thread
+//! world it keeps the exact count of ranks that can still move
+//! ([`Movers`]); the rank whose park or finish takes it to zero while a
+//! rank is unfinished explains the deadlock and poisons the world — every
+//! blocked primitive then returns [`Error::Deadlock`]. Blocked primitives
+//! do not poll for poison: [`Progress::poison`] wakes every registered
+//! channel ([`Progress::register_waker`]) immediately after setting the
+//! flag, so a poisoned world unblocks in microseconds.
 
-use crate::chan::{Receiver, WaitError, Wake};
+use crate::chan::{Movers, Receiver, WaitError, Wake, BACKSTOP};
 use crate::check::{BlockedOp, DeadlockInfo, PendingOp};
 use crate::envelope::{Envelope, MatchSpec, MsgClass, SourceSel, Status, TagSel};
 use crate::error::Error;
@@ -26,47 +26,40 @@ use std::cmp::Reverse;
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap, HashMap, HashSet, VecDeque};
 use std::hash::{BuildHasherDefault, Hasher};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex, PoisonError, Weak};
-use std::time::{Duration, Instant};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex, PoisonError, Weak};
 
 /// Shared world state used for progress tracking and deadlock detection.
 #[derive(Debug)]
 pub struct Progress {
-    /// Envelopes enqueued or matched by thread and proc ranks since the
-    /// world started; any movement counts as progress. Only the watchdog
-    /// reads it, so event-engine ranks do not count.
-    pub deliveries: AtomicU64,
-    /// Ranks currently blocked inside a primitive.
-    pub blocked: AtomicUsize,
-    /// Ranks that have finished their closure (successfully or not).
-    pub done: AtomicUsize,
-    /// Set by the watchdog when deadlock is detected; every blocked
-    /// primitive observes it and errors out.
+    /// Set when a deadlock is detected or the world is cancelled; every
+    /// blocked primitive observes it and errors out.
     pub poisoned: AtomicBool,
     /// World size.
     pub size: usize,
+    /// The count of ranks that can still move, on a thread world only;
+    /// `None` for the event engine, which detects deadlock when its heap
+    /// is empty, and for a proc rank, which sees only itself.
+    pub(crate) movers: Option<Arc<Movers>>,
     /// What each blocked rank is waiting for, indexed by rank, as plain
-    /// data. Registered by [`Progress::enter_blocked_as`]; the watchdog
-    /// and the event engine render it ([`Progress::blocked_snapshot`]) to
-    /// explain a deadlock instead of merely timing it out.
+    /// data. Registered by [`Progress::enter_blocked_as`]; a deadlock is
+    /// explained from it ([`Progress::blocked_snapshot`]) instead of
+    /// merely reported.
     pending: Mutex<Vec<Option<PendingOp>>>,
-    /// The watchdog's explanation, written immediately before poisoning.
-    deadlock: Mutex<Option<DeadlockInfo>>,
-    /// External-cancellation reason ([`Progress::cancel`]). When set, a
-    /// poisoned world's blocked primitives report [`Error::Cancelled`]
-    /// instead of a deadlock — the world was killed from outside, not
-    /// stuck.
-    cancelled: Mutex<Option<String>>,
+    /// Why the world was poisoned, written immediately before the flag:
+    /// a deadlock with its explanation, or [`Error::Cancelled`] when it
+    /// was killed from outside ([`Progress::cancel`]), not stuck. The
+    /// first diagnosis stays.
+    stopped: Mutex<Option<Error>>,
     /// Wake handles of every channel a rank may block on (its inbox).
     /// [`Progress::poison`] wakes them all so blocked primitives observe
     /// the flag immediately.
     wakers: Mutex<Vec<Weak<dyn Wake>>>,
     /// Completion signal: notified by [`Progress::mark_done`] and by
-    /// [`Progress::poison`], waited on by the watchdog (to exit promptly)
-    /// and by the finalize-time leak check. The mutex counts the threads
-    /// parked on the condvar, so a completion with nobody waiting (every
-    /// rank of an event-engine world) makes no futex call.
+    /// [`Progress::poison`], waited on by the finalize-time leak check.
+    /// The mutex counts the threads parked on the condvar, so a
+    /// completion with nobody waiting (every rank of an event-engine
+    /// world) makes no futex call.
     done_sync: Mutex<usize>,
     done_cv: Condvar,
     /// Crashed ranks → simulated failure time. Written by
@@ -76,7 +69,7 @@ pub struct Progress {
     /// against the epoch their rank last *acknowledged*
     /// ([`Comm::agree`](crate::Comm::agree)): an unacknowledged failure
     /// aborts the wait with a typed `RankFailed` error (ULFM semantics)
-    /// instead of leaving the rank to hang until the watchdog fires.
+    /// instead of leaving the rank to hang until the world deadlocks.
     epoch: AtomicU64,
     /// Which ranks have finished their closure, indexed by rank. The
     /// agreement protocol counts a finished rank as implicitly
@@ -127,6 +120,10 @@ struct AgreeState {
     /// when this is nonzero (it is counted under the same lock, so no
     /// wakeup is lost).
     waiters: usize,
+    /// Waiters out of the [`Movers`] count; a notify puts them all back
+    /// and bumps `recounts`, so a waiter that left earlier knows it is in.
+    out: usize,
+    recounts: u64,
     /// Remote entries for generations this process has not reached yet.
     /// On a multi-process transport each process resolves generations
     /// locally from mirrored entries; a peer that races ahead can
@@ -136,17 +133,21 @@ struct AgreeState {
 }
 
 impl Progress {
-    /// Fresh progress state for a world of `size` ranks.
+    /// Fresh progress state for a world of `size` ranks, without the
+    /// count of ranks that can move: nothing here detects a deadlock.
     pub fn new(size: usize) -> Self {
+        Self::with_movers(size, false)
+    }
+
+    /// Fresh progress state; `movers` keeps the count of ranks that can
+    /// move, which detects a deadlock the instant it reaches zero.
+    pub(crate) fn with_movers(size: usize, movers: bool) -> Self {
         Self {
-            deliveries: AtomicU64::new(0),
-            blocked: AtomicUsize::new(0),
-            done: AtomicUsize::new(0),
             poisoned: AtomicBool::new(false),
             size,
+            movers: movers.then(|| Arc::new(Movers::new(size))),
             pending: Mutex::new(vec![None; size]),
-            deadlock: Mutex::new(None),
-            cancelled: Mutex::new(None),
+            stopped: Mutex::new(None),
             wakers: Mutex::new(Vec::new()),
             done_sync: Mutex::new(0),
             done_cv: Condvar::new(),
@@ -172,11 +173,6 @@ impl Progress {
             .clone()
     }
 
-    /// Record envelope movement (enqueue or match).
-    pub fn bump(&self) {
-        self.deliveries.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Is the world poisoned?
     pub fn is_poisoned(&self) -> bool {
         self.poisoned.load(Ordering::Relaxed)
@@ -190,12 +186,19 @@ impl Progress {
             .push(waker);
     }
 
-    /// Poison the world with the watchdog's explanation and wake every
+    /// Poison the world with a deadlock's explanation and wake every
     /// blocked primitive immediately.
     pub fn poison(&self, info: DeadlockInfo) {
-        if let Ok(mut slot) = self.deadlock.lock() {
-            *slot = Some(info);
-        }
+        self.stop(Error::Deadlock(info));
+    }
+
+    /// Poison the world for `why` (the first reason stays) and wake every
+    /// blocked primitive immediately.
+    fn stop(&self, why: Error) {
+        self.stopped
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .get_or_insert(why);
         self.poisoned.store(true, Ordering::SeqCst);
         let wakers =
             std::mem::take(&mut *self.wakers.lock().unwrap_or_else(PoisonError::into_inner));
@@ -209,32 +212,19 @@ impl Progress {
     }
 
     /// Cancel the world from outside (a deadline kill or a scheduler
-    /// preemption): store `reason`, then poison exactly like the
-    /// watchdog does, waking every blocked primitive immediately. Blocked
-    /// primitives observe the stored reason and report
-    /// [`Error::Cancelled`] instead of a deadlock. A world that is
-    /// already poisoned (deadlocked, or cancelled earlier) keeps its
-    /// first diagnosis — cancel is then a no-op.
+    /// preemption): poison it so that blocked primitives report
+    /// [`Error::Cancelled`] with `reason`. A world already poisoned
+    /// (deadlocked, or cancelled earlier) keeps its first diagnosis.
     pub fn cancel(&self, reason: &str) {
-        if self.is_poisoned() {
-            return;
+        if !self.is_poisoned() {
+            self.stop(Error::Cancelled(reason.to_string()));
         }
-        {
-            let mut slot = self
-                .cancelled
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
-            if slot.is_none() {
-                *slot = Some(reason.to_string());
-            }
-        }
-        self.poison(DeadlockInfo::default());
     }
 
     /// Record that `rank` crashed at simulated time `at` (an injected
     /// fault firing). Bumps the failure epoch and wakes every blocked
     /// primitive so survivors observe the failure immediately — as a
-    /// typed `RankFailed`, not a watchdog timeout.
+    /// typed `RankFailed`, not a deadlock.
     pub fn mark_failed(&self, rank: usize, at: f64) {
         let newly = {
             let mut failed = self.failed.lock().unwrap_or_else(PoisonError::into_inner);
@@ -291,7 +281,7 @@ impl Progress {
             }
         }
         self.try_resolve_agree(&mut st);
-        self.notify_agree_waiters(&st);
+        self.notify_agree_waiters(&mut st);
     }
 
     /// Count of failures observed so far. A blocked primitive whose rank
@@ -361,7 +351,7 @@ impl Progress {
 
     /// The error a wait aborted by [`Progress::should_stop`] reports:
     /// the awaited failed peer when there is one, else the earliest
-    /// unacknowledged failure, else the watchdog's deadlock explanation.
+    /// unacknowledged failure, else the deadlock's explanation.
     pub fn stop_error(&self, target: Option<usize>, acked: u64) -> Error {
         if let Some(t) = target {
             if let Some(at) = self.failed_at(t) {
@@ -414,24 +404,46 @@ impl Progress {
     /// Block until agreement generation `gen` has resolved (`Ok`) or
     /// `stop` holds. `stop` is evaluated under the agreement lock, which
     /// every resolution and every poison notify takes too, so no wake is
-    /// lost. The wait core parks thread and proc ranks here.
+    /// lost. The wait core parks thread and proc ranks here; a parked
+    /// waiter is out of the count of ranks that can move, as on a channel.
     pub(crate) fn agree_wait(
         &self,
         gen: u64,
         stop: impl Fn() -> bool,
     ) -> std::result::Result<(), WaitError> {
+        let movers = self.movers.as_deref();
         let mut st = self.agree.lock().unwrap_or_else(PoisonError::into_inner);
+        // While this waiter is out of the count: the recount it left at.
+        let mut left: Option<u64> = None;
         loop {
-            if st.resolved.as_ref().is_some_and(|r| r.0 == gen) {
-                return Ok(());
+            left = left.filter(|&at| at == st.recounts);
+            let done = if st.resolved.as_ref().is_some_and(|r| r.0 == gen) {
+                Some(Ok(()))
+            } else if stop() {
+                Some(Err(WaitError::Stopped))
+            } else {
+                None
+            };
+            if let Some(done) = done {
+                // Only a backstop wake finds the waiter still out.
+                if let (Some(m), Some(_)) = (movers, left) {
+                    st.out -= 1;
+                    m.enter(1);
+                }
+                return done;
             }
-            if stop() {
-                return Err(WaitError::Stopped);
+            if let Some(m) = movers.filter(|_| left.is_none()) {
+                if m.leave() {
+                    m.enter(1);
+                    return Err(WaitError::Stalled);
+                }
+                st.out += 1;
+                left = Some(st.recounts);
             }
             st.waiters += 1;
             (st, _) = self
                 .agree_cv
-                .wait_timeout(st, Duration::from_millis(50))
+                .wait_timeout(st, BACKSTOP)
                 .unwrap_or_else(PoisonError::into_inner);
             st.waiters -= 1;
         }
@@ -442,12 +454,20 @@ impl Progress {
     fn notify_agree(&self) {
         let mut st = self.agree.lock().unwrap_or_else(PoisonError::into_inner);
         self.try_resolve_agree(&mut st);
-        self.notify_agree_waiters(&st);
+        self.notify_agree_waiters(&mut st);
     }
 
-    /// With the agreement lock held: wake the threads parked in
-    /// [`Progress::agree_wait`], if there are any.
-    fn notify_agree_waiters(&self, st: &AgreeState) {
+    /// With the agreement lock held: put the threads parked in
+    /// [`Progress::agree_wait`] back in the count of ranks that can move
+    /// and wake them, if there are any.
+    fn notify_agree_waiters(&self, st: &mut AgreeState) {
+        if st.out > 0 {
+            if let Some(m) = &self.movers {
+                m.enter(st.out);
+            }
+            st.out = 0;
+            st.recounts += 1;
+        }
         if st.waiters > 0 {
             self.agree_cv.notify_all();
         }
@@ -495,14 +515,14 @@ impl Progress {
     }
 
     /// Record that one rank finished its closure, waking completion
-    /// waiters (the watchdog and the finalize-time leak check) and
-    /// agreement waiters (a finished rank participates implicitly).
+    /// waiters (the finalize-time leak check) and agreement waiters (a
+    /// finished rank participates implicitly). The rank stays in the count
+    /// of ranks that can move until [`Progress::leave_finished`].
     pub fn mark_done(&self, rank: usize) {
         self.done_ranks
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
             .insert(rank);
-        self.done.fetch_add(1, Ordering::SeqCst);
         self.notify_agree();
         self.notify_done();
         // Mirror to peer processes last, with no progress locks held.
@@ -524,14 +544,18 @@ impl Progress {
         }
     }
 
-    /// Have all ranks finished (or has the world been poisoned)?
+    /// Have all ranks finished?
     pub fn all_done(&self) -> bool {
-        self.done.load(Ordering::SeqCst) == self.size
+        self.done_ranks
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .len()
+            == self.size
     }
 
     /// Block until every rank is done. Used by the finalize-time leak
     /// check so all in-flight sends have landed before mailboxes drain.
-    /// (Blocked ranks are released by the watchdog's poison, so this
+    /// (Blocked ranks are released by the deadlock's poison, so this
     /// terminates even on deadlocked runs.)
     pub fn wait_all_done(&self) {
         let mut guard = self
@@ -542,42 +566,39 @@ impl Progress {
             *guard += 1;
             (guard, _) = self
                 .done_cv
-                .wait_timeout(guard, Duration::from_millis(50))
+                .wait_timeout(guard, BACKSTOP)
                 .unwrap_or_else(PoisonError::into_inner);
             *guard -= 1;
         }
     }
 
-    /// Sleep until `deadline`, returning early (true) as soon as the world
-    /// completes or is poisoned. The watchdog paces its samples with this:
-    /// spurious wakeups re-wait the remainder, so the sampling cadence is
-    /// preserved while completion still wakes it immediately.
-    fn wait_done_until(&self, deadline: Instant) -> bool {
-        let mut guard = self
-            .done_sync
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        loop {
-            if self.all_done() || self.is_poisoned() {
-                return true;
-            }
-            let Some(remaining) = deadline.checked_duration_since(Instant::now()) else {
-                return false;
-            };
-            let remaining = remaining.max(Duration::from_micros(1));
-            *guard += 1;
-            (guard, _) = self
-                .done_cv
-                .wait_timeout(guard, remaining)
-                .unwrap_or_else(PoisonError::into_inner);
-            *guard -= 1;
+    /// A finished rank leaves the count of ranks that can move; the last
+    /// to leave while another is unfinished declares the deadlock.
+    pub(crate) fn leave_finished(&self) {
+        if self.movers.as_ref().is_some_and(|m| m.leave()) && !self.all_done() {
+            self.declare_deadlock();
         }
     }
 
-    /// RAII guard marking the current rank as blocked *in* `op`, so the
-    /// watchdog can report the call and build the wait-for graph. `op`
+    /// No rank can move: poison the world with the registered blocked
+    /// operations and their wait-for cycle, unless it is poisoned already.
+    /// Called with no channel or agreement lock held: the poison wakes all.
+    #[cold]
+    pub(crate) fn declare_deadlock(&self) {
+        if self.is_poisoned() {
+            return;
+        }
+        let blocked = self.blocked_snapshot();
+        self.poison(DeadlockInfo {
+            cycle: DeadlockInfo::find_cycle(&blocked),
+            blocked,
+        });
+    }
+
+    /// RAII guard marking the current rank as blocked *in* `op`, so a
+    /// deadlock can report the call and build the wait-for graph. `op`
     /// is plain data; nothing is formatted unless a deadlock is
-    /// explained.
+    /// explained. The wait core registers it before its first park.
     pub(crate) fn enter_blocked_as(&self, op: PendingOp) -> BlockedGuard<'_> {
         let rank = op.rank;
         if let Ok(mut ops) = self.pending.lock() {
@@ -585,9 +606,6 @@ impl Progress {
                 *slot = Some(op);
             }
         }
-        // Register the op before the count: once `blocked` says the rank
-        // is stuck, its slot is already filled.
-        self.blocked.fetch_add(1, Ordering::SeqCst);
         BlockedGuard {
             progress: self,
             rank,
@@ -596,8 +614,8 @@ impl Progress {
 
     /// Snapshot of every registered blocked operation (what each stuck
     /// rank is waiting for), rendered to text here and only here. The
-    /// watchdog and the event engine's exact deadlock detection both
-    /// build their [`DeadlockInfo`] from this.
+    /// thread world's count and the event engine's empty heap both build
+    /// their [`DeadlockInfo`] from this.
     pub fn blocked_snapshot(&self) -> Vec<BlockedOp> {
         self.pending
             .lock()
@@ -607,29 +625,18 @@ impl Progress {
 
     /// The error blocked primitives return when the world is poisoned:
     /// [`Error::Cancelled`] when the poison came from
-    /// [`Progress::cancel`], else deadlock, carrying the watchdog's
-    /// explanation when one was stored.
+    /// [`Progress::cancel`], else deadlock, carrying its explanation when
+    /// one was stored.
     pub fn deadlock_error(&self) -> Error {
-        if let Some(reason) = self
-            .cancelled
+        self.stopped
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
             .clone()
-        {
-            return Error::Cancelled(reason);
-        }
-        let info = self
-            .deadlock
-            .lock()
-            .ok()
-            .and_then(|guard| guard.clone())
-            .unwrap_or_default();
-        Error::Deadlock(info)
+            .unwrap_or_else(|| Error::Deadlock(DeadlockInfo::default()))
     }
 }
 
-/// Guard that decrements the blocked count and clears the registered
-/// operation on drop.
+/// Guard that clears the registered blocked operation on drop.
 pub struct BlockedGuard<'a> {
     progress: &'a Progress,
     rank: usize,
@@ -637,67 +644,12 @@ pub struct BlockedGuard<'a> {
 
 impl Drop for BlockedGuard<'_> {
     fn drop(&mut self) {
-        self.progress.blocked.fetch_sub(1, Ordering::SeqCst);
         if let Ok(mut ops) = self.progress.pending.lock() {
             if let Some(slot) = ops.get_mut(self.rank) {
                 *slot = None;
             }
         }
     }
-}
-
-/// Watchdog loop body: runs until all ranks are done or deadlock is found.
-///
-/// Two consecutive samples, `interval` apart, in which (a) every not-done
-/// rank is blocked, (b) at least one rank is blocked, and (c) no envelope
-/// moved, constitute deadlock. Between samples the watchdog sleeps on the
-/// completion condvar, so it exits the moment the last rank finishes; on
-/// detecting deadlock it poisons the world, which wakes every blocked
-/// primitive immediately.
-pub fn watchdog(progress: &Progress, interval: Duration) {
-    let mut prev_deliveries = u64::MAX;
-    loop {
-        let deadline = Instant::now() + interval;
-        if progress.wait_done_until(deadline) {
-            return;
-        }
-        let sample = WatchdogSample {
-            done: progress.done.load(Ordering::SeqCst),
-            blocked: progress.blocked.load(Ordering::SeqCst),
-            deliveries: progress.deliveries.load(Ordering::SeqCst),
-        };
-        if stalled(progress.size, prev_deliveries, sample) {
-            // Explain before poisoning: snapshot what every blocked rank
-            // was waiting for and look for a wait-for cycle, so the error
-            // the ranks observe names the calls instead of just timing
-            // out.
-            let blocked_ops = progress.blocked_snapshot();
-            let info = DeadlockInfo {
-                cycle: DeadlockInfo::find_cycle(&blocked_ops),
-                blocked: blocked_ops,
-            };
-            progress.poison(info);
-            return;
-        }
-        prev_deliveries = sample.deliveries;
-    }
-}
-
-/// What the watchdog reads from [`Progress`] at one sample.
-#[derive(Debug, Clone, Copy)]
-struct WatchdogSample {
-    done: usize,
-    blocked: usize,
-    deliveries: u64,
-}
-
-/// The watchdog's stall decision for a world of `size` ranks: every
-/// not-done rank is blocked, at least one is, and no envelope moved since
-/// the previous sample (`prev_deliveries`; `u64::MAX` before the first).
-fn stalled(size: usize, prev_deliveries: u64, sample: WatchdogSample) -> bool {
-    sample.blocked > 0
-        && sample.blocked + sample.done == size
-        && sample.deliveries == prev_deliveries
 }
 
 /// Live depth above which a mailbox also keeps an [`Index`]. At or below
@@ -1275,6 +1227,7 @@ mod tests {
     use crate::envelope::{MsgClass, SourceSel, TagSel};
     use crate::step::block_on;
     use crate::wait::{TestWorld, Waiter};
+    use std::time::{Duration, Instant};
 
     fn env(src: usize, tag: u32, val: i32) -> Envelope {
         Envelope {
@@ -1352,20 +1305,11 @@ mod tests {
     }
 
     #[test]
-    fn watchdog_poisons_a_stuck_world() {
-        let progress = Progress::new(2);
-        // Both ranks report blocked; nothing moves.
-        progress.blocked.store(2, Ordering::SeqCst);
-        watchdog(&progress, Duration::from_millis(5));
-        assert!(progress.is_poisoned());
-    }
-
-    #[test]
-    fn watchdog_explains_registered_blocked_ops() {
+    fn a_declared_deadlock_explains_registered_blocked_ops() {
         use crate::check::{CallSite, PendingOn};
         let progress = Progress::new(2);
-        // Two ranks blocked on each other: a 2-cycle the watchdog should
-        // name in its explanation.
+        // Two ranks blocked on each other: a 2-cycle the explanation
+        // should name.
         let guards: Vec<_> = (0..2)
             .map(|rank| {
                 progress.enter_blocked_as(PendingOp {
@@ -1382,9 +1326,11 @@ mod tests {
                 })
             })
             .collect();
-        watchdog(&progress, Duration::from_millis(5));
+        progress.declare_deadlock();
         assert!(progress.is_poisoned());
         drop(guards);
+        // A second declaration keeps the first diagnosis.
+        progress.declare_deadlock();
         match progress.deadlock_error() {
             Error::Deadlock(info) => {
                 assert_eq!(info.blocked.len(), 2);
@@ -1588,56 +1534,105 @@ mod tests {
         assert!(wake < PROMPT, "median wake {wake:?}");
     }
 
+    /// The count of ranks that can move.
+    fn movers(w: &TestWorld) -> usize {
+        w.progress()
+            .movers
+            .as_ref()
+            .expect("a counted world")
+            .count()
+    }
+
     #[test]
-    fn failed_rank_does_not_hold_up_watchdog_exit() {
+    fn finished_ranks_are_not_a_deadlock() {
         // A failed rank exits its closure and is marked done like any
-        // other; the watchdog must treat the world as complete, not
-        // deadlocked.
-        let progress = Progress::new(2);
+        // other; the last rank to leave the count finds the world
+        // complete, not deadlocked.
+        let progress = Progress::with_movers(2, true);
         progress.mark_failed(1, 0.5);
-        progress.mark_done(1);
-        progress.mark_done(0);
-        watchdog(&progress, Duration::from_millis(5));
-        assert!(!progress.is_poisoned());
-    }
-
-    #[test]
-    fn watchdog_exits_when_world_completes() {
-        let progress = Progress::new(2);
-        progress.done.store(2, Ordering::SeqCst);
-        watchdog(&progress, Duration::from_millis(5));
-        assert!(!progress.is_poisoned());
-    }
-
-    #[test]
-    fn watchdog_spares_a_progressing_world() {
-        // One rank blocked, but an envelope moves between every pair of
-        // samples: never a stall, however the samples fall in time.
-        let mut prev = u64::MAX;
-        for deliveries in 0..40 {
-            let sample = WatchdogSample {
-                done: 0,
-                blocked: 1,
-                deliveries,
-            };
-            assert!(!stalled(1, prev, sample), "sample {deliveries}");
-            prev = deliveries;
+        for rank in [1, 0] {
+            progress.mark_done(rank);
+            progress.leave_finished();
         }
-        // The same world once its envelopes stop moving is a stall...
-        let stuck = WatchdogSample {
-            done: 0,
-            blocked: 1,
-            deliveries: prev,
+        assert!(!progress.is_poisoned());
+    }
+
+    #[test]
+    fn the_last_rank_to_park_reports_the_deadlock_at_once() {
+        let w = TestWorld::new(2);
+        let t = Instant::now();
+        let errs: Vec<Error> = std::thread::scope(|s| {
+            let ranks: Vec<_> = (0..2)
+                .map(|rank| {
+                    let w = &w;
+                    s.spawn(move || {
+                        let from = SourceSel::Rank(1 - rank);
+                        let mut comm = w.comm(rank);
+                        block_on(Waiter::Blocking.recv(
+                            &mut comm,
+                            &MatchSpec::User(from, TagSel::Any),
+                            None,
+                        ))
+                        .expect_err("nobody sends")
+                    })
+                })
+                .collect();
+            ranks
+                .into_iter()
+                .map(|r| r.join().expect("rank thread"))
+                .collect()
+        });
+        assert!(t.elapsed() < PROMPT * 4, "{:?}", t.elapsed());
+        for err in errs {
+            let Error::Deadlock(info) = err else {
+                panic!("expected a deadlock, got {err:?}");
+            };
+            assert_eq!(info.blocked.len(), 2, "{}", info.render());
+            assert_eq!(info.cycle.len(), 2, "{}", info.render());
+        }
+    }
+
+    #[test]
+    fn a_rank_finishing_last_reports_the_peer_it_strands() {
+        let w = TestWorld::new(2);
+        let err = std::thread::scope(|s| {
+            let stranded = s.spawn(|| {
+                let spec = MatchSpec::User(SourceSel::Rank(1), TagSel::Any);
+                block_on(Waiter::Blocking.recv(&mut w.comm(0), &spec, None))
+            });
+            // Rank 1 returns without sending once rank 0 parked.
+            while movers(&w) == 2 {
+                std::thread::yield_now();
+            }
+            w.progress().mark_done(1);
+            w.progress().leave_finished();
+            stranded.join().expect("rank 0")
+        });
+        let Err(Error::Deadlock(info)) = err else {
+            panic!("expected a deadlock, got {err:?}");
         };
-        assert!(stalled(1, prev, stuck));
-        // ...but only when every rank that is not done is blocked.
-        assert!(!stalled(2, prev, stuck));
-        let finished = WatchdogSample {
-            done: 1,
-            blocked: 0,
-            ..stuck
-        };
-        assert!(!stalled(1, prev, finished));
+        assert_eq!(info.blocked.len(), 1, "{}", info.render());
+        assert_eq!(info.blocked[0].rank, 0);
+    }
+
+    #[test]
+    fn a_released_agreement_puts_its_waiter_back_in_the_count() {
+        let w = TestWorld::new(2);
+        std::thread::scope(|s| {
+            let first = s.spawn(|| agree(&mut w.comm(0)).expect("resolves"));
+            while movers(&w) == 2 {
+                std::thread::yield_now();
+            }
+            // Past a backstop wake, which changes nothing in the count.
+            std::thread::sleep(crate::chan::BACKSTOP * 2);
+            assert_eq!(movers(&w), 1, "the parked waiter stays out");
+            assert_eq!(
+                agree(&mut w.comm(1)).expect("resolves"),
+                first.join().expect("rank 0")
+            );
+        });
+        assert_eq!(movers(&w), 2, "both ranks can move again");
+        assert!(!w.progress().is_poisoned());
     }
 
     /// Today's linear matcher, kept as the reference the indexed mailbox

@@ -30,7 +30,7 @@ pub trait Reducible: Copy {
     /// every rank *before* communicating, so an undefined combination
     /// surfaces as a typed [`Error::InvalidOp`](crate::Error::InvalidOp)
     /// on all ranks instead of a panic inside one rank thread that
-    /// strands its peers until the watchdog fires.
+    /// strands its peers until the world deadlocks.
     fn supports(_op: Op) -> bool {
         true
     }

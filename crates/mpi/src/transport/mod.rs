@@ -44,7 +44,7 @@
 pub mod proc;
 pub(crate) mod wire;
 
-use crate::chan::{channel, Receiver, Sender};
+use crate::chan::{counted_channel, Receiver, Sender};
 use crate::envelope::Envelope;
 use crate::event::EventMesh;
 use crate::mailbox::{Mailbox, Progress};
@@ -138,9 +138,8 @@ impl Link<'_> {
 
 /// The thread backend's mesh for a world of `size` ranks: one condvar
 /// channel per rank, returned as the shared outbox row and every rank's
-/// inbox, in rank order. Every inbox is registered with `progress` before
-/// any rank starts, so the watchdog can wake all parked receivers the
-/// instant it detects deadlock.
+/// inbox, in rank order. Every inbox keeps `progress`'s count of ranks
+/// that can move and is registered with it before any rank starts.
 pub(crate) fn channel_mesh(
     size: usize,
     progress: &Progress,
@@ -148,7 +147,7 @@ pub(crate) fn channel_mesh(
     let mut outboxes: Outboxes = Vec::with_capacity(size);
     let mut inboxes = Vec::with_capacity(size);
     for _ in 0..size {
-        let (tx, rx) = channel();
+        let (tx, rx) = counted_channel(progress.movers.clone());
         progress.register_waker(rx.waker());
         outboxes.push(Box::new(tx) as Box<dyn Outbox>);
         inboxes.push(rx);

@@ -26,8 +26,8 @@
 //! `agree`/`shrink` path works unchanged — no hang.
 //!
 //! Two deliberate weakenings versus the in-process backends, both
-//! documented in `docs/backends.md`: the wall-clock deadlock watchdog is
-//! disabled (no process observes global progress), and the agreement
+//! documented in `docs/backends.md`: a deadlock is not detected (no
+//! process observes every rank), and the agreement
 //! snapshot is consistent only because a crashed rank's `Failed` frame
 //! precedes its `Done` frame on the same FIFO socket.
 
@@ -373,8 +373,8 @@ impl ProcTransport {
     }
 
     /// Block until every rank's result is in or its process is known
-    /// dead. Panics after [`RESULT_DEADLINE`] — this backend has no
-    /// deadlock watchdog, and failing loudly beats hanging a test suite.
+    /// dead. Panics after [`RESULT_DEADLINE`] — this backend detects no
+    /// deadlock, and failing loudly beats hanging a test suite.
     fn await_results(&self, progress: &Progress) {
         let shared = self.shared();
         let deadline = Instant::now() + RESULT_DEADLINE;
@@ -620,7 +620,7 @@ where
     // Cancellation is not supported across processes (a process kill
     // plays that role); see `CancelToken`.
     cfg.cancel = None;
-    let setup = WorldSetup::new(&cfg);
+    let setup = WorldSetup::new(&cfg, false);
     let progress = &setup.progress;
     let (rank, dir) = proc_identity(cfg.size);
     let world = WORLD_COUNTER.fetch_add(1, Ordering::SeqCst);
@@ -628,10 +628,9 @@ where
     let (outboxes, inbox) = transport.open(progress);
 
     let started = Instant::now();
-    // No wall-clock watchdog here: this process cannot observe whether
-    // *other* processes are making progress, so deadlock detection is
-    // deliberately absent (see docs/backends.md). `await_results` bounds
-    // the damage with a hard deadline.
+    // No deadlock detection here: this process cannot count the ranks of
+    // *other* processes that can move (see docs/backends.md).
+    // `await_results` bounds the damage with a hard deadline.
     let link = Link::Chan {
         outboxes: &outboxes,
         inbox,

@@ -16,9 +16,11 @@
 //! first miss, register what the rank waits for with the shared progress
 //! state as a plain-data [`PendingOp`] (rank, primitive, call site, and
 //! the match spec or destination and tag); then park, and try again. A
-//! park ends in one of three ways: woken (try again), stopped (report
-//! the stop error), or the channel closed (one last try, then the stop
-//! error or [`Error::WorldShutDown`]). Nothing is formatted and nothing
+//! park ends in one of four ways: woken (try again), stopped (report
+//! the stop error), the channel closed (one last try, then the stop
+//! error or [`Error::WorldShutDown`]), or stalled: no rank of the thread
+//! world can move, so the rank declares the deadlock and its next park
+//! is stopped. Nothing is formatted and nothing
 //! is allocated on the way: the deadlock explanation's text is rendered
 //! from the registered records only when a deadlock is reported.
 //!
@@ -330,6 +332,7 @@ impl Waiter {
             loop {
                 match self.park(comm, on).await {
                     Ok(()) => {}
+                    Err(WaitError::Stalled) => comm.progress().declare_deadlock(),
                     Err(WaitError::Stopped) => return Err(on.stop_error(comm)),
                     // One last try takes whatever arrived before the close.
                     Err(WaitError::Disconnected) => {
@@ -385,7 +388,7 @@ pub(crate) struct TestWorld {
 #[cfg(test)]
 impl TestWorld {
     pub(crate) fn new(size: usize) -> Self {
-        let setup = crate::world::WorldSetup::new(&crate::WorldConfig::new(size));
+        let setup = crate::world::WorldSetup::new(&crate::WorldConfig::new(size), true);
         let (outboxes, inboxes) = crate::transport::channel_mesh(size, &setup.progress);
         TestWorld {
             setup,
@@ -491,7 +494,8 @@ mod tests {
 
     #[test]
     fn poison_mid_wait_wakes_via_registered_waker() {
-        let w = TestWorld::new(1);
+        // Rank 1 never parks, so only the poison can end rank 0's wait.
+        let w = TestWorld::new(2);
         std::thread::scope(|s| {
             s.spawn(|| {
                 std::thread::sleep(Duration::from_millis(10));

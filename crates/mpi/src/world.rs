@@ -6,7 +6,7 @@ use crate::check::{CheckEvent, CheckMode, DeadlockInfo};
 use crate::comm::{Comm, RankReport};
 use crate::error::{Error, Result};
 use crate::fault::{ActiveFaults, FaultPlan};
-use crate::mailbox::{watchdog, Progress};
+use crate::mailbox::Progress;
 use crate::stats::CommStats;
 use crate::trace::{CollSpan, PhaseSpan, Timeline};
 use crate::transport::{channel_mesh, Link};
@@ -25,7 +25,6 @@ use std::time::{Duration, Instant};
 #[derive(Debug, Clone)]
 struct EnvSnapshot {
     eager_threshold: usize,
-    watchdog: Option<Duration>,
     sched_seed: u64,
     tuning: Option<Arc<TuningTable>>,
 }
@@ -55,17 +54,6 @@ impl EnvSnapshot {
             Err(std::env::VarError::NotPresent) => usize::MAX,
             Err(e) => panic!("PDC_MPI_EAGER_THRESHOLD is not valid unicode: {e}"),
         };
-        let watchdog = match std::env::var("PDC_MPI_WATCHDOG_MS") {
-            Ok(v) => match v.trim().parse::<u64>() {
-                Ok(0) => None,
-                Ok(ms) => Some(Duration::from_millis(ms)),
-                Err(_) => {
-                    panic!("PDC_MPI_WATCHDOG_MS must be a millisecond count, got {v:?}")
-                }
-            },
-            Err(std::env::VarError::NotPresent) => Some(Duration::from_millis(100)),
-            Err(e) => panic!("PDC_MPI_WATCHDOG_MS is not valid unicode: {e}"),
-        };
         let sched_seed = match std::env::var("PDC_MPI_SCHED_SEED") {
             Ok(v) => v.trim().parse::<u64>().unwrap_or_else(|_| {
                 panic!("PDC_MPI_SCHED_SEED must be an unsigned integer, got {v:?}")
@@ -85,7 +73,6 @@ impl EnvSnapshot {
         };
         EnvSnapshot {
             eager_threshold,
-            watchdog,
             sched_seed,
             tuning,
         }
@@ -110,8 +97,8 @@ pub fn refresh_env_overrides() {
 /// Cancellation is cooperative at the runtime's blocking points: every
 /// blocked primitive (receives, rendezvous waits, collectives, `agree`,
 /// the finalize wait) returns [`Error::Cancelled`] immediately, exactly
-/// like the watchdog's poison wake. A rank in a pure compute loop is only
-/// observed at its next communication call. Cancelling before the world
+/// like a detected deadlock's poison wake. A rank in a pure compute loop
+/// is only observed at its next communication call. Cancelling before the world
 /// starts makes the run fail at the first blocking call; cancelling after
 /// it finished is a no-op. On the event backend the engine observes the
 /// cancellation after the rank it is running yields. Not supported on the
@@ -162,37 +149,29 @@ impl CancelToken {
     /// Cancel every attached world: blocked primitives return
     /// [`Error::Cancelled`] carrying `reason`. The first call wins;
     /// repeat calls keep the original reason but still poke any world
-    /// attached since.
+    /// attached since. The worlds are poisoned before the token reads as
+    /// cancelled, so a rank that sees [`CancelToken::is_cancelled`] and
+    /// returns cannot leave its world to be reported as deadlocked.
     pub fn cancel(&self, reason: &str) {
-        let reason = {
-            let mut slot = self.0.reason.lock().unwrap_or_else(|e| e.into_inner());
-            if slot.is_none() {
-                *slot = Some(reason.to_string());
-            }
-            slot.clone().expect("just stored")
-        };
-        let wired: Vec<_> = self
-            .0
-            .wired
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .clone();
-        for progress in wired {
+        // Held throughout, so `attach` sees either every world cancelled
+        // and the reason stored, or neither.
+        let wired = self.0.wired.lock().unwrap_or_else(|e| e.into_inner());
+        let reason = self.reason().unwrap_or_else(|| reason.to_string());
+        for progress in wired.iter() {
             progress.cancel(&reason);
         }
+        let mut slot = self.0.reason.lock().unwrap_or_else(|e| e.into_inner());
+        slot.get_or_insert(reason);
     }
 
     /// Attach a world's progress state. Fires immediately when the token
     /// was cancelled before the world launched.
     pub(crate) fn attach(&self, progress: Arc<Progress>) {
-        self.0
-            .wired
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .push(Arc::clone(&progress));
+        let mut wired = self.0.wired.lock().unwrap_or_else(|e| e.into_inner());
         if let Some(reason) = self.reason() {
             progress.cancel(&reason);
         }
+        wired.push(progress);
     }
 }
 
@@ -214,8 +193,6 @@ pub struct WorldConfig {
     pub nodes_used: usize,
     /// Rank→node distribution policy.
     pub placement_policy: PlacementPolicy,
-    /// Watchdog sampling interval; `None` disables deadlock detection.
-    pub watchdog: Option<Duration>,
     /// Record per-rank execution traces (see [`crate::trace`]).
     pub tracing: bool,
     /// Correctness-checker instrumentation (see [`crate::check`]). `Off`
@@ -238,22 +215,20 @@ pub struct WorldConfig {
     /// runs are bit-identical to earlier releases.
     pub tuning: Option<Arc<TuningTable>>,
     /// External cancellation handle (see [`CancelToken`]); `None` (the
-    /// default) means only the watchdog or the fault plan can interrupt
-    /// the run.
+    /// default) means only a deadlock or the fault plan can interrupt the
+    /// run.
     pub cancel: Option<CancelToken>,
 }
 
 impl WorldConfig {
     /// A world of `size` ranks on a single simulated cluster node.
     ///
-    /// Defaults: every `send` is eager (threshold `usize::MAX`) and the
-    /// deadlock watchdog samples every 100 ms. Both can be overridden
-    /// without code changes — handy for benchmarking protocol regimes:
+    /// Defaults: every `send` is eager (threshold `usize::MAX`) and no
+    /// tuning table is loaded. Both can be overridden without code
+    /// changes — handy for benchmarking protocol regimes:
     ///
     /// * `PDC_MPI_EAGER_THRESHOLD` — eager/rendezvous switch-over in
     ///   bytes (`0` makes every send synchronous);
-    /// * `PDC_MPI_WATCHDOG_MS` — watchdog sampling interval in
-    ///   milliseconds (`0` disables deadlock detection);
     /// * `PDC_MPI_TUNE_FILE` — path to a collective tuning table
     ///   (`TUNING_mpi.json`, see `docs/collectives.md`); unset runs the
     ///   flat seed algorithms.
@@ -264,8 +239,8 @@ impl WorldConfig {
     /// first use and reused for the rest of the process, so overrides
     /// cannot leak between tests sharing a binary; explicit builder
     /// calls ([`WorldConfig::with_eager_threshold`],
-    /// [`WorldConfig::with_watchdog`], [`WorldConfig::with_sched_seed`],
-    /// [`WorldConfig::with_tuning`]) always override the environment.
+    /// [`WorldConfig::with_sched_seed`], [`WorldConfig::with_tuning`])
+    /// always override the environment.
     ///
     /// # Panics
     /// Panics if `size` is 0, or if an environment override is set to a
@@ -284,7 +259,6 @@ impl WorldConfig {
             machine,
             nodes_used: 1,
             placement_policy: PlacementPolicy::Block,
-            watchdog: env.watchdog,
             tracing: false,
             check: CheckMode::Off,
             faults: None,
@@ -306,8 +280,8 @@ impl WorldConfig {
     /// `workers` is accepted for compatibility and selects nothing: the
     /// event engine is single-threaded. A blocking closure run under this
     /// config ([`World::run`], [`World::run_with_check`]) runs
-    /// thread-per-rank under the wall-clock watchdog, exactly as under
-    /// [`WorldConfig::new`]; only step programs are seeded.
+    /// thread-per-rank, exactly as under [`WorldConfig::new`], and detects
+    /// a deadlock just as exactly; only step programs are seeded.
     ///
     /// # Panics
     /// Panics if `n` is 0, or if `PDC_MPI_SCHED_SEED` is set to a value
@@ -358,12 +332,6 @@ impl WorldConfig {
     /// Set the eager/rendezvous threshold in bytes (builder style).
     pub fn with_eager_threshold(mut self, bytes: usize) -> Self {
         self.eager_threshold = bytes;
-        self
-    }
-
-    /// Set or disable the deadlock watchdog (builder style).
-    pub fn with_watchdog(mut self, interval: Option<Duration>) -> Self {
-        self.watchdog = interval;
         self
     }
 
@@ -499,9 +467,11 @@ impl World {
     /// Launch `cfg.size` ranks, each running `f`, and wait for all of them.
     ///
     /// Each rank executes on its own OS thread with a private address space
-    /// (nothing is shared except messages). Returns per-rank values and
-    /// statistics, or the first error any rank produced. A panic in one
-    /// rank is contained and reported as [`Error::RankPanicked`].
+    /// (nothing is shared except messages), and no other thread is
+    /// spawned. Returns per-rank values and statistics, or the first error
+    /// any rank produced. A panic in one rank is contained and reported as
+    /// [`Error::RankPanicked`], a deadlock as [`Error::Deadlock`] the
+    /// instant no rank can move.
     pub fn run<T, F>(cfg: WorldConfig, f: F) -> Result<RunOutput<T>>
     where
         T: Send,
@@ -537,9 +507,8 @@ impl World {
     /// DeserializeOwned` bound.
     ///
     /// One difference from the in-process backends, documented in
-    /// `docs/backends.md`: `cfg.watchdog` is ignored (no process can
-    /// observe global progress, so wall-clock deadlock detection is
-    /// impossible — a stuck world fails a hard internal deadline
+    /// `docs/backends.md`: a deadlock is not detected (no process can
+    /// observe every rank, so a stuck world fails a hard internal deadline
     /// instead). Fault injection, the checker, tracing, statistics, and
     /// the simulated clock all work unchanged: every rank's report,
     /// trace included, crosses the wire in its result frame.
@@ -576,7 +545,7 @@ impl World {
         T: Send,
         F: Fn(&mut Comm) -> Result<T> + Send + Sync,
     {
-        let setup = WorldSetup::new(&cfg);
+        let setup = WorldSetup::new(&cfg, true);
         let (outboxes, inboxes) = channel_mesh(cfg.size, &setup.progress);
 
         let started = Instant::now();
@@ -589,10 +558,6 @@ impl World {
                     scope.spawn(move || setup.run_rank(rank, Link::Chan { outboxes, inbox }, f))
                 })
                 .collect();
-            if let Some(interval) = cfg.watchdog {
-                let progress = &setup.progress;
-                scope.spawn(move || watchdog(progress, interval));
-            }
             handles
                 .into_iter()
                 .enumerate()
@@ -619,8 +584,10 @@ impl World {
 /// What every backend builds from a [`WorldConfig`] before any rank runs:
 /// the cost model over the placement, the shared progress state (with the
 /// cancellation token attached, so a pre-cancelled token fails the first
-/// blocking call instead of racing the launch), the crash schedule
-/// resolved against the placement once, and the bound tuning table.
+/// blocking call instead of racing the launch; `counted` arms the count
+/// of ranks that can move, which only a thread world keeps), the crash
+/// schedule resolved against the placement once, and the bound tuning
+/// table.
 pub(crate) struct WorldSetup {
     pub progress: Arc<Progress>,
     pub check: CheckMode,
@@ -634,10 +601,10 @@ pub(crate) struct WorldSetup {
 impl WorldSetup {
     /// # Panics
     /// Panics if `cfg.size` is 0.
-    pub(crate) fn new(cfg: &WorldConfig) -> Self {
+    pub(crate) fn new(cfg: &WorldConfig, counted: bool) -> Self {
         assert!(cfg.size > 0, "a world needs at least one rank");
         let cost = Arc::new(CostModel::new(cfg.machine.clone(), cfg.placement()));
-        let progress = Arc::new(Progress::new(cfg.size));
+        let progress = Arc::new(Progress::with_movers(cfg.size, counted));
         if let Some(token) = &cfg.cancel {
             token.attach(Arc::clone(&progress));
         }
@@ -660,15 +627,17 @@ impl WorldSetup {
     /// Run `f` as rank `rank` of a blocking backend (thread or proc): build
     /// its communicator over `link`, contain a panic as
     /// [`Error::RankPanicked`], mark the rank done, refuse the rendezvous
-    /// envelopes it holds, and hand back its result with its report. The
-    /// refusals come after the mark: a rendezvous envelope that arrives
-    /// later is not refused here, and its sender, checking for a finished
-    /// partner after sending, sees this rank done instead (on the proc
-    /// backend, where that news travels as a frame, the reader thread
-    /// refuses such an envelope). With checking on, the rank then waits
-    /// for every rank to finish, so all in-flight sends have landed before
-    /// the finalize-time leak check drains its mailbox (blocked ranks are
-    /// released by the watchdog's poison, so this terminates even on
+    /// envelopes it holds, leave the count of ranks that can move (only
+    /// now, as the refusals put their parked senders back in it), and hand
+    /// back its result with its report. The refusals come after the mark:
+    /// a rendezvous envelope that arrives later is not refused here, and
+    /// its sender, checking for a finished partner after sending, sees
+    /// this rank done instead (on the proc backend, where that news
+    /// travels as a frame, the reader thread refuses such an envelope).
+    /// With checking on, the rank then waits for every rank to finish, so
+    /// all in-flight sends have landed before the finalize-time leak check
+    /// drains its mailbox (blocked ranks are released by a deadlock's
+    /// poison, so this terminates even on
     /// deadlocked runs; on the proc backend, peers' `Done` frames feed the
     /// same count).
     pub(crate) fn run_rank<T>(
@@ -684,6 +653,7 @@ impl WorldSetup {
         };
         self.progress.mark_done(rank);
         comm.refuse_rendezvous();
+        self.progress.leave_finished();
         if self.check.is_on() {
             self.progress.wait_all_done();
         }

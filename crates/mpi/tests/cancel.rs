@@ -4,12 +4,11 @@
 //! and never a misreported deadlock.
 
 use pdc_mpi::{CancelToken, Error, Op, Result, StepComm, StepFuture, StepProgram, WorldConfig};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::time::Duration;
 
-/// A program where rank 0 blocks forever on a message nobody sends
-/// (everyone else waits in the final barrier-like allreduce path by
-/// receiving too). Used to park the world so cancel must wake it.
+/// A program where every rank blocks forever on a message nobody sends:
+/// a deadlock, unless a cancel comes first.
 fn block_forever(comm: &mut pdc_mpi::Comm) -> Result<u64> {
     let (data, _status) = comm.recv::<u64>(pdc_mpi::SourceSel::Any, pdc_mpi::TagSel::Any)?;
     Ok(data.iter().sum())
@@ -23,17 +22,69 @@ fn cancel_unblocks_a_thread_world() {
         std::thread::sleep(Duration::from_millis(50));
         t2.cancel("deadline exceeded");
     });
-    // Disable the watchdog so only the cancel can unblock the world.
-    let cfg = WorldConfig::new(2)
-        .with_watchdog(None)
-        .with_cancel(token.clone());
-    let out = pdc_mpi::World::run(cfg, block_forever);
+    // Rank 1 computes until rank 0's receive returns, so the world never
+    // deadlocks and only the cancel can unblock rank 0.
+    let released = AtomicBool::new(false);
+    let cfg = WorldConfig::new(2).with_cancel(token.clone());
+    let out = pdc_mpi::World::run(cfg, |comm| {
+        if comm.rank() == 0 {
+            let out = block_forever(comm);
+            released.store(true, Ordering::Release);
+            return out;
+        }
+        while !released.load(Ordering::Acquire) {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        Ok(0)
+    });
     canceller.join().expect("canceller thread");
     match out {
         Err(Error::Cancelled(reason)) => assert!(reason.contains("deadline"), "{reason}"),
         other => panic!("expected Cancelled, got {other:?}"),
     }
     assert!(token.is_cancelled());
+}
+
+#[test]
+fn a_rank_that_sees_the_token_cancelled_finds_its_world_cancelled() {
+    // Rank 1 returns as soon as it sees the cancel, leaving rank 0 the
+    // only unfinished rank: the world must already be cancelled then,
+    // not reported as deadlocked.
+    for run in 0..200 {
+        let token = CancelToken::new();
+        let (t2, polled) = (token.clone(), token.clone());
+        let canceller = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(1));
+            t2.cancel("deadline exceeded");
+        });
+        let out = pdc_mpi::World::run(WorldConfig::new(2).with_cancel(token), |comm| {
+            if comm.rank() == 0 {
+                return block_forever(comm);
+            }
+            while !polled.is_cancelled() {
+                std::hint::spin_loop();
+            }
+            Ok(0)
+        });
+        canceller.join().expect("canceller thread");
+        assert!(
+            matches!(out, Err(Error::Cancelled(_))),
+            "run {run}: {out:?}"
+        );
+    }
+}
+
+#[test]
+fn a_deadlocked_thread_world_with_an_idle_token_reports_the_deadlock() {
+    // A token that is never cancelled changes nothing: the stuck world
+    // is a deadlock, reported at once, not a cancellation.
+    let token = CancelToken::new();
+    let cfg = WorldConfig::new(2).with_cancel(token.clone());
+    match pdc_mpi::World::run(cfg, block_forever) {
+        Err(Error::Deadlock(info)) => assert_eq!(info.blocked.len(), 2, "{}", info.render()),
+        other => panic!("expected Deadlock, got {other:?}"),
+    }
+    assert!(!token.is_cancelled());
 }
 
 /// A ring that passes tokens around forever: it never deadlocks and
@@ -79,7 +130,7 @@ fn cancel_stops_a_running_event_world() {
 fn pre_cancelled_token_fails_the_first_blocking_call() {
     let token = CancelToken::new();
     token.cancel("never admitted");
-    let cfg = WorldConfig::new(2).with_watchdog(None).with_cancel(token);
+    let cfg = WorldConfig::new(2).with_cancel(token);
     let out = pdc_mpi::World::run(cfg, block_forever);
     match out {
         Err(Error::Cancelled(reason)) => assert_eq!(reason, "never admitted"),

@@ -5,7 +5,8 @@
 //! tests pin that text for every kind of wait — an exact, an
 //! `ANY_SOURCE` and an `ANY_TAG` receive, a collective's internal
 //! receive, a probe, and rendezvous sends — on the event engine (exact
-//! detection on an empty heap) and on the thread backend (the watchdog).
+//! detection on an empty heap) and on the thread backend (exact
+//! detection when no rank can move).
 //! Call sites are checked to point into this file and are then masked,
 //! so the pinned text does not depend on line numbers.
 
@@ -13,7 +14,6 @@ use pdc_mpi::{
     drive, Error, Result, StepComm, StepFuture, StepProgram, World, WorldConfig, ANY_SOURCE,
     ANY_TAG,
 };
-use std::time::Duration;
 
 /// Two-rank programs in which both ranks block for good.
 #[derive(Debug, Clone, Copy)]
@@ -79,9 +79,7 @@ impl StepProgram<()> for Stuck {
 }
 
 fn cfg() -> WorldConfig {
-    WorldConfig::new(2)
-        .with_eager_threshold(0)
-        .with_watchdog(Some(Duration::from_millis(20)))
+    WorldConfig::new(2).with_eager_threshold(0)
 }
 
 /// The deadlock's rendering, with every call site checked to be in this

@@ -6,7 +6,6 @@
 use pdc_mpi::{World, WorldConfig};
 use std::panic::catch_unwind;
 use std::sync::Mutex;
-use std::time::Duration;
 
 /// Serializes the tests in this file: the process environment is global.
 static ENV_LOCK: Mutex<()> = Mutex::new(());
@@ -48,38 +47,21 @@ fn malformed_eager_threshold_panics_naming_the_value() {
 }
 
 #[test]
-fn malformed_watchdog_panics_naming_the_value() {
-    let msg = with_env(&[("PDC_MPI_WATCHDOG_MS", "soon-ish")], || {
-        panic_message(catch_unwind(|| WorldConfig::new(2)).expect_err("must panic"))
-    });
-    assert!(
-        msg.contains("PDC_MPI_WATCHDOG_MS") && msg.contains("soon-ish"),
-        "the panic must name the variable and the offending value: {msg}"
-    );
-}
-
-#[test]
 fn well_formed_overrides_still_apply() {
     // A forced-rendezvous ring under an eager threshold of zero would
     // deadlock; a plain send/recv pair is protocol-agnostic and shows the
-    // worlds still run with both overrides set.
-    let out = with_env(
-        &[
-            ("PDC_MPI_EAGER_THRESHOLD", "0"),
-            ("PDC_MPI_WATCHDOG_MS", "5000"),
-        ],
-        || {
-            World::run(WorldConfig::new(2), |comm| {
-                if comm.rank() == 0 {
-                    comm.send(&[5u32], 1, 0)?;
-                    Ok(0)
-                } else {
-                    Ok(comm.recv::<u32>(0, 0)?.0[0])
-                }
-            })
-            .expect("overridden world runs")
-        },
-    );
+    // worlds still run with the override set.
+    let out = with_env(&[("PDC_MPI_EAGER_THRESHOLD", "0")], || {
+        World::run(WorldConfig::new(2), |comm| {
+            if comm.rank() == 0 {
+                comm.send(&[5u32], 1, 0)?;
+                Ok(0)
+            } else {
+                Ok(comm.recv::<u32>(0, 0)?.0[0])
+            }
+        })
+        .expect("overridden world runs")
+    });
     assert_eq!(out.values[1], 5);
 }
 
@@ -106,7 +88,7 @@ fn snapshot_pins_the_environment_after_first_use() {
 }
 
 #[test]
-fn builders_beat_the_environment_for_all_four_overrides() {
+fn builders_beat_the_environment_for_all_three_overrides() {
     let dir = std::env::temp_dir().join(format!("pdc_env_prec_{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("mkdir");
     let table_path = dir.join("env_table.json");
@@ -120,14 +102,12 @@ fn builders_beat_the_environment_for_all_four_overrides() {
     let cfg = with_env(
         &[
             ("PDC_MPI_EAGER_THRESHOLD", "4096"),
-            ("PDC_MPI_WATCHDOG_MS", "7"),
             ("PDC_MPI_SCHED_SEED", "99"),
             ("PDC_MPI_TUNE_FILE", table_path.to_str().unwrap()),
         ],
         || {
             WorldConfig::virtual_ranks(4, 2)
                 .with_eager_threshold(64)
-                .with_watchdog(Some(Duration::from_millis(250)))
                 .with_sched_seed(11)
                 .with_tuning(pdc_mpi::tune::TuningTable {
                     machine_class: "builder-wins".into(),
@@ -139,11 +119,6 @@ fn builders_beat_the_environment_for_all_four_overrides() {
     std::fs::remove_file(&table_path).ok();
 
     assert_eq!(cfg.eager_threshold, 64, "with_eager_threshold beats env");
-    assert_eq!(
-        cfg.watchdog,
-        Some(Duration::from_millis(250)),
-        "with_watchdog beats env"
-    );
     assert_eq!(cfg.sched_seed, 11, "with_sched_seed beats env");
     assert_eq!(
         cfg.tuning.expect("tuning table installed").machine_class,

@@ -218,7 +218,7 @@ fn cancellation_outcome_is_backend_identical() {
     let cfg = || {
         let token = CancelToken::new();
         token.cancel("never admitted");
-        WorldConfig::new(3).with_watchdog(None).with_cancel(token)
+        WorldConfig::new(3).with_cancel(token)
     };
     conform("cancel/pre-cancelled", 3, cfg, &BlockForever);
 }

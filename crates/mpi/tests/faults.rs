@@ -76,8 +76,8 @@ fn a_seeded_plan_replays_bit_identically() {
 #[test]
 fn a_crash_surfaces_as_rank_failed_not_deadlock() {
     // Rank 1 dies at time zero; everyone else is stuck in the allreduce
-    // it never joins. ULFM-style, that is a typed failure — not a hang
-    // for the watchdog, and not a deadlock report.
+    // it never joins. ULFM-style, that is a typed failure — not a hang,
+    // and not a deadlock report.
     let cfg = WorldConfig::new(4).with_faults(FaultPlan::seeded(3).crash_rank(1, 0.0));
     let err = World::run(cfg, |comm| comm.allreduce(&[comm.rank() as u64], Op::Sum))
         .expect_err("the world lost a rank");
@@ -182,7 +182,7 @@ fn failed_ranks_are_queryable_after_agreement() {
 #[test]
 fn invalid_op_on_loc_is_a_typed_error_not_a_stranded_world() {
     // MINLOC/MAXLOC pairs only reduce under Min/Max; Sum used to panic
-    // inside the rank thread and strand the peers until the watchdog.
+    // inside the rank thread and strand the peers until they deadlocked.
     let err = World::run(WorldConfig::new(3), |comm| {
         let mine = [Loc::new(comm.rank() as f64, comm.rank() as u64)];
         comm.allreduce(&mine, Op::Sum)
@@ -205,14 +205,11 @@ fn invalid_op_on_loc_is_a_typed_error_not_a_stranded_world() {
 }
 
 #[test]
-fn a_drops_only_plan_without_retry_strands_the_receiver_with_a_watchdog_report() {
+fn a_drops_only_plan_without_retry_strands_the_receiver_with_a_deadlock_report() {
     // Without a retry policy a dropped message simply never arrives; the
-    // receiver blocks and the watchdog must still explain the hang.
-    use std::time::Duration;
+    // receiver blocks and the deadlock must still be explained.
     let plan = FaultPlan::seeded(2).with_drop_rate(1.0);
-    let cfg = WorldConfig::new(2)
-        .with_faults(plan)
-        .with_watchdog(Some(Duration::from_millis(30)));
+    let cfg = WorldConfig::new(2).with_faults(plan);
     let err = World::run(cfg, |comm| {
         if comm.rank() == 0 {
             comm.send(&[1u64], 1, 0)?;

@@ -94,11 +94,9 @@ fn many_ranks_complete() {
 fn deadlock_is_detected_exactly() {
     // Rendezvous ring: every send is synchronous and precedes the
     // receive — the classic Module 1 deadlock. The engine detects it the
-    // moment its heap empties; with the watchdog off there is no
-    // wall-clock interval and no timing sensitivity.
-    let cfg = WorldConfig::virtual_ranks(4, 2)
-        .with_eager_threshold(0)
-        .with_watchdog(None);
+    // moment its heap empties: no wall-clock interval and no timing
+    // sensitivity.
+    let cfg = WorldConfig::virtual_ranks(4, 2).with_eager_threshold(0);
     let err = World::run_event(cfg, &Ring).expect_err("rendezvous ring deadlocks");
     match err {
         Error::Deadlock(info) => {

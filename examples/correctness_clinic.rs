@@ -10,10 +10,9 @@
 
 use pdc_suite::check::{check_world, check_world_confirm};
 use pdc_suite::mpi::{Comm, Op, Result, WorldConfig, ANY_SOURCE, ANY_TAG};
-use std::time::Duration;
 
 fn cfg(size: usize) -> WorldConfig {
-    WorldConfig::new(size).with_watchdog(Some(Duration::from_millis(50)))
+    WorldConfig::new(size)
 }
 
 fn banner(title: &str) {

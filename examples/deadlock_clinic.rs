@@ -1,8 +1,9 @@
 //! The Module 1 deadlock clinic: the same ring-exchange program run under
 //! the eager and rendezvous protocols, plus the three standard fixes.
 //!
-//! The runtime's watchdog converts the classic hang into a reported error,
-//! so the lesson is observable without killing the process.
+//! The runtime detects the classic hang the instant the last rank blocks
+//! and reports it as an error, so the lesson is observable without
+//! killing the process.
 //!
 //! ```text
 //! cargo run --release --example deadlock_clinic
@@ -10,12 +11,9 @@
 
 use pdc_suite::modules::module1::{ring_step, RingVariant};
 use pdc_suite::mpi::{Error, World, WorldConfig};
-use std::time::Duration;
 
 fn try_ring(variant: RingVariant, eager_threshold: usize) -> Result<Vec<u64>, Error> {
-    let cfg = WorldConfig::new(4)
-        .with_eager_threshold(eager_threshold)
-        .with_watchdog(Some(Duration::from_millis(50)));
+    let cfg = WorldConfig::new(4).with_eager_threshold(eager_threshold);
     World::run(cfg, move |comm| ring_step(comm, variant)).map(|out| out.values)
 }
 
@@ -32,7 +30,7 @@ fn main() {
     match try_ring(RingVariant::NaiveBlocking, 0) {
         Ok(_) => println!("  naive blocking ring completed (?!)"),
         Err(Error::Deadlock(info)) => {
-            println!("  naive blocking ring DEADLOCKED — detected by the watchdog");
+            println!("  naive blocking ring DEADLOCKED — detected when the last rank blocked");
             for line in info.render().lines() {
                 println!("    {line}");
             }

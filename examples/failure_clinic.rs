@@ -4,7 +4,7 @@
 //! Four stations:
 //!
 //! 1. a scheduled rank crash surfaces as a typed `RankFailed` error on
-//!    every affected rank — ULFM semantics, not a watchdog timeout;
+//!    every affected rank — ULFM semantics, not a deadlock report;
 //! 2. survivors acknowledge the failure (`agree`), `shrink` to a
 //!    communicator of the living, and finish the job without the casualty;
 //! 3. a lossy network (dropped messages) is fully repaired by the

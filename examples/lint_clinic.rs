@@ -12,7 +12,6 @@
 use pdc_suite::check::check_world;
 use pdc_suite::lint::Linter;
 use pdc_suite::mpi::{Comm, Result, WorldConfig};
-use std::time::Duration;
 
 /// The corpus sources are compiled *into this example as text* — they
 /// are lint fodder, never built as Rust.
@@ -20,7 +19,7 @@ const SSEND_RING_SRC: &str = include_str!("../crates/lint/tests/corpus/ssend_rin
 const MISALIGNED_BCAST_SRC: &str = include_str!("../crates/lint/tests/corpus/misaligned_bcast.rs");
 
 fn cfg(size: usize) -> WorldConfig {
-    WorldConfig::new(size).with_watchdog(Some(Duration::from_millis(50)))
+    WorldConfig::new(size)
 }
 
 fn banner(title: &str) {

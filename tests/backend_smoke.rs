@@ -31,20 +31,28 @@
 //! same deadlock analysis. An eager send to a rank that already returned
 //! succeeds on both, as fire-and-forget traffic to a gone peer.
 //!
+//! Module 1's blocking ring deadlocks under rendezvous sends, and a
+//! thread world reports it the instant its last rank parks, with the
+//! event engine's analysis. Busy worlds whose ranks park and wake
+//! around each other at every step (a token ring, wildcard fan-ins,
+//! agreement rounds after a crash, sends to finished ranks) never report
+//! a deadlock they do not have.
+//!
 //! The crate-level `event_conformance` suite covers more sizes and
 //! programs.
 
 use bytes::INLINE_CAPACITY;
 use pdc_check::{analyze, FindingKind};
+use pdc_modules::module1::{ring_exchange_step, ring_step, RingVariant};
 use pdc_modules::module3::{BucketStrategy, DistributionSortProgram, InputDist};
 use pdc_modules::module7::{top_k_rank, top_k_step, TopKStrategy};
 use pdc_mpi::tune::measure;
 use pdc_mpi::{
     drive, CheckEvent, CheckMode, CollAlgo, CollKind, Error, FaultPlan, Op, Result, SizeClass,
-    StepComm, StepFuture, StepProgram, TuningTable, World, WorldConfig,
+    StepComm, StepFuture, StepProgram, TuningTable, World, WorldConfig, ANY_SOURCE, ANY_TAG,
 };
 use std::path::Path;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 #[test]
 fn module3_deep_mailboxes_are_thread_event_identical() {
@@ -415,14 +423,12 @@ enum StuckWait {
 
 impl StuckWait {
     fn config(self) -> WorldConfig {
-        let cfg = WorldConfig::new(2)
-            .with_eager_threshold(0)
-            .with_watchdog(Some(Duration::from_millis(20)));
+        let cfg = WorldConfig::new(2).with_eager_threshold(0);
         match self {
             StuckWait::RecvFromCrashed => cfg.with_faults(FaultPlan::seeded(1).crash_rank(1, 0.0)),
-            StuckWait::AgreeAfterCrash => WorldConfig::new(3)
-                .with_watchdog(Some(Duration::from_millis(20)))
-                .with_faults(FaultPlan::seeded(1).crash_rank(2, 0.0)),
+            StuckWait::AgreeAfterCrash => {
+                WorldConfig::new(3).with_faults(FaultPlan::seeded(1).crash_rank(2, 0.0))
+            }
             _ => cfg,
         }
     }
@@ -563,4 +569,204 @@ fn an_eager_send_to_a_finished_rank_succeeds_on_thread_and_event() {
     .expect("fire-and-forget on threads");
     World::run_event(WorldConfig::new(2), &EagerToFinished)
         .expect("fire-and-forget on the event engine");
+}
+
+/// Module 1's naive blocking ring as a step program.
+struct NaiveRing;
+
+impl StepProgram<u64> for NaiveRing {
+    fn build<'c, 'w: 'c>(&'c self, sc: StepComm<'c, 'w>) -> StepFuture<'c, Result<u64>> {
+        Box::pin(ring_exchange_step(sc, RingVariant::NaiveBlocking))
+    }
+}
+
+#[test]
+fn module1_ring_deadlocks_at_once_on_threads() {
+    let cfg = || WorldConfig::new(4).with_eager_threshold(0);
+    let event = World::run_event(cfg(), &NaiveRing).expect_err("the ring deadlocks");
+    let mut walls: Vec<Duration> = (0..5)
+        .map(|_| {
+            let t = Instant::now();
+            let thread = World::run(cfg(), |comm| ring_step(comm, RingVariant::NaiveBlocking))
+                .expect_err("the ring deadlocks");
+            let wall = t.elapsed();
+            assert_eq!(thread, event, "thread vs event");
+            wall
+        })
+        .collect();
+    let Error::Deadlock(info) = event else {
+        panic!("expected a deadlock, got {event:?}");
+    };
+    assert_eq!(info.blocked.len(), 4, "{}", info.render());
+    assert!(
+        info.blocked.iter().all(|op| op.op == "send(rendezvous)"),
+        "{}",
+        info.render()
+    );
+    assert_eq!(info.cycle.len(), 4, "{}", info.render());
+    walls.sort();
+    assert!(
+        walls[2] < Duration::from_millis(50),
+        "median {:?}",
+        walls[2]
+    );
+}
+
+/// A token passed `hops` times around the ring with rendezvous sends:
+/// hop `k` goes from rank `(k - 1) % p` to rank `k % p`, so one rank
+/// moves at a time, and each hop's ack reaches its sender as it is about
+/// to park. Every rank returns the last hop it received.
+struct TokenRing {
+    hops: u64,
+}
+
+impl StepProgram<u64> for TokenRing {
+    fn build<'c, 'w: 'c>(&'c self, mut sc: StepComm<'c, 'w>) -> StepFuture<'c, Result<u64>> {
+        let hops = self.hops;
+        Box::pin(async move {
+            let p = sc.size() as u64;
+            let rank = sc.rank() as u64;
+            let right = (sc.rank() + 1) % sc.size();
+            let left = (sc.rank() + sc.size() - 1) % sc.size();
+            let mut last = 0;
+            let mut k = rank + 1;
+            while k <= hops {
+                if k > 1 {
+                    last = sc.recv::<u64, _, _>(left, 0).await?.0[0];
+                    assert_eq!(last, k - 1, "hops arrive in order");
+                }
+                sc.send(&[k], right, 0).await?;
+                k += p;
+            }
+            if hops % p == rank {
+                last = sc.recv::<u64, _, _>(left, 0).await?.0[0];
+            }
+            Ok(last)
+        })
+    }
+}
+
+/// `rounds` fan-ins to rank 0 of rendezvous sends, which rank 0 takes
+/// with wildcard receives on even rounds and probe-then-receive on odd
+/// ones. Rank 0 returns the sum of what it took.
+struct WildcardFanIn {
+    rounds: u32,
+}
+
+impl StepProgram<u64> for WildcardFanIn {
+    fn build<'c, 'w: 'c>(&'c self, mut sc: StepComm<'c, 'w>) -> StepFuture<'c, Result<u64>> {
+        let rounds = self.rounds;
+        Box::pin(async move {
+            let mut sum = 0;
+            for round in 0..rounds {
+                if sc.rank() != 0 {
+                    sc.send(&[sc.rank() as u64], 0, round).await?;
+                    continue;
+                }
+                for _ in 1..sc.size() {
+                    let got = if round % 2 == 0 {
+                        sc.recv::<u64, _, _>(ANY_SOURCE, ANY_TAG).await?.0
+                    } else {
+                        let status = sc.probe(ANY_SOURCE, ANY_TAG).await?;
+                        sc.recv::<u64, _, _>(status.source, status.tag).await?.0
+                    };
+                    sum += got[0];
+                }
+            }
+            Ok(sum)
+        })
+    }
+}
+
+/// Rank 3 crashes after computing, while the survivors wait for it; they
+/// agree on it `rounds` times, with a rendezvous token pass around them
+/// between agreements. Every survivor returns how many agreements named
+/// rank 3 alone.
+struct AgreeRounds {
+    rounds: u32,
+}
+
+impl StepProgram<u32> for AgreeRounds {
+    fn build<'c, 'w: 'c>(&'c self, mut sc: StepComm<'c, 'w>) -> StepFuture<'c, Result<u32>> {
+        let rounds = self.rounds;
+        Box::pin(async move {
+            let rank = sc.rank();
+            if rank == 3 {
+                sc.charge_flops(1e6);
+                // Let the survivors park first.
+                std::thread::sleep(Duration::from_micros(200));
+                return match sc.recv::<u8, _, _>(0, 1).await {
+                    Err(Error::RankFailed { rank: 3, .. }) => Ok(0),
+                    other => panic!("rank 3 must crash, got {other:?}"),
+                };
+            }
+            match sc.recv::<u8, _, _>(3, 0).await {
+                Err(Error::RankFailed { rank: 3, .. }) => {}
+                other => panic!("rank 3 must be reported failed, got {other:?}"),
+            }
+            let mut agreed = 0;
+            for round in 0..rounds {
+                if sc.agree().await?.iter().map(|f| f.0).eq([3]) {
+                    agreed += 1;
+                }
+                // Rank 0 starts the ring, the others pass it on.
+                if rank == 0 {
+                    sc.send(&[round], 1, 2).await?;
+                    sc.recv::<u32, _, _>(2, 2).await?;
+                } else {
+                    sc.recv::<u32, _, _>(rank - 1, 2).await?;
+                    sc.send(&[round], (rank + 1) % 3, 2).await?;
+                }
+            }
+            Ok(agreed)
+        })
+    }
+}
+
+/// Every scenario of the no-false-deadlock stress at one scale, on thread
+/// worlds, each checked against its one expected outcome: `crashes`
+/// crash-then-agree worlds and `reps` runs of each finished-receiver
+/// program.
+fn no_false_deadlock(hops: u64, rounds: u32, crashes: usize, reps: usize) {
+    let rendezvous = || WorldConfig::new(4).with_eager_threshold(0);
+    let ring = TokenRing { hops };
+    let out = World::run(rendezvous(), |comm| drive(comm, |sc| ring.build(sc)))
+        .unwrap_or_else(|e| panic!("token ring of {hops} hops: {e}"));
+    let last = |rank: u64| hops - (hops + 4 - rank) % 4;
+    assert_eq!(out.values, (0..4).map(last).collect::<Vec<_>>());
+
+    let fan_in = WildcardFanIn { rounds };
+    let out = World::run(rendezvous(), |comm| drive(comm, |sc| fan_in.build(sc)))
+        .unwrap_or_else(|e| panic!("wildcard fan-in: {e}"));
+    assert_eq!(out.values, vec![6 * u64::from(rounds), 0, 0, 0]);
+
+    let agree = AgreeRounds { rounds };
+    for rep in 0..crashes {
+        let crash = rendezvous().with_faults(FaultPlan::seeded(1).crash_rank(3, 0.0));
+        let out = World::run(crash, |comm| drive(comm, |sc| agree.build(sc)))
+            .unwrap_or_else(|e| panic!("agreement rounds, run {rep}: {e}"));
+        assert_eq!(out.values, vec![rounds, rounds, rounds, 0]);
+    }
+
+    for stuck in [
+        StuckWait::RendezvousToFinished,
+        StuckWait::RendezvousAfterFinish,
+    ] {
+        for rep in 0..reps {
+            let err = World::run(stuck.config(), |comm| drive(comm, |sc| stuck.build(sc)))
+                .expect_err("the receiver is gone");
+            assert_eq!(err, Error::WorldShutDown, "{stuck:?}, run {rep}");
+        }
+    }
+}
+
+#[test]
+fn busy_thread_worlds_never_report_a_false_deadlock() {
+    no_false_deadlock(10_000, 200, 20, 200);
+}
+
+#[test]
+#[ignore = "long stress run; CI runs it with --ignored"]
+fn busy_thread_worlds_never_report_a_false_deadlock_long() {
+    no_false_deadlock(1_000_000, 2_000, 200, 20_000);
 }

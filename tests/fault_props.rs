@@ -118,7 +118,7 @@ fn injected_drops_land_in_the_report_fault_section() {
 
 #[test]
 fn a_crashed_rank_is_reported_as_a_fault_not_a_deadlock() {
-    // The watchdog/poison audit, end to end: a rank that dies by plan and
+    // The deadlock/poison audit, end to end: a rank that dies by plan and
     // peers that error out with `RankFailed` must never be written up as
     // a deadlock, and the crash lands in the report's fault section with
     // its schedule spelled out.
