@@ -2,7 +2,7 @@
 //!
 //! [`slurm`](crate::slurm) simulates a *batch* scheduler over simulated
 //! seconds: the whole workload is known up front and the simulation runs
-//! to completion. The lab server ([`pdc-lab`]) has the opposite shape —
+//! to completion. The lab server (`pdc-lab`) has the opposite shape —
 //! jobs arrive over real time from many tenants (course sections, CI
 //! bots, instructors) and must be admitted *online* into a fixed pool of
 //! executor slots. This module provides that policy as a pure data

@@ -101,7 +101,7 @@ pub fn run_range_queries(
 
 /// Like [`run_range_queries`] but on an explicit world configuration —
 /// the hook for "what if the hardware changed?" studies (e.g.
-/// [`MachineModel::fat_memory_node`]).
+/// [`MachineModel::fat_memory_node`](pdc_cluster::MachineModel::fat_memory_node)).
 pub fn run_range_queries_cfg(
     catalog: &[Asteroid],
     queries: &[QueryBox],

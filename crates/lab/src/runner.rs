@@ -3,7 +3,7 @@
 //! the run into the four artifacts the API serves (results, Profile,
 //! Report, Chrome trace).
 //!
-//! Every module is written once, as a step program ([`LabJob`]). The
+//! Every module is written once, as a step program (`LabJob`). The
 //! `virtual` backend runs it on the event engine; the `thread` backend
 //! drives the same body thread-per-rank.
 //!

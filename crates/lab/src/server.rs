@@ -22,9 +22,10 @@
 //! Submission checks [`FairShare::preemption_victim`]: when every slot
 //! is busy and the incoming job outranks the weakest running job by the
 //! configured margin, the victim's token is cancelled with a
-//! `preempted:` reason. Its executor observes [`Error::Cancelled`],
-//! requeues the job (aging credit intact) and picks the best job again —
-//! usually the challenger. Preempted runs restart from scratch;
+//! `preempted:` reason. Its executor observes
+//! [`Error::Cancelled`](pdc_mpi::Error::Cancelled), requeues the job
+//! (aging credit intact) and picks the best job again — usually the
+//! challenger. Preempted runs restart from scratch;
 //! determinism makes that safe, and the result cache means the lost
 //! work is at most one run of the job.
 

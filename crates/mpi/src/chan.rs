@@ -10,10 +10,11 @@
 //!   parked on the condvar — the receiver observes the message one wakeup
 //!   later, not one poll tick later, and a receiver that is not waiting
 //!   costs the sender no futex syscall;
-//! * whoever poisons the world or marks a rank failed calls
-//!   [`Wake::wake_all`] on every registered channel, so blocked primitives
-//!   observe the stop condition *immediately* (it is re-checked under the
-//!   queue lock, so the wakeup cannot be lost);
+//! * the world's progress state calls [`Wake::wake_all`] on every
+//!   registered channel when it poisons the world, marks a rank failed,
+//!   or resolves an agreement generation, so blocked primitives observe
+//!   the change *immediately* (it is re-checked under the queue lock, so
+//!   the wakeup cannot be lost);
 //! * dropping the last sender notifies a parked receiver too, turning an
 //!   abandoned wait into [`WaitError::Disconnected`] rather than a hang;
 //!   with no receiver parked the drop costs no futex syscall either.
@@ -47,8 +48,8 @@ pub(crate) const BACKSTOP: Duration = Duration::from_millis(50);
 const SPIN_YIELDS: usize = 3;
 
 /// Something that can wake every thread blocked on it
-/// ([`crate::mailbox::Progress`] calls this after poisoning the world or
-/// marking a rank failed).
+/// ([`crate::mailbox::Progress`] calls this after poisoning the world,
+/// marking a rank failed, or resolving an agreement generation).
 pub trait Wake: Send + Sync {
     /// Wake all blocked waiters so they re-check their stop condition.
     fn wake_all(&self);
@@ -288,7 +289,7 @@ impl<T: Send + 'static> Receiver<T> {
         }
     }
 
-    /// A weak wake handle for [`crate::mailbox::Progress`]'s poison
+    /// A weak wake handle for [`crate::mailbox::Progress`]'s wake
     /// broadcast. Weak, so finished channels don't accumulate.
     pub fn waker(&self) -> Weak<dyn Wake>
     where

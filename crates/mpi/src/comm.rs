@@ -221,7 +221,7 @@ impl<'w> Comm<'w> {
     pub(crate) fn into_report(mut self) -> RankReport {
         let observed = self.observer.take().map_or_else(Observed::default, |o| {
             o.finish(self.now, || {
-                self.link.collect(self.rank, &mut self.mailbox);
+                self.admit_arrivals();
                 self.mailbox.drain_all()
             })
         });
@@ -528,40 +528,29 @@ impl<'w> Comm<'w> {
             // ack that never comes, exactly as a real lost handshake would.
             return Ok(ack);
         }
-        let dup_payload = if duplicate {
-            Some(payload.clone())
-        } else {
-            None
-        };
-        let send_time = self.now + extra_delay;
         let env = Envelope {
             src: self.rank,
             class,
             type_name,
             type_size,
             payload,
-            send_time,
+            send_time: self.now + extra_delay,
             seq,
             rendezvous: synchronous,
         };
+        // The copy shares the refcounted payload and asks for no answer.
+        let dup = duplicate.then(|| Envelope {
+            rendezvous: false,
+            ..env.clone()
+        });
         if self.link.send(dst, env).is_err() {
             // The peer can no longer receive. Eager traffic to a gone peer
             // is fire-and-forget, as on a real network; a rendezvous
             // sender learns the outcome in its ack wait.
             return Ok(ack);
         }
-        if let Some(dup) = dup_payload {
-            let copy = Envelope {
-                src: self.rank,
-                class,
-                type_name,
-                type_size,
-                payload: dup,
-                send_time,
-                seq,
-                rendezvous: false,
-            };
-            let _ = self.link.send(dst, copy);
+        if let Some(dup) = dup {
+            let _ = self.link.send(dst, dup);
         }
         Ok(ack)
     }
@@ -1178,7 +1167,7 @@ impl<'w> Comm<'w> {
     /// (`MPIX_Comm_failure_ack`): after it returns, communication between
     /// survivors works again — only a *new* failure, or an operation that
     /// directly depends on a dead rank, raises
-    /// [`Error::RankFailed`](crate::Error::RankFailed) afterwards.
+    /// [`Error::RankFailed`] afterwards.
     ///
     /// # Errors
     /// Returns the deadlock's explanation if the world is torn down while
@@ -1215,10 +1204,17 @@ impl<'w> Comm<'w> {
         self.eager_threshold
     }
 
+    /// Admit every envelope waiting in this rank's inbox into its
+    /// mailbox. An agreement does this before it parks: a blocking park on
+    /// the inbox returns at once while anything is queued there.
+    pub(crate) fn admit_arrivals(&mut self) {
+        self.link.collect(self.rank, &mut self.mailbox);
+    }
+
     /// Admit every arrival, then take the envelope `spec` matches, if
     /// one is here.
     fn match_now(&mut self, spec: &MatchSpec) -> Option<Envelope> {
-        self.link.collect(self.rank, &mut self.mailbox);
+        self.admit_arrivals();
         self.mailbox.try_match(spec)
     }
 
@@ -1226,7 +1222,7 @@ impl<'w> Comm<'w> {
     /// pending rendezvous envelope, so its sender stops waiting. The
     /// envelopes stay for the leak check.
     pub(crate) fn refuse_rendezvous(&mut self) {
-        self.link.collect(self.rank, &mut self.mailbox);
+        self.admit_arrivals();
         for env in self.mailbox.pending().filter(|env| env.rendezvous) {
             self.send_ack(env, None);
         }
@@ -1235,7 +1231,7 @@ impl<'w> Comm<'w> {
     /// Admit every arrival, then report the user envelope `spec` would
     /// match, without consuming it.
     pub(crate) fn peek(&mut self, spec: &MatchSpec) -> Option<Status> {
-        self.link.collect(self.rank, &mut self.mailbox);
+        self.admit_arrivals();
         self.mailbox.peek_matching(spec)
     }
 

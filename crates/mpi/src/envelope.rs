@@ -66,7 +66,7 @@ pub enum MsgClass {
     /// Runtime-internal message (collective round), keyed by a 64-bit
     /// sequence tag so concurrent collectives can never cross-match.
     Internal(u64),
-    /// Rendezvous acknowledgement (see [`Envelope::ack`]). Its `seq` is
+    /// Rendezvous acknowledgement (see `Envelope::ack`). Its `seq` is
     /// the acknowledged envelope's, not a sequence number of its own.
     Ack,
 }
@@ -127,7 +127,7 @@ pub struct Envelope {
     /// sends). The checker pairs sends with receives through it.
     pub seq: u64,
     /// The sender blocks until the receiver answers this envelope with
-    /// an [`Envelope::ack`] (synchronous-send semantics).
+    /// an `Envelope::ack` (synchronous-send semantics).
     pub rendezvous: bool,
 }
 

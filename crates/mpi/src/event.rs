@@ -3,10 +3,11 @@
 //!
 //! Instead of one OS thread per rank, every
 //! rank is a compiler-generated state machine plus a few bytes of wait
-//! state ([`WaitCell`]); a single binary heap of runnable ranks drives
+//! state (`WaitCell`); a single binary heap of runnable ranks drives
 //! them. The engine does O(events) work — a rank is polled only when
-//! seeded, woken by a delivery (a rendezvous acknowledgement is one), or
-//! broadcast to on failure/poison — never O(ranks) polling per step.
+//! seeded, woken by a delivery (a rendezvous acknowledgement is one),
+//! broadcast to on failure/poison, or, parked in `agree`, requeued when an
+//! agreement generation resolves — never O(ranks) polling per step.
 //! That is what scales Modules 2/3/6 to 10^5–10^6 virtual ranks in one
 //! process (see `docs/scheduler.md` and `mpi_scale --ranks N`).
 //!
@@ -21,7 +22,7 @@
 //! worlds.
 //!
 //! Delivery is single-threaded too. The engine owns one inbox queue per
-//! rank ([`EventMesh`]): a send pushes the envelope onto the
+//! rank (`EventMesh`): a send pushes the envelope onto the
 //! destination's queue and records the destination on a plain dirty
 //! list, and the receiving rank's mailbox takes the queue whole the next
 //! time it matches. No channel, lock, or condvar sits on the path, and
@@ -40,7 +41,7 @@ use crate::error::{Error, Result};
 use crate::mailbox::Mailbox;
 use crate::step::{RankStep, StepComm, StepFuture, StepProgram};
 use crate::transport::Link;
-use crate::wait::{EventCtx, Hints, WaitCell};
+use crate::wait::WaitCell;
 use crate::world::{fold_outcomes, RunOutput, World, WorldConfig, WorldSetup};
 use std::cell::RefCell;
 use std::cmp::Reverse;
@@ -231,15 +232,11 @@ where
         .collect();
 
     let cells: Vec<Rc<RefCell<WaitCell>>> = (0..size).map(|_| WaitCell::new()).collect();
-    let hints = Rc::new(RefCell::new(Hints::default()));
-    let mut futures: Vec<Option<StepFuture<'_, Result<T>>>> = Vec::with_capacity(size);
-    for (rank, comm) in comms.iter_mut().enumerate() {
-        let ctx = EventCtx {
-            cell: Rc::clone(&cells[rank]),
-            hints: Rc::clone(&hints),
-        };
-        futures.push(Some(program.build(StepComm::event(comm, ctx))));
-    }
+    let mut futures: Vec<Option<StepFuture<'_, Result<T>>>> = comms
+        .iter_mut()
+        .zip(&cells)
+        .map(|(comm, cell)| Some(program.build(StepComm::event(comm, Rc::clone(cell)))))
+        .collect();
 
     let future_bytes: usize = futures
         .iter()
@@ -272,11 +269,8 @@ where
     let mut sched_trace: Vec<u32> = Vec::new();
     let mut done = 0usize;
     let mut last_epoch = progress.failure_epoch();
+    let mut last_agreed = progress.agreements();
     let mut woke_after_poison = false;
-    // Agree waits depend on global progress state (everyone entered,
-    // failed, or finished), not on a message; agree-parked ranks are held
-    // here and requeued whenever that state can have changed.
-    let mut agree_waiting: Vec<usize> = Vec::new();
     let waker = Waker::noop();
     let mut cx = Context::from_waker(waker);
 
@@ -292,7 +286,6 @@ where
                 for rank in 0..size {
                     wake_rank(&cells, &mut heap, &mut counter, seed, rank);
                 }
-                agree_waiting.clear();
                 continue;
             }
             // Already woke everyone under poison and the heap drained
@@ -347,33 +340,28 @@ where
         // Wake processing, in a fixed order so the schedule is a pure
         // function of the seed: failure/poison broadcasts, message
         // deliveries (rendezvous acknowledgements among them), then
-        // agreement-state changes.
+        // resolved agreements, which requeue the ranks parked in `agree`
+        // in rank order.
         let epoch = progress.failure_epoch();
-        let mut agree_progress = finished;
         if epoch != last_epoch || (progress.is_poisoned() && !woke_after_poison) {
             last_epoch = epoch;
             woke_after_poison = progress.is_poisoned();
             for r in 0..size {
                 wake_rank(&cells, &mut heap, &mut counter, seed, r);
             }
-            agree_waiting.clear();
-            agree_progress = false;
         }
         // A rendezvous send to a rank that already finished needs no
         // answer: its sender sees the rank done in its ack wait.
         for dst in mesh.dirty.borrow_mut().drain(..) {
             wake_rank(&cells, &mut heap, &mut counter, seed, dst);
         }
-        // The hint list is drained where it is, keeping its buffer for
-        // the next poll.
-        let entered = {
-            let mut h = hints.borrow_mut();
-            agree_waiting.append(&mut h.agree_parked);
-            std::mem::replace(&mut h.agree_entered, false)
-        };
-        if (agree_progress || entered) && !agree_waiting.is_empty() {
-            for r in agree_waiting.drain(..) {
-                wake_rank(&cells, &mut heap, &mut counter, seed, r);
+        let agreed = progress.agreements();
+        if agreed != last_agreed {
+            last_agreed = agreed;
+            for (r, cell) in cells.iter().enumerate() {
+                if cell.borrow().waiting == RankStep::Agree {
+                    wake_rank(&cells, &mut heap, &mut counter, seed, r);
+                }
             }
         }
     }

@@ -10,15 +10,23 @@
 //! wildcards take the earliest-arrived match.
 //!
 //! [`Progress`] is the state the ranks of a world share. On a thread
-//! world it keeps the exact count of ranks that can still move
-//! ([`Movers`]); the rank whose park or finish takes it to zero while a
-//! rank is unfinished explains the deadlock and poisons the world — every
-//! blocked primitive then returns [`Error::Deadlock`]. Blocked primitives
-//! do not poll for poison: [`Progress::poison`] wakes every registered
-//! channel ([`Progress::register_waker`]) immediately after setting the
-//! flag, so a poisoned world unblocks in microseconds.
+//! world it keeps the exact count of ranks that can still move (the
+//! channel module's `Movers`); the rank whose park or finish takes it to
+//! zero while a rank is unfinished explains the deadlock and poisons the
+//! world — every blocked primitive then returns [`Error::Deadlock`].
+//! Blocked primitives do not poll: every rank of a thread or proc world
+//! parks on its inbox, whatever it waits for, and each change a parked
+//! rank can be waiting on — a poison ([`Progress::poison`]), a failure
+//! ([`Progress::mark_failed`]) or a resolved agreement generation —
+//! wakes every registered inbox ([`Progress::register_waker`]) at once.
+//!
+//! World membership — the failed ranks, the finished ranks and the
+//! agreement cell — sits under one lock. Lock order: a channel lock may be
+//! held while the membership lock is taken (a parked wait's stop check,
+//! [`Progress::should_stop`], does this). Nothing wakes a channel or calls
+//! the cross-process notifier while holding the membership lock.
 
-use crate::chan::{Movers, Receiver, WaitError, Wake, BACKSTOP};
+use crate::chan::{Movers, Receiver, Wake, BACKSTOP};
 use crate::check::{BlockedOp, DeadlockInfo, PendingOp};
 use crate::envelope::{Envelope, MatchSpec, MsgClass, SourceSel, Status, TagSel};
 use crate::error::Error;
@@ -27,7 +35,7 @@ use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap, HashMap, HashSet, VecDeque};
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, PoisonError, Weak};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError, Weak};
 
 /// Shared world state used for progress tracking and deadlock detection.
 #[derive(Debug)]
@@ -52,38 +60,27 @@ pub struct Progress {
     /// first diagnosis stays.
     stopped: Mutex<Option<Error>>,
     /// Wake handles of every channel a rank may block on (its inbox).
-    /// [`Progress::poison`] wakes them all so blocked primitives observe
-    /// the flag immediately.
     wakers: Mutex<Vec<Weak<dyn Wake>>>,
-    /// Completion signal: notified by [`Progress::mark_done`] and by
-    /// [`Progress::poison`], waited on by the finalize-time leak check.
-    /// The mutex counts the threads parked on the condvar, so a
-    /// completion with nobody waiting (every rank of an event-engine
-    /// world) makes no futex call.
-    done_sync: Mutex<usize>,
-    done_cv: Condvar,
-    /// Crashed ranks → simulated failure time. Written by
-    /// [`Progress::mark_failed`] when an injected crash fires.
-    failed: Mutex<BTreeMap<usize, f64>>,
+    /// Failed and finished ranks and the agreement cell, under one lock.
+    members: Mutex<Members>,
+    /// Notified when a rank finishes or the world is poisoned; the
+    /// finalize barrier ([`Progress::wait_all_done`]) waits on it.
+    finished_cv: Condvar,
     /// Bumped once per newly failed rank. Blocked primitives compare it
     /// against the epoch their rank last *acknowledged*
     /// ([`Comm::agree`](crate::Comm::agree)): an unacknowledged failure
     /// aborts the wait with a typed `RankFailed` error (ULFM semantics)
     /// instead of leaving the rank to hang until the world deadlocks.
     epoch: AtomicU64,
-    /// Which ranks have finished their closure, indexed by rank. The
-    /// agreement protocol counts a finished rank as implicitly
-    /// participating, so survivors' agreement cannot hang on a
-    /// rank that already exited.
-    done_ranks: Mutex<BTreeSet<usize>>,
-    /// Agreement-cell state ([`Progress::agree_enter`]).
-    agree: Mutex<AgreeState>,
-    agree_cv: Condvar,
+    /// Agreement generations resolved so far, which is also the number of
+    /// the open one. Written under the membership lock; a parked agreement
+    /// reads it under its channel lock, where it may not take that lock.
+    agreed: AtomicU64,
     /// Cross-process mirror hook: a transport whose ranks span several
     /// processes installs one so local `mark_failed` / `mark_done` /
-    /// agreement entries are broadcast to every peer process. `None` for
-    /// in-process worlds (zero overhead on those paths).
-    notifier: Mutex<Option<std::sync::Arc<dyn ProgressNotifier>>>,
+    /// agreement entries are broadcast to every peer process. Unset for
+    /// in-process worlds, which read it without a lock.
+    notifier: OnceLock<Arc<dyn ProgressNotifier>>,
 }
 
 /// Hook a multi-process transport installs on [`Progress`] to mirror
@@ -104,26 +101,35 @@ pub(crate) trait ProgressNotifier: Send + Sync + std::fmt::Debug {
 /// failure epoch at resolution)`.
 type AgreeOutcome = (u64, Vec<(usize, f64)>, u64);
 
+/// World membership: who failed, who finished, and the agreement cell
+/// that counts both.
+#[derive(Debug, Default)]
+struct Members {
+    /// Crashed ranks → simulated failure time. Written by
+    /// [`Progress::mark_failed`] when an injected crash fires.
+    failed: BTreeMap<usize, f64>,
+    /// Ranks that finished their closure. The agreement protocol counts
+    /// a finished rank as implicitly participating, so survivors'
+    /// agreement cannot hang on a rank that already exited.
+    done: BTreeSet<usize>,
+    agree: AgreeState,
+    /// Threads parked in [`Progress::wait_all_done`]; a completion
+    /// notifies only when nonzero, so a world nobody waits on (every rank
+    /// of an event-engine world) makes no futex call.
+    finalizing: usize,
+}
+
 /// State of the collective agreement cell: one generation resolves when
-/// every world rank has either entered it, failed, or finished.
+/// every world rank has either entered it, failed, or finished. The open
+/// generation's number is [`Progress::agreements`].
 #[derive(Debug, Default)]
 struct AgreeState {
-    /// Current (unresolved) generation number.
-    generation: u64,
-    /// Ranks that entered the current generation.
+    /// Ranks that entered the open generation.
     entered: BTreeSet<usize>,
     /// Most recently resolved generation. Waiters of that generation copy
     /// it out; it cannot be overwritten before they do, because the next
     /// generation needs every live rank — including them — to re-enter.
     resolved: Option<AgreeOutcome>,
-    /// Threads parked on `agree_cv`; the agreement cell notifies only
-    /// when this is nonzero (it is counted under the same lock, so no
-    /// wakeup is lost).
-    waiters: usize,
-    /// Waiters out of the [`Movers`] count; a notify puts them all back
-    /// and bumps `recounts`, so a waiter that left earlier knows it is in.
-    out: usize,
-    recounts: u64,
     /// Remote entries for generations this process has not reached yet.
     /// On a multi-process transport each process resolves generations
     /// locally from mirrored entries; a peer that races ahead can
@@ -149,28 +155,27 @@ impl Progress {
             pending: Mutex::new(vec![None; size]),
             stopped: Mutex::new(None),
             wakers: Mutex::new(Vec::new()),
-            done_sync: Mutex::new(0),
-            done_cv: Condvar::new(),
-            failed: Mutex::new(BTreeMap::new()),
+            members: Mutex::new(Members::default()),
+            finished_cv: Condvar::new(),
             epoch: AtomicU64::new(0),
-            done_ranks: Mutex::new(BTreeSet::new()),
-            agree: Mutex::new(AgreeState::default()),
-            agree_cv: Condvar::new(),
-            notifier: Mutex::new(None),
+            agreed: AtomicU64::new(0),
+            notifier: OnceLock::new(),
         }
     }
 
     /// Install the cross-process mirror hook. Must happen before any rank
     /// runs (events fired earlier are not replayed).
-    pub(crate) fn set_notifier(&self, notifier: std::sync::Arc<dyn ProgressNotifier>) {
-        *self.notifier.lock().unwrap_or_else(PoisonError::into_inner) = Some(notifier);
+    ///
+    /// # Panics
+    /// Panics if a hook is installed already.
+    pub(crate) fn set_notifier(&self, notifier: Arc<dyn ProgressNotifier>) {
+        self.notifier
+            .set(notifier)
+            .expect("one progress notifier per world");
     }
 
-    fn notifier(&self) -> Option<std::sync::Arc<dyn ProgressNotifier>> {
-        self.notifier
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clone()
+    fn members(&self) -> MutexGuard<'_, Members> {
+        self.members.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Is the world poisoned?
@@ -178,12 +183,23 @@ impl Progress {
         self.poisoned.load(Ordering::Relaxed)
     }
 
-    /// Register a channel to be woken when the world is poisoned.
+    /// Register a channel to be woken when the world is poisoned, a rank
+    /// fails, or an agreement resolves.
     pub fn register_waker(&self, waker: Weak<dyn Wake>) {
         self.wakers
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
             .push(waker);
+    }
+
+    /// Wake every registered channel, putting its parked rank back in the
+    /// count of ranks that can move, so that it re-checks what it waits
+    /// for. Called with the membership lock released.
+    fn wake_all(&self) {
+        let wakers = self.wakers.lock().unwrap_or_else(PoisonError::into_inner);
+        for waker in wakers.iter().filter_map(Weak::upgrade) {
+            waker.wake_all();
+        }
     }
 
     /// Poison the world with a deadlock's explanation and wake every
@@ -200,15 +216,8 @@ impl Progress {
             .unwrap_or_else(PoisonError::into_inner)
             .get_or_insert(why);
         self.poisoned.store(true, Ordering::SeqCst);
-        let wakers =
-            std::mem::take(&mut *self.wakers.lock().unwrap_or_else(PoisonError::into_inner));
-        for waker in &wakers {
-            if let Some(w) = waker.upgrade() {
-                w.wake_all();
-            }
-        }
-        self.notify_agree();
-        self.notify_done();
+        self.wake_all();
+        self.notify_finalizing(&self.members());
     }
 
     /// Cancel the world from outside (a deadline kill or a scheduler
@@ -226,62 +235,52 @@ impl Progress {
     /// primitive so survivors observe the failure immediately — as a
     /// typed `RankFailed`, not a deadlock.
     pub fn mark_failed(&self, rank: usize, at: f64) {
-        let newly = {
-            let mut failed = self.failed.lock().unwrap_or_else(PoisonError::into_inner);
-            failed.insert(rank, at).is_none()
-        };
-        if !newly {
-            return;
-        }
-        self.epoch.fetch_add(1, Ordering::SeqCst);
-        // Clone (do not take — unlike poison, the world keeps running and
-        // later waits must still be wakeable) and wake every channel.
-        let wakers: Vec<Weak<dyn Wake>> = self
-            .wakers
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clone();
-        for waker in &wakers {
-            if let Some(w) = waker.upgrade() {
-                w.wake_all();
+        {
+            let mut members = self.members();
+            if members.failed.insert(rank, at).is_some() {
+                return;
             }
+            self.epoch.fetch_add(1, Ordering::SeqCst);
+            self.try_resolve_agree(&mut members);
         }
-        self.notify_agree();
+        self.wake_all();
         // Mirror to peer processes last, with no progress locks held (the
         // notifier frames onto sockets and must never nest under them).
-        if let Some(n) = self.notifier() {
+        if let Some(n) = self.notifier.get() {
             n.on_failed(rank, at);
         }
     }
 
     /// Has `rank` finished its closure?
     pub(crate) fn is_done(&self, rank: usize) -> bool {
-        self.done_ranks
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .contains(&rank)
+        self.members().done.contains(&rank)
     }
 
     /// Mirror of a peer process's agreement entry (the receiving side of
     /// [`ProgressNotifier::on_agree_enter`]). Entries are generation-
     /// stamped: a stale generation is ignored (its resolution already
-    /// counted that rank via the failed/done sets), the current generation
+    /// counted that rank via the failed/done sets), the open generation
     /// is entered directly, and a future generation — a peer racing ahead
     /// of this process — is stashed until [`Progress::try_resolve_agree`]
     /// opens it.
     pub(crate) fn remote_agree_enter(&self, rank: usize, generation: u64) {
-        let mut st = self.agree.lock().unwrap_or_else(PoisonError::into_inner);
-        match generation.cmp(&st.generation) {
-            std::cmp::Ordering::Less => {}
-            std::cmp::Ordering::Equal => {
-                st.entered.insert(rank);
+        let resolved = {
+            let mut members = self.members();
+            let st = &mut members.agree;
+            match generation.cmp(&self.agreements()) {
+                std::cmp::Ordering::Less => {}
+                std::cmp::Ordering::Equal => {
+                    st.entered.insert(rank);
+                }
+                std::cmp::Ordering::Greater => {
+                    st.future.entry(generation).or_default().insert(rank);
+                }
             }
-            std::cmp::Ordering::Greater => {
-                st.future.entry(generation).or_default().insert(rank);
-            }
+            self.try_resolve_agree(&mut members)
+        };
+        if resolved {
+            self.wake_all();
         }
-        self.try_resolve_agree(&mut st);
-        self.notify_agree_waiters(&mut st);
     }
 
     /// Count of failures observed so far. A blocked primitive whose rank
@@ -295,18 +294,13 @@ impl Progress {
         if self.failure_epoch() == 0 {
             return None;
         }
-        self.failed
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .get(&rank)
-            .copied()
+        self.members().failed.get(&rank).copied()
     }
 
     /// The earliest failure (by simulated time, ties by rank), if any.
     pub fn first_failure(&self) -> Option<(usize, f64)> {
-        self.failed
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
+        self.members()
+            .failed
             .iter()
             .map(|(&r, &t)| (r, t))
             .min_by(|a, b| {
@@ -318,9 +312,8 @@ impl Progress {
 
     /// All failures so far, as `(rank, simulated time)` in rank order.
     pub fn failed_ranks(&self) -> Vec<(usize, f64)> {
-        self.failed
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
+        self.members()
+            .failed
             .iter()
             .map(|(&r, &t)| (r, t))
             .collect()
@@ -328,7 +321,8 @@ impl Progress {
 
     /// Stop condition for blocked waits: poisoned, the awaited peer
     /// (`target`) failed, or a failure this rank has not yet acknowledged
-    /// occurred (`acked` is the rank's acknowledged epoch).
+    /// occurred (`acked` is the rank's acknowledged epoch). A parked wait
+    /// calls this under its channel lock.
     pub fn should_stop(&self, target: Option<usize>, acked: u64) -> bool {
         if self.is_poisoned() {
             return true;
@@ -337,16 +331,7 @@ impl Progress {
         if epoch > acked {
             return true;
         }
-        if epoch > 0 {
-            if let Some(t) = target {
-                return self
-                    .failed
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .contains_key(&t);
-            }
-        }
-        false
+        epoch > 0 && target.is_some_and(|t| self.members().failed.contains_key(&t))
     }
 
     /// The error a wait aborted by [`Progress::should_stop`] reports:
@@ -368,189 +353,119 @@ impl Progress {
 
     /// Enter collective failure agreement
     /// ([`Comm::agree`](crate::Comm::agree)'s engine): register `rank` in
-    /// the current generation and return its number. The generation
+    /// the open generation and return its number. The generation
     /// resolves once every world rank has entered it, failed, or finished;
     /// [`Progress::agree_poll`] then hands every participant the *same*
     /// snapshot of the failed set and the failure epoch it covers.
     pub fn agree_enter(&self, rank: usize) -> u64 {
-        let my_gen = {
-            let mut st = self.agree.lock().unwrap_or_else(PoisonError::into_inner);
-            let my_gen = st.generation;
-            st.entered.insert(rank);
-            self.try_resolve_agree(&mut st);
-            my_gen
+        let (my_gen, resolved) = {
+            let mut members = self.members();
+            members.agree.entered.insert(rank);
+            (self.agreements(), self.try_resolve_agree(&mut members))
         };
-        // Mirror the entry with the agreement lock released: the notifier
-        // frames onto sockets and must never nest under progress locks.
-        if let Some(n) = self.notifier() {
+        if resolved {
+            self.wake_all();
+        }
+        // Mirror the entry with the membership lock released: the
+        // notifier frames onto sockets and must never nest under it.
+        if let Some(n) = self.notifier.get() {
             n.on_agree_enter(rank, my_gen);
         }
         my_gen
+    }
+
+    /// Agreement generations resolved so far: generation `g` has resolved
+    /// once this exceeds `g`. An atomic read, taking no lock.
+    pub(crate) fn agreements(&self) -> u64 {
+        self.agreed.load(Ordering::Acquire)
     }
 
     /// Non-blocking resolution check for agreement generation `my_gen`:
     /// the consistent failed-set snapshot and covered epoch once every
     /// rank is accounted for, else `None`.
     pub fn agree_poll(&self, my_gen: u64) -> Option<(Vec<(usize, f64)>, u64)> {
-        let st = self.agree.lock().unwrap_or_else(PoisonError::into_inner);
-        if let Some((gen, snapshot, epoch)) = &st.resolved {
-            if *gen == my_gen {
-                return Some((snapshot.clone(), *epoch));
-            }
+        if self.agreements() <= my_gen {
+            return None;
         }
-        None
+        match &self.members().agree.resolved {
+            Some((gen, snapshot, epoch)) if *gen == my_gen => Some((snapshot.clone(), *epoch)),
+            _ => None,
+        }
     }
 
-    /// Block until agreement generation `gen` has resolved (`Ok`) or
-    /// `stop` holds. `stop` is evaluated under the agreement lock, which
-    /// every resolution and every poison notify takes too, so no wake is
-    /// lost. The wait core parks thread and proc ranks here; a parked
-    /// waiter is out of the count of ranks that can move, as on a channel.
-    pub(crate) fn agree_wait(
-        &self,
-        gen: u64,
-        stop: impl Fn() -> bool,
-    ) -> std::result::Result<(), WaitError> {
-        let movers = self.movers.as_deref();
-        let mut st = self.agree.lock().unwrap_or_else(PoisonError::into_inner);
-        // While this waiter is out of the count: the recount it left at.
-        let mut left: Option<u64> = None;
+    /// With the membership lock held: resolve the open generation if
+    /// every rank is accounted for (entered, failed, or done), and say
+    /// whether one resolved; the caller then wakes every inbox, with the
+    /// lock released. Loops: opening the next generation merges any
+    /// stashed remote entries for it, which can cover *that* generation
+    /// immediately — but only when this process has no local waiter of
+    /// the resolved generation (a live local waiter is neither entered,
+    /// failed, nor done in the next one), so a cascade never overwrites a
+    /// `resolved` cell a waiter has yet to copy out.
+    fn try_resolve_agree(&self, members: &mut Members) -> bool {
+        let mut resolved = false;
         loop {
-            left = left.filter(|&at| at == st.recounts);
-            let done = if st.resolved.as_ref().is_some_and(|r| r.0 == gen) {
-                Some(Ok(()))
-            } else if stop() {
-                Some(Err(WaitError::Stopped))
-            } else {
-                None
-            };
-            if let Some(done) = done {
-                // Only a backstop wake finds the waiter still out.
-                if let (Some(m), Some(_)) = (movers, left) {
-                    st.out -= 1;
-                    m.enter(1);
-                }
-                return done;
+            let Members {
+                failed,
+                done,
+                agree,
+                ..
+            } = &mut *members;
+            if agree.entered.is_empty()
+                || !(0..self.size).all(|r| {
+                    agree.entered.contains(&r) || failed.contains_key(&r) || done.contains(&r)
+                })
+            {
+                return resolved;
             }
-            if let Some(m) = movers.filter(|_| left.is_none()) {
-                if m.leave() {
-                    m.enter(1);
-                    return Err(WaitError::Stalled);
-                }
-                st.out += 1;
-                left = Some(st.recounts);
-            }
-            st.waiters += 1;
-            (st, _) = self
-                .agree_cv
-                .wait_timeout(st, BACKSTOP)
-                .unwrap_or_else(PoisonError::into_inner);
-            st.waiters -= 1;
-        }
-    }
-
-    /// Re-check the agreement condition (a rank failed or finished) and
-    /// wake agreement waiters.
-    fn notify_agree(&self) {
-        let mut st = self.agree.lock().unwrap_or_else(PoisonError::into_inner);
-        self.try_resolve_agree(&mut st);
-        self.notify_agree_waiters(&mut st);
-    }
-
-    /// With the agreement lock held: put the threads parked in
-    /// [`Progress::agree_wait`] back in the count of ranks that can move
-    /// and wake them, if there are any.
-    fn notify_agree_waiters(&self, st: &mut AgreeState) {
-        if st.out > 0 {
-            if let Some(m) = &self.movers {
-                m.enter(st.out);
-            }
-            st.out = 0;
-            st.recounts += 1;
-        }
-        if st.waiters > 0 {
-            self.agree_cv.notify_all();
-        }
-    }
-
-    /// With the agreement lock held: resolve the current generation if
-    /// every rank is accounted for (entered, failed, or done). Loops:
-    /// opening the next generation merges any stashed remote entries for
-    /// it, which can cover *that* generation immediately — but only when
-    /// this process has no local waiter of the resolved generation (a live
-    /// local waiter is neither entered, failed, nor done in the next one),
-    /// so a cascade never overwrites a `resolved` cell a waiter has yet to
-    /// copy out.
-    fn try_resolve_agree(&self, st: &mut AgreeState) {
-        loop {
-            if st.entered.is_empty() {
-                return;
-            }
-            let resolved = {
-                let failed = self.failed.lock().unwrap_or_else(PoisonError::into_inner);
-                let done = self
-                    .done_ranks
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner);
-                let covered = (0..self.size).all(|r| {
-                    st.entered.contains(&r) || failed.contains_key(&r) || done.contains(&r)
-                });
-                if !covered {
-                    return;
-                }
-                let snapshot: Vec<(usize, f64)> = failed.iter().map(|(&r, &t)| (r, t)).collect();
-                (st.generation, snapshot, self.failure_epoch())
-            };
-            st.resolved = Some(resolved);
-            st.generation += 1;
-            st.entered.clear();
+            let gen = self.agreements();
+            let snapshot: Vec<(usize, f64)> = failed.iter().map(|(&r, &t)| (r, t)).collect();
+            agree.resolved = Some((gen, snapshot, self.failure_epoch()));
+            agree.entered.clear();
             // The generation just opened may already have stashed remote
             // entries; merge them (and drop anything stale).
-            if let Some(stash) = st.future.remove(&st.generation) {
-                st.entered.extend(stash);
+            if let Some(stash) = agree.future.remove(&(gen + 1)) {
+                agree.entered.extend(stash);
             }
-            st.future.retain(|&g, _| g > st.generation);
-            self.notify_agree_waiters(st);
+            agree.future.retain(|&g, _| g > gen + 1);
+            self.agreed.store(gen + 1, Ordering::Release);
+            resolved = true;
         }
     }
 
-    /// Record that one rank finished its closure, waking completion
-    /// waiters (the finalize-time leak check) and agreement waiters (a
-    /// finished rank participates implicitly). The rank stays in the count
-    /// of ranks that can move until [`Progress::leave_finished`].
+    /// Record that one rank finished its closure, waking the finalize
+    /// barrier and, when the finish resolves an agreement (a finished rank
+    /// participates implicitly), every inbox. The rank stays in the count
+    /// of ranks that can move until `Progress::leave_finished`.
     pub fn mark_done(&self, rank: usize) {
-        self.done_ranks
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .insert(rank);
-        self.notify_agree();
-        self.notify_done();
+        let resolved = {
+            let mut members = self.members();
+            members.done.insert(rank);
+            self.notify_finalizing(&members);
+            self.try_resolve_agree(&mut members)
+        };
+        if resolved {
+            self.wake_all();
+        }
         // Mirror to peer processes last, with no progress locks held.
-        if let Some(n) = self.notifier() {
+        if let Some(n) = self.notifier.get() {
             n.on_done(rank);
         }
     }
 
-    /// Wake the threads parked on the completion condvar, if there are
-    /// any. Waiters check their condition and count themselves under
-    /// `done_sync`, so a notify skipped here is never one they needed.
-    fn notify_done(&self) {
-        let waiters = self
-            .done_sync
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        if *waiters > 0 {
-            self.done_cv.notify_all();
+    /// With the membership lock held: wake the threads parked in the
+    /// finalize barrier, if there are any. They check their condition and
+    /// count themselves under the same lock, so a notify skipped here is
+    /// never one they needed.
+    fn notify_finalizing(&self, members: &Members) {
+        if members.finalizing > 0 {
+            self.finished_cv.notify_all();
         }
     }
 
     /// Have all ranks finished?
     pub fn all_done(&self) -> bool {
-        self.done_ranks
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .len()
-            == self.size
+        self.members().done.len() == self.size
     }
 
     /// Block until every rank is done. Used by the finalize-time leak
@@ -558,17 +473,14 @@ impl Progress {
     /// (Blocked ranks are released by the deadlock's poison, so this
     /// terminates even on deadlocked runs.)
     pub fn wait_all_done(&self) {
-        let mut guard = self
-            .done_sync
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        while !self.all_done() {
-            *guard += 1;
-            (guard, _) = self
-                .done_cv
-                .wait_timeout(guard, BACKSTOP)
+        let mut members = self.members();
+        while members.done.len() < self.size {
+            members.finalizing += 1;
+            (members, _) = self
+                .finished_cv
+                .wait_timeout(members, BACKSTOP)
                 .unwrap_or_else(PoisonError::into_inner);
-            *guard -= 1;
+            members.finalizing -= 1;
         }
     }
 
@@ -582,7 +494,8 @@ impl Progress {
 
     /// No rank can move: poison the world with the registered blocked
     /// operations and their wait-for cycle, unless it is poisoned already.
-    /// Called with no channel or agreement lock held: the poison wakes all.
+    /// Called with no channel or membership lock held: the poison wakes
+    /// all.
     #[cold]
     pub(crate) fn declare_deadlock(&self) {
         if self.is_poisoned() {
@@ -665,7 +578,7 @@ const _: () = assert!(std::mem::size_of::<Option<Envelope>>() == std::mem::size_
 const _: () = assert!(std::mem::size_of::<Envelope>() <= 96);
 
 /// One rank's receive side. It holds no inbox of its own: the rank's
-/// communicator admits arrivals ([`Mailbox::admit`], [`Mailbox::pull`])
+/// communicator admits arrivals (`Mailbox::admit`, `Mailbox::pull`)
 /// before every match, and a blocked rank parks on the inbox itself.
 #[derive(Debug, Default)]
 pub struct Mailbox {
@@ -1070,9 +983,9 @@ impl Mailbox {
         env
     }
 
-    /// Enable perturbed wildcard delivery ([`CheckMode::Perturb`]
-    /// (crate::check::CheckMode::Perturb)): ties are broken
-    /// pseudo-randomly instead of by simulated send time.
+    /// Enable perturbed wildcard delivery
+    /// ([`CheckMode::Perturb`](crate::CheckMode::Perturb)): ties are
+    /// broken pseudo-randomly instead of by simulated send time.
     pub fn set_perturb(&mut self, seed: u64) {
         // xorshift needs a nonzero state.
         self.modes().perturb = Some(seed | 1);
@@ -1497,7 +1410,7 @@ mod tests {
             let p = Arc::clone(&progress);
             let finisher = std::thread::spawn(move || {
                 // Trigger only once the waiter is parked on the condvar.
-                while *p.done_sync.lock().unwrap_or_else(PoisonError::into_inner) == 0 {
+                while p.members().finalizing == 0 {
                     std::thread::yield_now();
                 }
                 let triggered = Instant::now();
@@ -1518,8 +1431,8 @@ mod tests {
             std::thread::scope(|s| {
                 let last = s.spawn(|| {
                     let mut comm = w.comm(1);
-                    let waiters = || w.progress().agree.lock().map_or(0, |st| st.waiters);
-                    while waiters() == 0 {
+                    // Rank 0 is parked once it left the count.
+                    while movers(&w) == 2 {
                         std::thread::yield_now();
                     }
                     let triggered = Instant::now();
@@ -1616,20 +1529,36 @@ mod tests {
     }
 
     #[test]
-    fn a_released_agreement_puts_its_waiter_back_in_the_count() {
+    fn an_agreement_waiter_with_unreceived_traffic_parks() {
         let w = TestWorld::new(2);
+        // Rank 1's eager envelope waits in rank 0's inbox: a waiter that
+        // parked without admitting it would return from every park at
+        // once, spinning inside the count.
+        w.outboxes[0].send(env(1, 4, 7)).expect("inbox open");
         std::thread::scope(|s| {
-            let first = s.spawn(|| agree(&mut w.comm(0)).expect("resolves"));
-            while movers(&w) == 2 {
+            let first = s.spawn(|| {
+                let mut comm = w.comm(0);
+                let agreed = agree(&mut comm).expect("resolves");
+                let spec = MatchSpec::User(SourceSel::Rank(1), TagSel::Tag(4));
+                let got = block_on(Waiter::Blocking.recv(&mut comm, &spec, None));
+                (agreed, got.expect("the envelope is still there"))
+            });
+            let deadline = Instant::now() + Duration::from_secs(2);
+            while movers(&w) == 2 && Instant::now() < deadline {
                 std::thread::yield_now();
             }
+            let parked = movers(&w);
             // Past a backstop wake, which changes nothing in the count.
             std::thread::sleep(crate::chan::BACKSTOP * 2);
-            assert_eq!(movers(&w), 1, "the parked waiter stays out");
-            assert_eq!(
-                agree(&mut w.comm(1)).expect("resolves"),
-                first.join().expect("rank 0")
-            );
+            let stayed = movers(&w);
+            // Rank 1 agrees before any assertion, so a failing one never
+            // leaves rank 0 waiting.
+            let mine = agree(&mut w.comm(1)).expect("resolves");
+            let (theirs, got) = first.join().expect("rank 0");
+            assert_eq!(parked, 1, "the waiter parked");
+            assert_eq!(stayed, 1, "the parked waiter stays out");
+            assert_eq!(mine, theirs, "one outcome on both ranks");
+            assert_eq!(crate::datatype::decode_vec::<i32>(&got.payload), vec![7]);
         });
         assert_eq!(movers(&w), 2, "both ranks can move again");
         assert!(!w.progress().is_poisoned());

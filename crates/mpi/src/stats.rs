@@ -2,7 +2,7 @@
 //!
 //! Every public primitive invocation is counted; collectives additionally
 //! account the point-to-point traffic they generate. The transport folds
-//! each completed operation in once, as an [`Obs`]. The counters feed two
+//! each completed operation in once, as an `Obs`. The counters feed two
 //! reproduction artifacts: **Table II** (which MPI primitives each module
 //! uses) via [`CommStats::used_primitives`], and the communication-volume
 //! reasoning of Modules 3 and 5 via the byte counters.

@@ -41,10 +41,12 @@ use crate::error::{Error, Result};
 use crate::reduce::{Op, Reducible};
 use crate::stats::{CommStats, Primitive};
 use crate::topology::CartTopology;
-use crate::wait::{EventCtx, Waiter};
+use crate::wait::{WaitCell, Waiter};
 use pdc_cluster::CostModel;
+use std::cell::RefCell;
 use std::future::Future;
 use std::pin::{pin, Pin};
+use std::rc::Rc;
 use std::task::{Context, Poll, Waker};
 
 /// The boxed, rank-local future a step program compiles to. Not `Send`:
@@ -152,11 +154,12 @@ impl<'c, 'w: 'c> StepComm<'c, 'w> {
         }
     }
 
-    /// Event-mode constructor, used by the event engine.
-    pub(crate) fn event(comm: &'c mut Comm<'w>, ctx: EventCtx) -> Self {
+    /// Event-mode constructor, used by the event engine: the rank parks
+    /// on `cell`.
+    pub(crate) fn event(comm: &'c mut Comm<'w>, cell: Rc<RefCell<WaitCell>>) -> Self {
         StepComm {
             comm,
-            wait: Waiter::Event(ctx),
+            wait: Waiter::Event(cell),
         }
     }
 

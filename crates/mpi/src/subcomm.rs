@@ -120,7 +120,7 @@ impl Comm<'_> {
     /// Every live rank must call this; the failures are acknowledged as a
     /// side effect (see [`Comm::agree`]), so collectives on the returned
     /// communicator run normally afterwards. The recovery idiom a module
-    /// uses after catching [`Error::RankFailed`](crate::Error::RankFailed)
+    /// uses after catching [`Error::RankFailed`]
     /// from a collective is: `let survivors = comm.shrink()?;` then redo
     /// the lost work over `survivors`.
     #[track_caller]

@@ -6,7 +6,7 @@
 //! envelope reaches the destination rank's inbox:
 //!
 //! * **thread** — the default: every rank is an OS thread in one
-//!   process, and [`channel_mesh`] gives each rank a condvar channel
+//!   process, and `channel_mesh` gives each rank a condvar channel
 //!   (`chan.rs`) as its inbox; the outboxes are the channels' senders.
 //! * **event** ([`World::run_event`](crate::World::run_event)) builds no
 //!   channels: it runs every rank on one thread and owns one plain inbox
@@ -16,7 +16,7 @@
 //! * **proc** (`proc::ProcTransport`, via
 //!   [`World::run_proc`](crate::World::run_proc)) — real multi-OS-process
 //!   ranks over Unix-domain sockets with length-prefixed frames (see
-//!   [`wire`]), a dedicated send thread per peer, and typed peer-death
+//!   `wire`), a dedicated send thread per peer, and typed peer-death
 //!   detection feeding the ULFM `agree`/`shrink` path.
 //!
 //! The contract, piece by piece:
@@ -25,8 +25,8 @@
 //!   destination rank, failing (with the envelope dropped) when the
 //!   destination can no longer receive. A rendezvous acknowledgement is
 //!   an envelope too, so data and acks share this one path;
-//! * **receive** — matching stays in [`Mailbox`](crate::mailbox::Mailbox),
-//!   which the rank's communicator feeds from its inbox ([`Link`]); a
+//! * **receive** — matching stays in [`Mailbox`],
+//!   which the rank's communicator feeds from its inbox (`Link`); a
 //!   transport only has to feed that inbox;
 //! * **wait** — a blocked rank waits only in the wait core (`wait.rs`):
 //!   on the thread and proc backends it parks on its channel inbox, on

@@ -18,11 +18,11 @@
 //! drains a frame queue onto the socket — senders never block on peer
 //! sockets — and a reader thread dispatches incoming frames: envelopes
 //! (rendezvous acknowledgements among them) to the local inbox, and
-//! progress mirrors ([`Frame::Done`], [`Frame::Failed`], [`Frame::AgreeEnter`])
+//! progress mirrors (`Frame::Done`, `Frame::Failed`, `Frame::AgreeEnter`)
 //! into the local [`Progress`] via the same entry points the fault layer
 //! already uses. Peer death is typed: a socket EOF from a process that
 //! never reported its result is `Progress::mark_failed`, so survivors
-//! observe [`Error::RankFailed`](crate::Error::RankFailed) and the ULFM
+//! observe [`Error::RankFailed`] and the ULFM
 //! `agree`/`shrink` path works unchanged — no hang.
 //!
 //! Two deliberate weakenings versus the in-process backends, both
@@ -185,6 +185,18 @@ impl Shared {
             .unwrap_or_else(PoisonError::into_inner)
             .contains_key(&rank)
     }
+
+    /// Broadcast the local rank's result and remember it locally.
+    fn publish_result(&self, res: RankResult) {
+        self.broadcast(Frame::Result(Box::new(res.clone())));
+        self.store_result(res);
+    }
+
+    /// Every rank's report, by rank. Call after
+    /// [`ProcTransport::await_results`].
+    fn take_results(&self) -> BTreeMap<usize, RankResult> {
+        std::mem::take(&mut *self.results.lock().unwrap_or_else(PoisonError::into_inner))
+    }
 }
 
 /// One connected peer: its frame queue plus the threads and socket that
@@ -195,10 +207,36 @@ struct Peer {
     reader: std::thread::JoinHandle<()>,
 }
 
+/// This process's end of the socket mesh, torn down by
+/// [`Mesh::finalize`].
 struct Mesh {
     peers: Vec<Option<Peer>>,
     shutdown: Arc<AtomicBool>,
     sock_path: PathBuf,
+}
+
+impl Mesh {
+    /// Tear down once every rank reported: writers drain their queues,
+    /// then the sockets close and the readers exit.
+    fn finalize(self) {
+        // Writers drain their queues, then exit on the flag; only then is
+        // the socket shut down, which unblocks the readers.
+        self.shutdown.store(true, Ordering::Relaxed);
+        let mut streams = Vec::new();
+        let mut readers = Vec::new();
+        for peer in self.peers.into_iter().flatten() {
+            let _ = peer.writer.join();
+            streams.push(peer.stream);
+            readers.push(peer.reader);
+        }
+        for stream in &streams {
+            let _ = stream.shutdown(std::net::Shutdown::Both);
+        }
+        for reader in readers {
+            let _ = reader.join();
+        }
+        let _ = std::fs::remove_file(&self.sock_path);
+    }
 }
 
 /// Mirrors locally originated progress events to every peer process.
@@ -284,16 +322,14 @@ fn read_hello<R: Read>(r: &mut R, me: usize, size: usize) -> io::Result<usize> {
 }
 
 /// The multi-process transport for one world: built around this process's
-/// rank, opened against the world's [`Progress`], torn down by
-/// [`ProcTransport::finalize`] once the local rank (and every peer's
-/// result) is in.
+/// rank and opened against the world's [`Progress`]
+/// ([`ProcTransport::open`]), which yields the shared state and the socket
+/// mesh the rest of the world's life runs on.
 pub(crate) struct ProcTransport {
     rank: usize,
     size: usize,
     world: u32,
     dir: PathBuf,
-    shared: Mutex<Option<Arc<Shared>>>,
-    mesh: Mutex<Option<Mesh>>,
 }
 
 impl ProcTransport {
@@ -303,22 +339,11 @@ impl ProcTransport {
             size,
             world,
             dir,
-            shared: Mutex::new(None),
-            mesh: Mutex::new(None),
         }
     }
 
     fn sock_path(&self, rank: usize) -> PathBuf {
         self.dir.join(format!("w{}_r{}.sock", self.world, rank))
-    }
-
-    fn shared(&self) -> Arc<Shared> {
-        self.shared
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .as_ref()
-            .expect("transport opened")
-            .clone()
     }
 
     /// Connect the full socket mesh: bind own listener, dial every lower
@@ -365,18 +390,10 @@ impl ProcTransport {
         streams
     }
 
-    /// Broadcast the local rank's result and remember it locally.
-    fn publish_result(&self, res: RankResult) {
-        let shared = self.shared();
-        shared.broadcast(Frame::Result(Box::new(res.clone())));
-        shared.store_result(res);
-    }
-
     /// Block until every rank's result is in or its process is known
     /// dead. Panics after [`RESULT_DEADLINE`] — this backend detects no
     /// deadlock, and failing loudly beats hanging a test suite.
-    fn await_results(&self, progress: &Progress) {
-        let shared = self.shared();
+    fn await_results(&self, shared: &Shared, progress: &Progress) {
         let deadline = Instant::now() + RESULT_DEADLINE;
         let mut results = shared
             .results
@@ -405,22 +422,15 @@ impl ProcTransport {
         }
     }
 
-    /// Every rank's report, by rank. Call after [`ProcTransport::await_results`].
-    fn take_results(&self) -> BTreeMap<usize, RankResult> {
-        std::mem::take(
-            &mut *self
-                .shared()
-                .results
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner),
-        )
-    }
-
     /// Build the socket mesh, start every peer's reader and writer
-    /// threads, and install the progress mirror. Returns the outbox row
-    /// (a local channel for this rank, a socket route for every peer) and
-    /// this rank's inbox, registered for the poison/failure broadcast.
-    fn open(&self, progress: &Arc<Progress>) -> (Outboxes, chan::Receiver<Envelope>) {
+    /// threads, and install the progress mirror. Returns the shared state,
+    /// the mesh, the outbox row (a local channel for this rank, a socket
+    /// route for every peer) and this rank's inbox, registered for the
+    /// progress wakes.
+    fn open(
+        &self,
+        progress: &Arc<Progress>,
+    ) -> (Arc<Shared>, Mesh, Outboxes, chan::Receiver<Envelope>) {
         let streams = self.connect_mesh();
         // One frame queue per connected peer; the writer thread owns the
         // receiving half, everything else clones the sender out of
@@ -440,7 +450,6 @@ impl ProcTransport {
             results: Mutex::new(BTreeMap::new()),
             results_cv: Condvar::new(),
         });
-        *self.shared.lock().unwrap_or_else(PoisonError::into_inner) = Some(Arc::clone(&shared));
         progress.set_notifier(Arc::new(ProcNotifier {
             rank: self.rank,
             shared: Arc::clone(&shared),
@@ -550,13 +559,12 @@ impl ProcTransport {
                 reader,
             });
         }
-        *self.mesh.lock().unwrap_or_else(PoisonError::into_inner) = Some(Mesh {
+        let mesh = Mesh {
             peers,
             shutdown,
             sock_path: self.sock_path(self.rank),
-        });
+        };
 
-        let progress_arc = Arc::clone(progress);
         let outboxes: Outboxes = (0..self.size)
             .map(|dst| {
                 if dst == self.rank {
@@ -565,42 +573,12 @@ impl ProcTransport {
                     Box::new(ProcOutbox {
                         dst,
                         shared: Arc::clone(&shared),
-                        progress: Arc::clone(&progress_arc),
+                        progress: Arc::clone(progress),
                     }) as Box<dyn Outbox>
                 }
             })
             .collect();
-        (outboxes, inbox_rx)
-    }
-
-    /// Tear down once every rank reported: writers drain their queues,
-    /// then the sockets close and the readers exit.
-    fn finalize(&self) {
-        let Some(mesh) = self
-            .mesh
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .take()
-        else {
-            return;
-        };
-        // Writers drain their queues, then exit on the flag; only then is
-        // the socket shut down, which unblocks the readers.
-        mesh.shutdown.store(true, Ordering::Relaxed);
-        let mut streams = Vec::new();
-        let mut readers = Vec::new();
-        for peer in mesh.peers.into_iter().flatten() {
-            let _ = peer.writer.join();
-            streams.push(peer.stream);
-            readers.push(peer.reader);
-        }
-        for stream in &streams {
-            let _ = stream.shutdown(std::net::Shutdown::Both);
-        }
-        for reader in readers {
-            let _ = reader.join();
-        }
-        let _ = std::fs::remove_file(&mesh.sock_path);
+        (shared, mesh, outboxes, inbox_rx)
     }
 }
 
@@ -625,7 +603,7 @@ where
     let (rank, dir) = proc_identity(cfg.size);
     let world = WORLD_COUNTER.fetch_add(1, Ordering::SeqCst);
     let transport = ProcTransport::new(rank, cfg.size, world, dir);
-    let (outboxes, inbox) = transport.open(progress);
+    let (shared, mesh, outboxes, inbox) = transport.open(progress);
 
     let started = Instant::now();
     // No deadlock detection here: this process cannot count the ranks of
@@ -640,15 +618,15 @@ where
         Ok(v) => RankValue::Ok(v.to_value()),
         Err(e) => RankValue::Err(e),
     };
-    transport.publish_result(RankResult {
+    shared.publish_result(RankResult {
         rank,
         value,
         report,
     });
-    transport.await_results(progress);
-    transport.finalize();
+    transport.await_results(&shared, progress);
+    mesh.finalize();
 
-    let mut results = transport.take_results();
+    let mut results = shared.take_results();
     let outcomes = (0..cfg.size).map(|r| {
         let res = results.remove(&r).unwrap_or_else(|| RankResult {
             rank: r,

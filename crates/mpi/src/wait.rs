@@ -10,7 +10,7 @@
 //! | [`Waiter::recv`]  | a message matching the spec is in the mailbox       | its channel inbox        | poison, a failed source, an unacknowledged failure |
 //! | [`Waiter::ack`]   | the rendezvous partner's ack of the send arrived    | its channel inbox        | as `recv` from the destination; a refusal or a finished destination ends it with `WorldShutDown` |
 //! | [`Waiter::probe`] | a matching user message is in the mailbox (kept)    | its channel inbox        | as `recv` |
-//! | [`Waiter::agree`] | every rank entered the agreement, failed, or finished | the agreement condvar  | poison |
+//! | [`Waiter::agree`] | every rank entered the agreement, failed, or finished | its channel inbox        | poison |
 //!
 //! All four run one loop ([`Waiter::wait_for`]): try to complete; on the
 //! first miss, register what the rank waits for with the shared progress
@@ -27,22 +27,25 @@
 //! Only the park differs by backend:
 //!
 //! * a [`Waiter::Blocking`] rank (thread and proc backends) blocks its
-//!   thread on the channel or condvar in the table, with a short
-//!   yield-spin first on a channel. The stop condition is evaluated under
-//!   that lock, so a message that already arrived wins over a concurrent
-//!   poison, and no wake is lost. Its futures complete on their first
-//!   poll;
+//!   thread on its channel inbox, after a short yield-spin. The stop
+//!   condition is evaluated under the channel lock, so a message that
+//!   already arrived wins over a concurrent poison, and no wake is lost.
+//!   Its futures complete on their first poll;
 //! * a [`Waiter::Event`] rank (the event backend) checks the stop
 //!   condition, marks itself parked on its [`WaitCell`], and yields to the
 //!   discrete-event engine, which re-polls it after a wake. Its channels
 //!   never close.
 //!
 //! An acknowledgement is an envelope like any other, so a rendezvous
-//! sender is woken by its arrival on every backend. The event engine
-//! also takes wake hints for agreements, which a blocking rank's condvar
-//! does not need: an agreement resolves on progress state, not on a
-//! message, and entering one is a progress change for the ranks parked
-//! in it.
+//! sender is woken by its arrival on every backend. An agreement resolves
+//! on world membership, not on a message, and its resolution is one more
+//! wake: it wakes every inbox on the thread and proc backends, and the
+//! event engine, which sees the count of resolved generations move,
+//! requeues the ranks parked in `agree`. A blocking agreement's park ends
+//! as a wake once that count covers its generation; the count is an
+//! atomic, so the check takes no progress lock under the channel lock.
+//! Before it parks, the agreement admits its inbox's arrivals, as a
+//! receive does: a park returns at once while anything is queued there.
 
 use crate::chan::WaitError;
 use crate::check::{CallSite, PendingOn, PendingOp};
@@ -81,29 +84,11 @@ impl WaitCell {
     }
 }
 
-/// Wake hints the waits push for the engine: parking in `agree`
-/// registers for the progress-change requeue list; entering `agree` is
-/// itself a progress change other agree-waiters must observe.
-#[derive(Default)]
-pub(crate) struct Hints {
-    /// Ranks parked in `agree`, requeued on any progress change.
-    pub agree_parked: Vec<usize>,
-    /// Set when a rank entered an agreement generation this poll.
-    pub agree_entered: bool,
-}
-
-/// Everything an event-mode rank needs to suspend: its wait cell and the
-/// shared hint lists.
-pub(crate) struct EventCtx {
-    pub cell: Rc<RefCell<WaitCell>>,
-    pub hints: Rc<RefCell<Hints>>,
-}
-
 /// How a rank waits: by blocking its thread, or by parking its state
-/// machine on the event engine.
+/// machine on the event engine, through the wait cell the engine shares.
 pub(crate) enum Waiter {
     Blocking,
-    Event(EventCtx),
+    Event(Rc<RefCell<WaitCell>>),
 }
 
 /// What a wait parks on, which also fixes what stops it early.
@@ -288,9 +273,6 @@ impl Waiter {
         site: CallSite,
     ) -> impl Future<Output = Result<(Vec<(usize, f64)>, u64)>> + use<'a, 'w> {
         let gen = comm.progress().agree_enter(comm.rank());
-        if let Waiter::Event(ctx) = self {
-            ctx.hints.borrow_mut().agree_entered = true;
-        }
         self.wait_for(
             comm,
             ParkOn::Agree(gen),
@@ -300,7 +282,10 @@ impl Waiter {
                 site,
                 on: PendingOn::Agree,
             },
-            move |c| Ok(c.progress().agree_poll(gen)),
+            move |c| {
+                c.admit_arrivals();
+                Ok(c.progress().agree_poll(gen))
+            },
         )
     }
 
@@ -349,25 +334,21 @@ impl Waiter {
     /// Park the rank on `on` until woken, stopped, or the channel closed —
     /// the only step of a wait that differs between backends.
     fn park(&self, comm: &Comm<'_>, on: ParkOn) -> Park {
-        let ctx = match self {
-            Waiter::Blocking => {
-                let stopped = || on.stopped(comm);
-                return Park::Over(match on {
-                    ParkOn::Inbox { .. } => comm.inbox().wait_or_stop(stopped),
-                    ParkOn::Agree(gen) => comm.progress().agree_wait(gen, stopped),
-                });
-            }
-            Waiter::Event(ctx) => ctx,
+        let Waiter::Event(cell) = self else {
+            // A resolved agreement ends the park as a wake, poison as a
+            // stop.
+            let agreed = || matches!(on, ParkOn::Agree(gen) if comm.progress().agreements() > gen);
+            return Park::Over(
+                match comm.inbox().wait_or_stop(|| agreed() || on.stopped(comm)) {
+                    Err(WaitError::Stopped) if agreed() => Ok(()),
+                    done => done,
+                },
+            );
         };
         if on.stopped(comm) {
             return Park::Over(Err(WaitError::Stopped));
         }
-        if let ParkOn::Agree(_) = on {
-            // An agreement resolves on progress state, not on a message:
-            // the engine requeues these ranks on every progress change.
-            ctx.hints.borrow_mut().agree_parked.push(comm.rank());
-        }
-        let mut cell = ctx.cell.borrow_mut();
+        let mut cell = cell.borrow_mut();
         cell.now = comm.sim_time();
         cell.waiting = on.step();
         cell.parked = true;

@@ -31,6 +31,9 @@
 //! same deadlock analysis. An eager send to a rank that already returned
 //! succeeds on both, as fire-and-forget traffic to a gone peer.
 //!
+//! On the event engine a rank parked in an agreement is resumed once
+//! when the agreement resolves, not each time another rank enters it.
+//!
 //! Module 1's blocking ring deadlocks under rendezvous sends, and a
 //! thread world reports it the instant its last rank parks, with the
 //! event engine's analysis. Busy worlds whose ranks park and wake
@@ -569,6 +572,41 @@ fn an_eager_send_to_a_finished_rank_succeeds_on_thread_and_event() {
     .expect("fire-and-forget on threads");
     World::run_event(WorldConfig::new(2), &EagerToFinished)
         .expect("fire-and-forget on the event engine");
+}
+
+/// Every rank agrees once, at a rank-dependent clock, and returns the
+/// agreed failed set and its clock afterwards.
+struct AgreeOnce;
+
+impl StepProgram<(Vec<(usize, f64)>, f64)> for AgreeOnce {
+    fn build<'c, 'w: 'c>(
+        &'c self,
+        mut sc: StepComm<'c, 'w>,
+    ) -> StepFuture<'c, Result<(Vec<(usize, f64)>, f64)>> {
+        Box::pin(async move {
+            sc.charge_flops(1e3 * sc.rank() as f64);
+            let failed = sc.agree().await?;
+            Ok((failed, sc.sim_time()))
+        })
+    }
+}
+
+#[test]
+fn each_event_agreement_waiter_resumes_once_per_resolution() {
+    const P: usize = 4;
+    let thread = World::run(WorldConfig::new(P), |comm| {
+        drive(comm, |sc| AgreeOnce.build(sc))
+    })
+    .expect("threads agree");
+    for seed in 0..16 {
+        let (event, mem) =
+            World::run_event_with_mem(WorldConfig::new(P).with_sched_seed(seed), &AgreeOnce);
+        let event = event.unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+        // One poll per rank to enter, then one per parked waiter once the
+        // last entry resolves the agreement.
+        assert_eq!(mem.events, 2 * P as u64 - 1, "seed {seed}");
+        assert_eq!(event.values, thread.values, "seed {seed}");
+    }
 }
 
 /// Module 1's naive blocking ring as a step program.
